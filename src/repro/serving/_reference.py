@@ -34,7 +34,6 @@ from repro.serving.engine import EngineTrace, _PrefillCohort
 from repro.serving.metrics import (
     DEFAULT_SKETCH_CAPACITY,
     DepthSketch,
-    RequestTiming,
     ServingReport,
 )
 from repro.serving.schedulers import RunningRequest, Scheduler
@@ -343,18 +342,7 @@ class ReferenceEngine:
             depth_sketch.observe(cur_depth, depth_acc)
         end = clock
         timings = tuple(
-            RequestTiming(
-                request_id=r.timed.request_id,
-                input_len=r.input_len,
-                output_len=r.output_len,
-                arrival_s=r.timed.arrival_s,
-                admitted_s=r.admitted_s,
-                first_token_s=r.first_token_s,
-                finished_s=r.finished_s,
-                preemptions=r.preemptions,
-                cached_tokens=r.cached_tokens,
-                remote_tokens=r.remote_tokens,
-            )
+            r.timing()
             for r in sorted(finished, key=lambda r: r.timed.request_id)
         )
         span = max(end - start, 1e-12)

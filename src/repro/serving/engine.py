@@ -28,15 +28,19 @@ kinds move the clock:
   in the clock and the token accounting.
 
 **The hot path is coalesced.**  Between two batch-composition events —
-a finish, an admission, an arrival crossing the clock, a preemption —
-nothing about the decode batch can change, so the engine prices the whole
-stretch at once: it snapshots the running set into a columnar
-:class:`~repro.serving.slots.SlotView`, asks the scheduler's
+a finish, an admission, an arrival the scheduler would admit, a
+preemption — nothing about the decode batch can change, so the engine
+prices the whole stretch at once: it snapshots the running set into a
+columnar :class:`~repro.serving.slots.SlotView`, asks the scheduler's
 :meth:`~repro.serving.schedulers.Scheduler.decode_run` for the run's
 ``(batch, seq)`` pricing points in one vectorized call, maps them through
 the memoized cost model, and replays only the clock/queue-depth
 accumulation as a tight scalar loop (float addition is order-sensitive,
-so that part *must* stay sequential to remain bit-exact).  Per-request
+so that part *must* stay sequential to remain bit-exact).  An arrival
+that lands mid-run joins the queue inside that loop, and the run ends
+there only if the scheduler's pure ``admit`` would take a request at
+that clock — under overload, a full batch absorbs arrivals until its
+earliest finish.  Per-request
 Python work happens once per run instead of once per iteration — the
 difference between O(batch) and O(1) bookkeeping per decode step, and the
 source of the wall-clock speedup the ``wallclock`` benchmark gates.
@@ -227,20 +231,7 @@ class _StatsRecorder:
         self.n_iterations += len(dts)
 
     def finish(self, request: RunningRequest) -> None:
-        self.requests.observe(
-            RequestTiming(
-                request_id=request.timed.request_id,
-                input_len=request.input_len,
-                output_len=request.output_len,
-                arrival_s=request.timed.arrival_s,
-                admitted_s=request.admitted_s,
-                first_token_s=request.first_token_s,
-                finished_s=request.finished_s,
-                preemptions=request.preemptions,
-                cached_tokens=request.cached_tokens,
-                remote_tokens=request.remote_tokens,
-            )
-        )
+        self.requests.observe(request.timing())
 
 
 class ServingEngine:
@@ -295,18 +286,7 @@ class ServingEngine:
             handoffs, handoff_bytes, idle_s,
         ) = self._serve(trace, recorder, collector)
         timings = tuple(
-            RequestTiming(
-                request_id=r.timed.request_id,
-                input_len=r.input_len,
-                output_len=r.output_len,
-                arrival_s=r.timed.arrival_s,
-                admitted_s=r.admitted_s,
-                first_token_s=r.first_token_s,
-                finished_s=r.finished_s,
-                preemptions=r.preemptions,
-                cached_tokens=r.cached_tokens,
-                remote_tokens=r.remote_tokens,
-            )
+            r.timing()
             for r in sorted(
                 recorder.finished, key=lambda r: r.timed.request_id
             )
@@ -668,10 +648,10 @@ class ServingEngine:
                 continue
 
             if running and coalesce:
-                # Coalesced decode run: until a resident finishes or an
-                # arrival crosses the clock, the batch cannot change —
-                # price the whole stretch in one vectorized call and
-                # replay only the order-sensitive float accumulation.
+                # Coalesced decode run: until a resident finishes or the
+                # scheduler would admit an arrival, the batch cannot
+                # change — price the whole stretch in one vectorized call
+                # and replay only the order-sensitive float accumulation.
                 slots = SlotView.from_requests(running)
                 steps = min(slots.max_coalesced_steps(), _MAX_RUN_STEPS)
                 batch, seqs = self.scheduler.decode_run(slots, steps)
@@ -693,7 +673,24 @@ class ServingEngine:
                         clock += dt
                         executed += 1
                         if next_arrival <= clock:
-                            break
+                            # Absorb the arrivals exactly as the loop top
+                            # would after this step: queue them and start
+                            # a depth segment at the new length (the queue
+                            # only grows mid-run, so the loop top's
+                            # max_depth still sees its peak).  The run
+                            # goes on unless admit — pure, and blind to
+                            # decode progress — would take one now.
+                            while pending and pending[0].arrival_s <= clock:
+                                queue.append(pending.popleft())
+                            qlen = len(queue)
+                            set_depth(qlen)
+                            if self.scheduler.admit(
+                                queue, running, bool(pending)
+                            ):
+                                break
+                            next_arrival = (
+                                pending[0].arrival_s if pending else np.inf
+                            )
                 else:
                     for dt in dts:
                         depth_area += qlen * dt

@@ -40,10 +40,11 @@ re-runs any serving trial with a recording collector for
 ``repro trace export``.
 
 The engine itself is benchmarked by the ``wallclock`` trial/sweep: the
-vectorized production engine (bare and with telemetry recording) and
-the scalar reference serve the same ~100k-request trace under a
-stopwatch, and CI asserts both the speedup floor the vectorized core
-was merged at and the telemetry overhead ceiling.
+vectorized production engine (bare, with telemetry recording, and as a
+``least-loaded`` fleet) and the scalar reference serve the same
+~100k-request trace under a stopwatch, and CI asserts the speedup floor
+the vectorized core was merged at, the telemetry overhead ceiling, and
+the fleet-to-bare-engine ceiling.
 """
 
 from __future__ import annotations
@@ -1221,6 +1222,12 @@ WALLCLOCK_LOAD = dict(
     seed=0,
 )
 
+#: replicas of the ``cluster`` wall-clock engine (same trace, same knobs)
+WALLCLOCK_REPLICAS = 4
+
+#: every engine the ``wallclock`` sweep times, in report order
+WALLCLOCK_ENGINES = ("reference", "slot", "slot+telemetry", "cluster")
+
 
 @trial("wallclock")
 def wallclock(
@@ -1241,17 +1248,22 @@ def wallclock(
     ``engine`` selects the implementation under test: ``"slot"`` is the
     production :class:`~repro.serving.engine.ServingEngine` (slot-array
     coalesced hot path, streaming stats), ``"reference"`` the scalar
-    :class:`~repro.serving._reference.ReferenceEngine` specification, and
+    :class:`~repro.serving._reference.ReferenceEngine` specification,
     ``"slot+telemetry"`` the production engine with a recording
-    :class:`~repro.serving.telemetry.TimelineCollector` attached.
+    :class:`~repro.serving.telemetry.TimelineCollector` attached, and
+    ``"cluster"`` a fleet of :data:`WALLCLOCK_REPLICAS` production
+    engines behind the ``least-loaded`` router.
     All serve the *identical* trace, so the ratio of their ``wall_s`` is
     the hot path's speedup — what CI's ``perf-wallclock`` job asserts,
     along with the telemetry overhead ceiling
-    (``slot+telemetry`` ≤ 1.15 × ``slot``).
-    Only the serve call is timed; trace construction and report
-    aggregation happen outside the stopwatch.  Never cache this trial's
-    results (``repro sweep wallclock --no-cache``): a timing replayed
-    from the cache says nothing about the code under test.
+    (``slot+telemetry`` ≤ 1.15 × ``slot``) and the fleet ceiling
+    (``cluster`` ≤ 3 × ``slot``: routing and serving a trace over
+    replicas must stay linear in its length).
+    Only the serve call is timed (for ``cluster``, the whole ``run``:
+    routing, replicas and merge); trace construction and engine
+    construction happen outside the stopwatch.  Never cache this
+    trial's results (``repro sweep wallclock --no-cache``): a timing
+    replayed from the cache says nothing about the code under test.
     """
     spec = spec_for(model, scale)
     serving = build_system(SystemKind(system), scale)
@@ -1266,32 +1278,45 @@ def wallclock(
         t0 = time.perf_counter()
         stats = impl.serve_stats(trace)
         wall_s = time.perf_counter() - t0
+        report = stats.report()
     elif engine == "slot+telemetry":
         impl = ServingEngine(serving, spec, policy)
         collector = TimelineCollector()
         t0 = time.perf_counter()
         stats = impl.serve_stats(trace, collector=collector)
         wall_s = time.perf_counter() - t0
+        report = stats.report()
     elif engine == "reference":
         ref = ReferenceEngine(serving, spec, policy)
         t0 = time.perf_counter()
         run = ref.serve(trace)
         wall_s = time.perf_counter() - t0
-        stats = run.stats()
+        report = run.report()
+    elif engine == "cluster":
+        fleet = build_cluster(
+            serving,
+            spec,
+            WALLCLOCK_REPLICAS,
+            router="least-loaded",
+            scheduler=scheduler,
+            max_batch=max_batch,
+        )
+        t0 = time.perf_counter()
+        report = fleet.run(trace)
+        wall_s = time.perf_counter() - t0
     else:
         raise KeyError(
             f"unknown engine {engine!r}; "
-            "use slot|slot+telemetry|reference"
+            "use slot|slot+telemetry|reference|cluster"
         )
-    report = stats.report()
     return {
         "engine": engine,
         "wall_s": wall_s,
         "requests_per_wall_s": n_requests / wall_s,
-        "sim_iterations_per_wall_s": stats.n_iterations / wall_s,
-        # Simulated-outcome fields: identical for both engines (the
-        # bit-exactness the differential tests pin), so any diff here
-        # is a correctness regression, not noise.
+        "sim_iterations_per_wall_s": report.n_iterations / wall_s,
+        # Simulated-outcome fields: identical for the three single-node
+        # engines (the bit-exactness the differential tests pin), so any
+        # diff among them is a correctness regression, not noise.
         "n_requests": report.n_requests,
         "n_iterations": report.n_iterations,
         "makespan_s": report.makespan_s,
@@ -1304,25 +1329,29 @@ def wallclock(
 def wallclock_spec(smoke: bool = False) -> ExperimentSpec:
     """Wall-clock benchmark: production engine vs scalar reference.
 
-    Three rows — ``engine=reference``, ``engine=slot``, and
-    ``engine=slot+telemetry`` — over the same ~100k-request trace.  CI
-    runs this serially and uncached (``repro sweep wallclock --serial
-    --no-cache``) and fails the build if ``reference.wall_s /
-    slot.wall_s`` drops below the floor the vectorized core was merged
-    at (5x), or if the recording collector costs more than 15% over the
-    bare engine (``slot+telemetry.wall_s / slot.wall_s`` > 1.15).
+    Four rows — ``engine=reference``, ``engine=slot``,
+    ``engine=slot+telemetry``, and ``engine=cluster`` — over the same
+    ~100k-request trace.  CI runs this serially and uncached (``repro
+    sweep wallclock --serial --no-cache``) and fails the build if
+    ``reference.wall_s / slot.wall_s`` drops below the floor the
+    vectorized core was merged at (5x), if the recording collector costs
+    more than 15% over the bare engine (``slot+telemetry.wall_s /
+    slot.wall_s`` > 1.15), or if the routed fleet costs more than 3x the
+    bare engine (``cluster.wall_s / slot.wall_s`` > 3) — a ratio that
+    does not depend on the machine and that a path quadratic in the
+    trace length blows through.
     """
     if smoke:
         return ExperimentSpec(
             name="wallclock",
             trial_fn="wallclock",
-            axes={"engine": ("reference", "slot", "slot+telemetry")},
+            axes={"engine": WALLCLOCK_ENGINES},
             fixed={**WALLCLOCK_LOAD, "n_requests": 2000},
         )
     return ExperimentSpec(
         name="wallclock",
         trial_fn="wallclock",
-        axes={"engine": ("reference", "slot", "slot+telemetry")},
+        axes={"engine": WALLCLOCK_ENGINES},
         fixed=WALLCLOCK_LOAD,
     )
 

@@ -32,6 +32,7 @@ process (hashes go through SHA-256, never Python's randomized ``hash``).
 from __future__ import annotations
 
 import abc
+import collections
 import hashlib
 from collections.abc import Callable, Sequence
 
@@ -143,18 +144,13 @@ class RoundRobinRouter(Router):
         return replica
 
 
-class LeastOutstandingRouter(Router):
-    """Pick the replica with the fewest predicted-in-flight requests.
+class _VirtualQueueRouter(Router):
+    """A virtual single-server queue per replica, fed by service estimates.
 
-    Each replica is modeled as a virtual single-server queue: a routed
-    request starts when the replica's backlog drains (or immediately if
-    idle) and occupies it for ``service_time(request)`` seconds.  At each
-    arrival the router first expires predictions that finished before the
-    arrival instant, then counts what is left.  Ties break toward the
-    lowest replica index, so the assignment is fully deterministic.
+    A routed request starts when the replica's predicted backlog drains
+    (or immediately if idle) and occupies it for ``service_time(request)``
+    seconds; ``_busy_until`` is when each replica's backlog drains.
     """
-
-    name = "least-loaded"
 
     def __init__(self, n_replicas: int, service_time: ServiceTimeEstimates):
         super().__init__(n_replicas)
@@ -162,17 +158,61 @@ class LeastOutstandingRouter(Router):
         #: request differently on different node kinds, so the virtual
         #: queue must ask the *chosen* replica's cost model
         self.service_times = _per_replica(service_time, n_replicas)
-        self._in_flight: list[list[float]] = [[] for _ in range(n_replicas)]
         self._busy_until = [0.0] * n_replicas
 
     def reset(self) -> None:
-        self._in_flight = [[] for _ in range(self.n_replicas)]
         self._busy_until = [0.0] * self.n_replicas
+
+    def _enqueue(self, request: TimedRequest, replica: int) -> float:
+        """Queue ``request`` on ``replica``; return its predicted finish."""
+        service = self.service_times[replica](request)
+        if not service >= 0.0:
+            raise ValueError(
+                f"service_time estimate for request {request.request_id} "
+                f"on replica {replica} is {service!r}; it must be a "
+                "non-negative number of seconds"
+            )
+        finish = max(request.arrival_s, self._busy_until[replica]) + service
+        self._busy_until[replica] = finish
+        return finish
+
+
+class LeastOutstandingRouter(_VirtualQueueRouter):
+    """Pick the replica with the fewest predicted-in-flight requests.
+
+    Each replica is modeled as a virtual single-server queue: a routed
+    request starts when the replica's backlog drains (or immediately if
+    idle) and occupies it for ``service_time(request)`` seconds.  At each
+    arrival the router first expires predictions that finished at or
+    before the arrival instant, then counts what is left.  Ties break
+    toward the lowest replica index, so the assignment is fully
+    deterministic.
+
+    Predicted finishes are monotone per replica: a new finish is
+    ``max(now, busy_until) + service >= busy_until``, the latest finish
+    already queued (service estimates are non-negative).  Each replica's
+    predictions therefore sit in a nondecreasing deque, the expired ones
+    always form its head, and expiring them pops from the front — O(1)
+    amortized per request, so routing stays linear in the trace.
+    """
+
+    name = "least-loaded"
+
+    def __init__(self, n_replicas: int, service_time: ServiceTimeEstimates):
+        super().__init__(n_replicas, service_time)
+        self._in_flight: list[collections.deque[float]] = [
+            collections.deque() for _ in range(n_replicas)
+        ]
+
+    def reset(self) -> None:
+        super().reset()
+        self._in_flight = [collections.deque() for _ in range(self.n_replicas)]
 
     def outstanding(self, replica: int, now_s: float) -> int:
         """Requests predicted to still occupy ``replica`` at ``now_s``."""
         flight = self._in_flight[replica]
-        flight[:] = [finish for finish in flight if finish > now_s]
+        while flight and flight[0] <= now_s:
+            flight.popleft()
         return len(flight)
 
     def choose(self, request: TimedRequest) -> int:
@@ -180,10 +220,7 @@ class LeastOutstandingRouter(Router):
         replica = min(
             range(self.n_replicas), key=lambda i: (self.outstanding(i, now), i)
         )
-        begin = max(now, self._busy_until[replica])
-        finish = begin + self.service_times[replica](request)
-        self._busy_until[replica] = finish
-        self._in_flight[replica].append(finish)
+        self._in_flight[replica].append(self._enqueue(request, replica))
         return replica
 
 
@@ -242,20 +279,21 @@ class AffinityRouter(Router):
         return int.from_bytes(digest[:8], "big") % self.n_replicas
 
 
-class CacheAwareRouter(LeastOutstandingRouter):
+class CacheAwareRouter(_VirtualQueueRouter):
     """Least-outstanding backlog in seconds, minus a cache-warmth credit.
 
-    Each replica keeps the parent's virtual single-server queue, but the
-    score compared across replicas is the predicted backlog *in seconds*
-    (``busy_until - now``) rather than a request count — so warmth can be
-    subtracted in the same unit: for the replica that last served the
-    request's session, the score drops by the estimated prefix-hit
-    tokens priced through ``prefix_savings`` (the cluster wires in the
-    engines' own prefill cost).  A session therefore sticks to its warm
-    replica until the backlog gap exceeds what the cached prefix is
-    worth, at which point the router deliberately moves it — and with a
-    shared prefix tier downstream, the move lands warm via a priced KV
-    transfer instead of cold.
+    Each replica keeps the same virtual single-server queue as
+    :class:`LeastOutstandingRouter`, but the score compared across
+    replicas is the predicted backlog *in seconds* (``busy_until - now``)
+    rather than a request count — so the score never reads an in-flight
+    list, and warmth can be subtracted in the same unit: for the replica
+    that last served the request's session, the score drops by the
+    estimated prefix-hit tokens priced through ``prefix_savings`` (the
+    cluster wires in the engines' own prefill cost).  A session therefore
+    sticks to its warm replica until the backlog gap exceeds what the
+    cached prefix is worth, at which point the router deliberately moves
+    it — and with a shared prefix tier downstream, the move lands warm
+    via a priced KV transfer instead of cold.
 
     Session history is tracked from the router's own decisions (replica
     and cumulative conversation tokens after each routed turn): a front
@@ -274,7 +312,7 @@ class CacheAwareRouter(LeastOutstandingRouter):
         prefix_savings: PrefixSavingsEstimate | None = None,
     ):
         super().__init__(n_replicas, service_time)
-        #: per-replica like the parent's service times: a warm prefix is
+        #: per-replica like the service times: a warm prefix is
         #: worth whatever *that* node kind would spend recomputing it
         self.prefix_savings = (
             None
@@ -313,13 +351,7 @@ class CacheAwareRouter(LeastOutstandingRouter):
                 i,
             ),
         )
-        # Keep the parent's queue bookkeeping (outstanding() also prunes
-        # the in-flight list, bounding its growth).
-        self.outstanding(replica, now)
-        begin = max(now, self._busy_until[replica])
-        finish = begin + self.service_times[replica](request)
-        self._busy_until[replica] = finish
-        self._in_flight[replica].append(finish)
+        self._enqueue(request, replica)
         session = request.session_id
         if session is not None:
             # After this turn the conversation history the next turn

@@ -63,6 +63,7 @@ from repro.serving.memory import (
     PrefixBlockPool,
     validate_capacity,
 )
+from repro.serving.metrics import RequestTiming
 from repro.workloads.requests import TimedRequest
 from repro.workloads.serving import clamped_stride
 
@@ -121,6 +122,21 @@ class RunningRequest:
         """Current context, anchored to the stride grid for pricing."""
         return self.input_len + (self.generated // self.stride) * self.stride
 
+    def timing(self) -> RequestTiming:
+        """The finished request's lifecycle record."""
+        return RequestTiming(
+            request_id=self.timed.request_id,
+            input_len=self.input_len,
+            output_len=self.output_len,
+            arrival_s=self.timed.arrival_s,
+            admitted_s=self.admitted_s,
+            first_token_s=self.first_token_s,
+            finished_s=self.finished_s,
+            preemptions=self.preemptions,
+            cached_tokens=self.cached_tokens,
+            remote_tokens=self.remote_tokens,
+        )
+
 
 class Scheduler(abc.ABC):
     """Admission + pricing policy for the discrete-event engine.
@@ -152,17 +168,24 @@ class Scheduler(abc.ABC):
 
     **Coalescing contract.**  A scheduler declaring :attr:`coalescable`
     promises that between two batch-composition events (admission,
-    finish, arrival crossing) a stretch of decode iterations is fully
-    predictable: :meth:`prepare_iteration` never evicts, :meth:`admit`
-    depends only on the queue and the running *composition* (never on
-    residents' decode progress), and :meth:`decode_run` returns exactly
-    the ``(batch, seq)`` points that calling :meth:`iteration_shape`
-    once per step would — so the engine may price the whole run from a
+    finish, an arrival the scheduler would admit) a stretch of decode
+    iterations is fully predictable: :meth:`prepare_iteration` never
+    evicts, :meth:`admit` depends only on the queue and the running
+    *composition* (never on residents' decode progress), and
+    :meth:`decode_run` returns exactly the ``(batch, seq)`` points that
+    calling :meth:`iteration_shape` once per step would — so the engine
+    may price the whole run from a
     :class:`~repro.serving.slots.SlotView` without touching per-request
-    state.  A policy that reserves or evicts per token (paged KV) must
-    set it False and take the scalar path.  Overriding
-    :meth:`iteration_shape` obliges overriding :meth:`decode_run` to
-    match; the engine refuses to coalesce when only the former changed.
+    state.  When an arrival lands mid-run, the engine queues it and
+    calls :meth:`admit` right there, with residents' ``generated``
+    counts still at the run's start; the run ends only if that call
+    admits.  This is exact only because :meth:`admit` is pure and
+    independent of decode progress — it returns what the scalar loop's
+    call at that clock would.  A policy that reserves or evicts per
+    token (paged KV) must set it False and take the scalar path.
+    Overriding :meth:`iteration_shape` obliges overriding
+    :meth:`decode_run` to match; the engine refuses to coalesce when
+    only the former changed.
     """
 
     #: registry name (``--set scheduler=...`` on the CLI)

@@ -1,10 +1,11 @@
 """Slot-array batch state: the running set as numpy arrays.
 
 The engine's hot path coalesces long stretches of decode iterations whose
-batch composition cannot change (no finish, no admission, no arrival in
-range, no preemption).  Inside such a run, per-request Python objects are
-pure overhead — what the pricing math needs is the *columns* of the
-running set.  A :class:`SlotView` is exactly that: one array per
+batch composition cannot change (no finish, no admission, no arrival the
+scheduler would admit, no preemption).  Inside such a run, per-request
+Python objects are pure overhead — what the pricing math needs is the
+*columns* of the running set.  A :class:`SlotView` is exactly that: one
+array per
 :class:`~repro.serving.schedulers.RunningRequest` field that pricing
 reads, built in one pass whenever the batch re-forms and handed to
 :meth:`~repro.serving.schedulers.Scheduler.decode_run` so a scheduler can

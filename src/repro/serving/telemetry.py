@@ -170,20 +170,7 @@ class Track:
         """Completed-request timings, sorted by request id (cached)."""
         if self._timings is None or len(self._timings) != len(self.finished):
             self._timings = sorted(
-                (
-                    RequestTiming(
-                        request_id=r.timed.request_id,
-                        input_len=r.input_len,
-                        output_len=r.output_len,
-                        arrival_s=r.timed.arrival_s,
-                        admitted_s=r.admitted_s,
-                        first_token_s=r.first_token_s,
-                        finished_s=r.finished_s,
-                        preemptions=r.preemptions,
-                        cached_tokens=r.cached_tokens,
-                    )
-                    for r in self.finished
-                ),
+                (r.timing() for r in self.finished),
                 key=lambda t: t.request_id,
             )
         return self._timings

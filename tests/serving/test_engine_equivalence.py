@@ -33,6 +33,7 @@ from repro.serving import (
     ServingEngine,
     SloSpec,
     SlotView,
+    TimelineCollector,
     build_cluster,
     build_scheduler,
     fixed_lengths,
@@ -92,6 +93,12 @@ TRACES = {
     # over a priced wire) interleaved with fresh prefills — the arrivals
     # a decode-side replica of a disaggregated fleet sees.
     "handed": _handed_trace,
+    # Far past the knee: fcfs at max_batch 8 serves ~23 req/s, so 150 qps
+    # lands most arrivals mid-run on a full batch, where a coalesced run
+    # absorbs them into the queue instead of ending.
+    "overload": lambda: poisson_trace(
+        150.0, 40, fixed_lengths(256, 32), seed=7
+    ),
 }
 
 SLO = SloSpec(ttft_s=2.0, tpot_s=0.018)
@@ -234,6 +241,27 @@ class TestPrefixDegeneracy:
         assert run.cache_hit_tokens > 0
         assert sum(run.prefill_tokens) < sum(baseline.prefill_tokens)
         assert sum(run.decode_tokens) == sum(baseline.decode_tokens)
+
+
+def test_overloaded_runs_end_on_batch_changes_not_arrivals(
+    pimba_system, zamba_spec
+):
+    """On a full batch an arrival cannot change the decode batch, so it
+    must not end a coalesced run either: decode spans track admissions
+    and finishes, however many requests arrive mid-run."""
+    trace = TRACES["overload"]()
+    collector = TimelineCollector()
+    record = ServingEngine(
+        pimba_system,
+        zamba_spec,
+        make_scheduler("fcfs", pimba_system, zamba_spec),
+    ).serve(trace, collector=collector)
+    (track,) = collector.timeline.tracks
+    decode_spans = sum(1 for s in track.spans if s[0] == "decode")
+    admissions = sum(1 for s in track.spans if s[0] == "prefill")
+    finishes = len({t.finished_s for t in record.timings})
+    assert record.max_queue_depth > 8  # overloaded: the queue backs up
+    assert decode_spans <= admissions + finishes
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)

@@ -1,5 +1,7 @@
 """Routers: policy behavior, determinism, and the imbalance metric."""
 
+import random
+
 import pytest
 
 from repro.serving import (
@@ -10,6 +12,7 @@ from repro.serving import (
     RoundRobinRouter,
     build_router,
     load_imbalance,
+    lognormal_lengths,
     poisson_trace,
 )
 from repro.workloads.requests import Request, TimedRequest, Trace
@@ -69,6 +72,141 @@ class TestLeastOutstanding:
     def test_requires_service_time(self):
         with pytest.raises(ValueError, match="service_time"):
             build_router("least-loaded", 2)
+
+    def test_prediction_ending_at_the_arrival_has_expired(self):
+        """``finish == now`` is no longer in flight: the replica whose
+        only prediction ends exactly at the arrival counts as empty."""
+        router = LeastOutstandingRouter(
+            2, service_time=lambda r: float(r.output_len)
+        )
+        assert router.choose(timed(0, 0.0, output_len=4)) == 0  # until 4.0
+        assert router.choose(timed(1, 0.0, output_len=2)) == 1  # until 2.0
+        assert router.choose(timed(2, 2.0)) == 1
+
+    def test_negative_service_estimate_rejected(self):
+        """Pruning relies on monotone finishes, which a negative service
+        time would break — it fails at the boundary instead."""
+        router = LeastOutstandingRouter(2, service_time=lambda r: -1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            router.choose(timed(0, 0.0))
+
+
+class _ListPruningRouter:
+    """Brute-force oracle: least-loaded routing as a plain list rebuild.
+
+    Every call rebuilds each replica's in-flight list from scratch, with
+    no assumption about the order of predicted finishes — the algorithm
+    the deque-pruning router must reproduce assignment for assignment.
+    """
+
+    def __init__(self, service_times):
+        self.service_times = list(service_times)
+        self.flight = [[] for _ in self.service_times]
+        self.busy = [0.0] * len(self.service_times)
+
+    def choose(self, request):
+        now = request.arrival_s
+
+        def outstanding(i):
+            self.flight[i] = [f for f in self.flight[i] if f > now]
+            return len(self.flight[i])
+
+        replica = min(
+            range(len(self.flight)), key=lambda i: (outstanding(i), i)
+        )
+        begin = max(now, self.busy[replica])
+        finish = begin + self.service_times[replica](request)
+        self.busy[replica] = finish
+        self.flight[replica].append(finish)
+        return replica
+
+
+def _grid_trace(seed: int, n: int = 300) -> Trace:
+    """Bursty arrivals on a 0.25 s grid: many requests share an instant,
+    and with grid-multiple service times many predicted finishes land
+    exactly on a later arrival (both sides are exact binary floats)."""
+    rng = random.Random(seed)
+    t = 0.0
+    requests = []
+    for i in range(n):
+        t += rng.choice((0.0, 0.0, 0.0, 0.25, 0.5))
+        requests.append(
+            timed(
+                i,
+                t,
+                input_len=rng.randint(1, 512),
+                output_len=rng.randint(1, 64),
+            )
+        )
+    return Trace(tuple(requests))
+
+
+def _grid_service(scale: float):
+    # 0 s for every eighth output length: zero-length service must
+    # expire at the very instant it was predicted.
+    return lambda r: 0.25 * scale * (r.output_len % 8)
+
+
+class TestLeastOutstandingPruningEquivalence:
+    """Deque pruning assigns exactly what the list rebuild assigns."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_replicas", [1, 3, 8])
+    def test_shared_service_time(self, seed, n_replicas):
+        trace = _grid_trace(seed)
+        service = _grid_service(1.0)
+        oracle = _ListPruningRouter([service] * n_replicas)
+        router = LeastOutstandingRouter(n_replicas, service)
+        assert router.assign(trace) == tuple(
+            oracle.choose(r) for r in trace.requests
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_per_replica_service_times(self, seed):
+        services = [_grid_service(scale) for scale in (1.0, 2.0, 0.5, 3.0)]
+        trace = _grid_trace(seed)
+        oracle = _ListPruningRouter(services)
+        router = LeastOutstandingRouter(4, services)
+        assert router.assign(trace) == tuple(
+            oracle.choose(r) for r in trace.requests
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_poisson_trace_with_sized_requests(self, seed):
+        trace = poisson_trace(
+            400.0, 500, lognormal_lengths(256, 64, 0.8), seed=seed
+        )
+
+        def service(r):
+            return 1e-4 * r.input_len + 5e-3 * r.output_len
+
+        oracle = _ListPruningRouter([service] * 4)
+        router = LeastOutstandingRouter(4, service)
+        assert router.assign(trace) == tuple(
+            oracle.choose(r) for r in trace.requests
+        )
+
+    def test_simultaneous_burst_matches_oracle(self):
+        burst = Trace(
+            tuple(timed(i, 1.0, output_len=1 + i % 5) for i in range(40))
+        )
+        service = _grid_service(1.0)
+        oracle = _ListPruningRouter([service] * 3)
+        assert LeastOutstandingRouter(3, service).assign(burst) == tuple(
+            oracle.choose(r) for r in burst.requests
+        )
+
+    def test_reuse_after_reset_matches_the_oracle(self):
+        """A reused router forgets the previous trace's predictions."""
+        service = _grid_service(1.0)
+        router = LeastOutstandingRouter(3, service)
+        router.assign(_grid_trace(0))
+        router.reset()
+        second = _grid_trace(1)
+        oracle = _ListPruningRouter([service] * 3)
+        assert router.assign(second) == tuple(
+            oracle.choose(r) for r in second.requests
+        )
 
 
 class TestAffinity:

@@ -178,6 +178,33 @@ class TestConservation:
             record.timings, key=lambda t: t.request_id
         )
 
+    def test_finished_requests_match_engine_timings_with_shared_tier(
+        self, pimba_system, zamba_spec
+    ):
+        """Every timing field survives the recorder, including the
+        remote-token count only a shared prefix tier makes nonzero."""
+        chat = multiturn_chat_trace(
+            3.0, 12, turns=4, first_input=512, output_len=64, seed=0
+        )
+        cluster = build_cluster(
+            pimba_system, zamba_spec, 4,
+            router="cache-aware", scheduler="prefix", max_batch=512,
+            capacity_bytes=10 * 2**30, shared_tier=True,
+        )
+        collector = TimelineCollector()
+        record = cluster.serve(chat, collector=collector)
+        assert record.merged().remote_hit_tokens > 0
+        tracks = collector.timeline.tracks
+        assert tracks
+        for track in tracks:
+            assert track.timings() == sorted(
+                record.replicas[track.replica].timings,
+                key=lambda t: t.request_id,
+            )
+        assert sum(
+            t.remote_tokens for track in tracks for t in track.timings()
+        ) == record.merged().remote_hit_tokens
+
     def test_gauge_counters_are_cumulative(self, pimba_system, zamba_spec):
         record, timeline = recorded_run(pimba_system, zamba_spec)
         (track,) = timeline.tracks
