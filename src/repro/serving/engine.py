@@ -19,17 +19,18 @@ kinds move the clock:
 * **decode iteration** — every fully-prefilled resident request generates
   one token; the iteration is priced by ``perf.system`` at the
   scheduler-chosen (batch, context) point.  Under a preemptive scheduler
-  (:class:`~repro.serving.schedulers.PagedScheduler`) the iteration first
-  grows each resident's paged KV, which may *preempt* the youngest
-  residents — their blocks are freed and they re-queue for restore;
+  (:class:`~repro.serving.schedulers.PagedScheduler`) an iteration that
+  crosses a block boundary first claims the next block, which may
+  *preempt* the youngest residents — their blocks are freed and they
+  re-queue for restore;
 * **restore prefill** — a previously preempted request re-enters by
   recomputing its KV: a solo prefill over prompt + already-generated
   tokens, priced like any other prefill, so preemption's cost is visible
   in the clock and the token accounting.
 
 **The hot path is coalesced.**  Between two batch-composition events —
-a finish, an admission, an arrival the scheduler would admit, a
-preemption — nothing about the decode batch can change, so the engine
+a finish, an admission, an arrival the scheduler would admit, a KV
+block claim — nothing about the decode batch can change, so the engine
 prices the whole stretch at once: it snapshots the running set into a
 columnar :class:`~repro.serving.slots.SlotView`, asks the scheduler's
 :meth:`~repro.serving.schedulers.Scheduler.decode_run` for the run's
@@ -44,12 +45,13 @@ earliest finish.  Per-request
 Python work happens once per run instead of once per iteration — the
 difference between O(batch) and O(1) bookkeeping per decode step, and the
 source of the wall-clock speedup the ``wallclock`` benchmark gates.
-Schedulers that cannot promise a predictable run (paged KV grows and
-evicts per token) opt out via
-:attr:`~repro.serving.schedulers.Scheduler.coalescable` and take the
-scalar path, which is kept verbatim from the reference implementation
-(:mod:`repro.serving._reference` — the specification both paths are
-differentially tested against).
+Paged KV growth ends a run instead of opting out of coalescing: the
+scheduler's
+:meth:`~repro.serving.schedulers.Scheduler.steps_before_claim` caps each
+run at the next block claim, and the claiming iteration — the one that
+may preempt — takes the scalar path, which is kept verbatim from the
+reference implementation (:mod:`repro.serving._reference` — the
+specification both paths are differentially tested against).
 
 The engine records per-request lifecycle timestamps (arrival, admission,
 first token, completion).  :meth:`ServingEngine.serve` keeps every event
@@ -266,7 +268,7 @@ class ServingEngine:
         # without teaching decode_run the same shape — silent divergence
         # between the two paths is the one bug class this line removes.
         cls = type(scheduler)
-        self._coalesce = scheduler.coalescable and (
+        self._coalesce = (
             cls.decode_run is not Scheduler.decode_run
             or cls.iteration_shape is Scheduler.iteration_shape
         )
@@ -647,13 +649,18 @@ class ServingEngine:
                     )
                 continue
 
-            if running and coalesce:
-                # Coalesced decode run: until a resident finishes or the
-                # scheduler would admit an arrival, the batch cannot
-                # change — price the whole stretch in one vectorized call
-                # and replay only the order-sensitive float accumulation.
+            horizon = (
+                self.scheduler.steps_before_claim(running) if running and coalesce else 0
+            )
+            if horizon:
+                # Coalesced decode run: until a resident finishes, the
+                # scheduler would admit an arrival, or a resident must
+                # claim KV, the batch cannot change — price the whole
+                # stretch in one vectorized call and replay only the
+                # order-sensitive float accumulation.  A claiming
+                # iteration (horizon 0) takes the scalar step below.
                 slots = SlotView.from_requests(running)
-                steps = min(slots.max_coalesced_steps(), _MAX_RUN_STEPS)
+                steps = min(slots.max_coalesced_steps(), _MAX_RUN_STEPS, horizon)
                 batch, seqs = self.scheduler.decode_run(slots, steps)
                 uniq, inverse = np.unique(seqs, return_inverse=True)
                 costs = np.fromiter(
@@ -679,12 +686,14 @@ class ServingEngine:
                             # only grows mid-run, so the loop top's
                             # max_depth still sees its peak).  The run
                             # goes on unless admit — pure, and blind to
-                            # decode progress — would take one now.
+                            # decode progress — would take one now.  A
+                            # waiting restore blocks admission, and no
+                            # claim-free step can let it in.
                             while pending and pending[0].arrival_s <= clock:
                                 queue.append(pending.popleft())
                             qlen = len(queue)
                             set_depth(qlen)
-                            if self.scheduler.admit(
+                            if not preempted and self.scheduler.admit(
                                 queue, running, bool(pending)
                             ):
                                 break
@@ -725,8 +734,8 @@ class ServingEngine:
                         executed * slots.n_active, slots.requests,
                     )
                 if executed == steps:
-                    # Only a full run can finish anyone (executed equals
-                    # the minimum remaining output among active slots).
+                    # Only a full run can finish anyone (a run stops at
+                    # the earliest finish among active slots, or sooner).
                     if self.scheduler.keep_finished:
                         if all(r.done for r in running):
                             running.clear()

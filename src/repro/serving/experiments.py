@@ -42,9 +42,10 @@ re-runs any serving trial with a recording collector for
 The engine itself is benchmarked by the ``wallclock`` trial/sweep: the
 vectorized production engine (bare, with telemetry recording, and as a
 ``least-loaded`` fleet) and the scalar reference serve the same
-~100k-request trace under a stopwatch, and CI asserts the speedup floor
-the vectorized core was merged at, the telemetry overhead ceiling, and
-the fleet-to-bare-engine ceiling.
+~100k-request trace under a stopwatch, once per scheduler (``fcfs``,
+``paged``, ``prefix``), and CI asserts the speedup floor the vectorized
+core was merged at for every scheduler, the telemetry overhead ceiling,
+and the fleet-to-bare-engine ceiling.
 """
 
 from __future__ import annotations
@@ -1213,7 +1214,6 @@ WALLCLOCK_LOAD = dict(
     system="Pimba",
     model="Zamba2",
     scale="small",
-    scheduler="fcfs",
     qps=2000.0,
     n_requests=100_000,
     input_len=128,
@@ -1227,6 +1227,11 @@ WALLCLOCK_REPLICAS = 4
 
 #: every engine the ``wallclock`` sweep times, in report order
 WALLCLOCK_ENGINES = ("reference", "slot", "slot+telemetry", "cluster")
+
+#: every scheduler the ``wallclock`` sweep times each engine under: the
+#: slot-bound policy and the two paged-KV policies (whose runs end at
+#: block claims)
+WALLCLOCK_SCHEDULERS = ("fcfs", "paged", "prefix")
 
 
 @trial("wallclock")
@@ -1253,12 +1258,13 @@ def wallclock(
     :class:`~repro.serving.telemetry.TimelineCollector` attached, and
     ``"cluster"`` a fleet of :data:`WALLCLOCK_REPLICAS` production
     engines behind the ``least-loaded`` router.
-    All serve the *identical* trace, so the ratio of their ``wall_s`` is
-    the hot path's speedup — what CI's ``perf-wallclock`` job asserts,
-    along with the telemetry overhead ceiling
-    (``slot+telemetry`` ≤ 1.15 × ``slot``) and the fleet ceiling
+    All serve the *identical* trace under the same ``scheduler``, so the
+    ratio of their ``wall_s`` is the hot path's speedup — what CI's
+    ``perf-wallclock`` job asserts for every scheduler of
+    :data:`WALLCLOCK_SCHEDULERS`, along with the telemetry overhead
+    ceiling (``slot+telemetry`` ≤ 1.15 × ``slot``) and the fleet ceiling
     (``cluster`` ≤ 3 × ``slot``: routing and serving a trace over
-    replicas must stay linear in its length).
+    replicas must stay linear in its length), both under ``fcfs``.
     Only the serve call is timed (for ``cluster``, the whole ``run``:
     routing, replicas and merge); trace construction and engine
     construction happen outside the stopwatch.  Never cache this
@@ -1311,6 +1317,7 @@ def wallclock(
         )
     return {
         "engine": engine,
+        "scheduler": scheduler,
         "wall_s": wall_s,
         "requests_per_wall_s": n_requests / wall_s,
         "sim_iterations_per_wall_s": report.n_iterations / wall_s,
@@ -1329,29 +1336,31 @@ def wallclock(
 def wallclock_spec(smoke: bool = False) -> ExperimentSpec:
     """Wall-clock benchmark: production engine vs scalar reference.
 
-    Four rows — ``engine=reference``, ``engine=slot``,
-    ``engine=slot+telemetry``, and ``engine=cluster`` — over the same
+    Four engines — ``engine=reference``, ``engine=slot``,
+    ``engine=slot+telemetry``, and ``engine=cluster`` — under each of
+    the ``fcfs``, ``paged``, and ``prefix`` schedulers, over the same
     ~100k-request trace.  CI runs this serially and uncached (``repro
-    sweep wallclock --serial --no-cache``) and fails the build if
-    ``reference.wall_s / slot.wall_s`` drops below the floor the
-    vectorized core was merged at (5x), if the recording collector costs
-    more than 15% over the bare engine (``slot+telemetry.wall_s /
-    slot.wall_s`` > 1.15), or if the routed fleet costs more than 3x the
-    bare engine (``cluster.wall_s / slot.wall_s`` > 3) — a ratio that
-    does not depend on the machine and that a path quadratic in the
-    trace length blows through.
+    sweep wallclock --serial --no-cache``) and fails the build if, under
+    any scheduler, ``reference.wall_s / slot.wall_s`` drops below the
+    floor the vectorized core was merged at (5x), or, under ``fcfs``, if
+    the recording collector costs more than 15% over the bare engine
+    (``slot+telemetry.wall_s / slot.wall_s`` > 1.15) or the routed fleet
+    costs more than 3x the bare engine (``cluster.wall_s /
+    slot.wall_s`` > 3) — ratios that do not depend on the machine and
+    that a path quadratic in the trace length blows through.
     """
+    axes = {"engine": WALLCLOCK_ENGINES, "scheduler": WALLCLOCK_SCHEDULERS}
     if smoke:
         return ExperimentSpec(
             name="wallclock",
             trial_fn="wallclock",
-            axes={"engine": WALLCLOCK_ENGINES},
+            axes=axes,
             fixed={**WALLCLOCK_LOAD, "n_requests": 2000},
         )
     return ExperimentSpec(
         name="wallclock",
         trial_fn="wallclock",
-        axes={"engine": WALLCLOCK_ENGINES},
+        axes=axes,
         fixed=WALLCLOCK_LOAD,
     )
 

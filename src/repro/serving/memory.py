@@ -122,7 +122,7 @@ class _Holding:
 
     blocks: int  #: whole KV blocks held (the tail one may be trimmed)
     kv_tokens: int  #: KV tokens actually charged (<= blocks * block_size)
-    reserved: float  #: memoized ``reserved_bytes(kv_tokens)`` of this holding
+    reserved: int  #: memoized ``reserved_bytes(kv_tokens)``, whole bytes
     #: leading prefix tokens served from shared cache blocks instead of
     #: private ones (0 for every non-sharing holding — the arithmetic
     #: below then reduces to the plain paged path, bit for bit)
@@ -143,6 +143,12 @@ class BlockPool:
     (reserve-final-context) configuration bit-exact with
     :class:`~repro.serving.schedulers.MemoryAwareScheduler`.
 
+    The ledger is kept in whole bytes.  The constructor refuses a model
+    whose per-request state or per-token KV is a fractional byte count;
+    every holding's footprint is then a whole number, so the running
+    total of held bytes is exact in any addition order and
+    :attr:`free_bytes` is O(1).
+
     Lifetime block counters (:attr:`allocated_blocks` /
     :attr:`freed_blocks`) let the invariant tests assert that every block
     ever claimed is returned by the time a trace drains.
@@ -154,9 +160,21 @@ class BlockPool:
         validate_capacity(memory, capacity_bytes)
         if block_size < 1:
             raise ValueError("block_size must be positive")
+        state = memory.reserved_bytes(0)
+        per_token = memory.kv_bytes(1)
+        if not (float(state).is_integer() and float(per_token).is_integer()):
+            raise ValueError(
+                "the paged KV ledger needs whole-byte footprints, got "
+                f"{state!r} bytes of state per request and {per_token!r} "
+                "bytes of KV per token"
+            )
         self.memory = memory
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
+        #: bytes the pool owns: the budget minus the resident weights
+        self._pool_bytes = capacity_bytes - memory.weights_bytes
+        #: whole bytes held by all holdings (a running, exact total)
+        self._held = 0
         self._holdings: dict[int, _Holding] = {}
         self.allocated_blocks = 0  #: lifetime blocks claimed
         self.freed_blocks = 0  #: lifetime blocks returned
@@ -181,16 +199,24 @@ class BlockPool:
     def free_bytes(self) -> float:
         """Unclaimed pool bytes (budget minus weights minus holdings).
 
-        Deliberately summed fresh over the holdings in admission order —
-        with each holding's bytes memoized at claim time — rather than
-        tracked incrementally: the sum then matches
-        :func:`~repro.serving.schedulers.admit_within_capacity`'s
-        arithmetic float for float, which the degenerate bit-exactness
-        with the conservative scheduler depends on.
+        O(1): the held total is a running integer.  Every holding's
+        footprint is a whole number of bytes (the constructor checks), so
+        the total is exact whatever order holdings come and go in, and
+        it equals the fresh sum
+        :func:`~repro.serving.schedulers.admit_within_capacity` takes
+        over the same footprints.  ``capacity - weights - held`` is then
+        the same float as that fresh arithmetic, which the degenerate
+        bit-exactness with the conservative scheduler depends on.
         """
-        return self.capacity_bytes - self.memory.weights_bytes - sum(
-            h.reserved for h in self._holdings.values()
-        )
+        return self._pool_bytes - self._held
+
+    def covered(self, request_id: int) -> int:
+        """Context tokens a holding covers: claimed KV plus shared prefix.
+
+        Decode can grow the request to this context without a claim.
+        """
+        holding = self._holdings[request_id]
+        return holding.kv_tokens + holding.shared_tokens
 
     @property
     def blocks_in_use(self) -> int:
@@ -211,9 +237,7 @@ class BlockPool:
 
     def feasible(self, input_len: int, output_len: int) -> bool:
         """Could this request *ever* complete, even alone in the pool?"""
-        return self.memory.request_bytes(input_len, output_len) <= (
-            self.capacity_bytes - self.memory.weights_bytes
-        )
+        return self.memory.request_bytes(input_len, output_len) <= self._pool_bytes
 
     # -- mutation -----------------------------------------------------------
 
@@ -237,13 +261,16 @@ class BlockPool:
             raise ValueError(f"request {request_id} already holds blocks")
         blocks = self.blocks_for(context) - shared_tokens // self.block_size
         kv_tokens = self.covered_tokens(context, final_context) - shared_tokens
+        reserved = int(self.memory.reserved_bytes(kv_tokens))
         self._holdings[request_id] = _Holding(
             blocks=blocks,
             kv_tokens=kv_tokens,
-            reserved=self.memory.reserved_bytes(kv_tokens),
+            reserved=reserved,
             shared_tokens=shared_tokens,
         )
+        self._held += reserved
         self.allocated_blocks += blocks
+        self._claimed()
 
     def extend(self, request_id: int, context: int, final_context: int) -> bool:
         """Grow a holding to cover ``context``; ``False`` on exhaustion.
@@ -259,7 +286,7 @@ class BlockPool:
         )
         if kv_tokens <= holding.kv_tokens:
             return True
-        reserved = self.memory.reserved_bytes(kv_tokens)
+        reserved = int(self.memory.reserved_bytes(kv_tokens))
         if reserved - holding.reserved > self.free_bytes:
             return False
         blocks = (
@@ -267,15 +294,21 @@ class BlockPool:
             - holding.shared_tokens // self.block_size
         )
         self.allocated_blocks += blocks - holding.blocks
+        self._held += reserved - holding.reserved
         holding.blocks = blocks
         holding.kv_tokens = kv_tokens
         holding.reserved = reserved
+        self._claimed()
         return True
 
     def release(self, request_id: int) -> None:
         """Return all of a request's blocks (completion or preemption)."""
         holding = self._holdings.pop(request_id)
+        self._held -= holding.reserved
         self.freed_blocks += holding.blocks
+
+    def _claimed(self) -> None:
+        """A holding just claimed blocks (a no-op hook for subclasses)."""
 
 
 class PrefixCache:
@@ -429,7 +462,7 @@ class PrefixBlockPool(BlockPool):
       running request.
 
     With nothing shared and nothing published, every code path reduces
-    to the base pool's arithmetic on the same floats in the same order —
+    to the base pool's arithmetic on the same whole-byte footprints —
     the bit-exactness of the cache-disabled scheduler rests on this.
     """
 
@@ -456,7 +489,7 @@ class PrefixBlockPool(BlockPool):
 
     @property
     def free_bytes(self) -> float:
-        return super().free_bytes - self.cache.pinned_bytes
+        return self._pool_bytes - self._held - self.cache.pinned_bytes
 
     def allocate_reusing(
         self,
@@ -502,22 +535,6 @@ class PrefixBlockPool(BlockPool):
             self.kv_transfers += 1
         return hit_tokens, remote_tokens, transfer_s
 
-    def allocate(
-        self,
-        request_id: int,
-        context: int,
-        final_context: int,
-        shared_tokens: int = 0,
-    ) -> None:
-        super().allocate(request_id, context, final_context, shared_tokens)
-        self._trim()
-
-    def extend(self, request_id: int, context: int, final_context: int) -> bool:
-        grew = super().extend(request_id, context, final_context)
-        if grew:
-            self._trim()
-        return grew
-
     def release(self, request_id: int) -> None:
         super().release(request_id)
         self.cache.release(request_id)
@@ -544,10 +561,20 @@ class PrefixBlockPool(BlockPool):
         whenever live KV (or a pin) claims bytes the retained set is
         trimmed LRU-first to whatever headroom is left — cached blocks
         yield to live KV, never the other way around.
+
+        Every trim leaves ``cached_bytes <= free_bytes`` (or an empty
+        LRU), and only a claim or a publish can break that: a release
+        frees at least the bytes it returns to the LRU, a pin moves a
+        block's bytes from cached to pinned, and a no-op extend moves
+        nothing.  So the pool trims only after those two (a tier pull
+        publishes just before the claim that trims it), and a skipped
+        trim could never have evicted anything.
         """
         free = self.free_bytes
         while self.cache.cached_bytes > free and self.cache.evict_lru():
             pass
+
+    _claimed = _trim
 
 
 class SharedPrefixTier:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -166,23 +167,26 @@ class Scheduler(abc.ABC):
     * :meth:`release` — a resident request completed or was preempted;
       return its reservation.  Called exactly once per completion.
 
-    **Coalescing contract.**  A scheduler declaring :attr:`coalescable`
-    promises that between two batch-composition events (admission,
-    finish, an arrival the scheduler would admit) a stretch of decode
-    iterations is fully predictable: :meth:`prepare_iteration` never
-    evicts, :meth:`admit` depends only on the queue and the running
-    *composition* (never on residents' decode progress), and
-    :meth:`decode_run` returns exactly the ``(batch, seq)`` points that
-    calling :meth:`iteration_shape` once per step would — so the engine
-    may price the whole run from a
+    **Coalescing contract.**  Between two batch-composition events
+    (admission, finish, an arrival the scheduler would admit, a block
+    claim) a stretch of decode iterations is fully predictable: for the
+    :meth:`steps_before_claim` iterations it allows,
+    :meth:`prepare_iteration` claims nothing and evicts nobody,
+    :meth:`admit` depends only on the queue, the running *composition*
+    and state those iterations leave alone (never on residents' decode
+    progress), and :meth:`decode_run` returns exactly the ``(batch,
+    seq)`` points that calling :meth:`iteration_shape` once per step
+    would — so the engine may price the whole run from a
     :class:`~repro.serving.slots.SlotView` without touching per-request
     state.  When an arrival lands mid-run, the engine queues it and
     calls :meth:`admit` right there, with residents' ``generated``
     counts still at the run's start; the run ends only if that call
     admits.  This is exact only because :meth:`admit` is pure and
     independent of decode progress — it returns what the scalar loop's
-    call at that clock would.  A policy that reserves or evicts per
-    token (paged KV) must set it False and take the scalar path.
+    call at that clock would.  Paged growth ends a run instead of
+    opting out of it: the iteration that claims a block (and may
+    preempt) takes the scalar :meth:`prepare_iteration` step, and the
+    claim-free stretches between claims coalesce like any other.
     Overriding :meth:`iteration_shape` obliges overriding
     :meth:`decode_run` to match; the engine refuses to coalesce when
     only the former changed.
@@ -190,8 +194,6 @@ class Scheduler(abc.ABC):
 
     #: registry name (``--set scheduler=...`` on the CLI)
     name: str = "?"
-    #: safe to price decode runs many iterations at a time (see contract)
-    coalescable: bool = True
     #: static batching keeps finished requests in their (padded) slots
     keep_finished: bool = False
     #: prompt tokens per prefill chunk; ``None`` means monolithic prefill
@@ -242,6 +244,18 @@ class Scheduler(abc.ABC):
         """
         del running
         return []
+
+    def steps_before_claim(self, running: Sequence[RunningRequest]) -> int | float:
+        """Decode iterations the batch can take before one claims KV.
+
+        That many :meth:`prepare_iteration` calls in a row would claim
+        nothing (so evict nobody); the next one may.  The engine
+        coalesces up to there and steps the claiming iteration alone.
+        ``math.inf`` when no iteration will ever claim — every policy
+        that reserves nothing per token.
+        """
+        del running
+        return math.inf
 
     def can_restore(
         self,
@@ -561,6 +575,13 @@ class PagedScheduler(Scheduler):
     prefill.  Preemption is visible in the clock, the report
     (``n_preemptions``), and the token accounting.
 
+    Growth still coalesces.  A resident claims only when its context
+    crosses the tokens its holding covers, so
+    :meth:`steps_before_claim` knows how many decode iterations the
+    batch takes before the next claim: the engine prices that stretch
+    as one run, and only the claiming iteration — the one that can
+    preempt — goes through :meth:`prepare_iteration` on its own.
+
     ``preempt=False`` is the degenerate, thrash-free configuration: with
     nothing to evict on exhaustion, admission must reserve the full
     final context up front — the same :meth:`MemoryModel.request_bytes`
@@ -569,10 +590,6 @@ class PagedScheduler(Scheduler):
     """
 
     name = "paged"
-    #: block growth and eviction happen per token inside
-    #: :meth:`prepare_iteration` — the one policy the engine must step
-    #: one scalar iteration at a time
-    coalescable = False
 
     def __init__(
         self,
@@ -685,6 +702,23 @@ class PagedScheduler(Scheduler):
             if not self_evicted:
                 i += 1
         return victims
+
+    def steps_before_claim(self, running: Sequence[RunningRequest]) -> int | float:
+        """Iterations before some resident's context outgrows its blocks.
+
+        A holding covers its claimed KV plus any shared prefix; decode
+        step ``j`` grows a resident to ``input_len + generated + j + 1``
+        tokens, which claims only past that coverage.  A holding that
+        already covers the final context never claims again.
+        """
+        if not self.preempt:
+            return math.inf  # full context reserved at admission
+        horizon = math.inf
+        for r in running:
+            covered = self.pool.covered(r.timed.request_id)
+            if covered < r.input_len + r.output_len:
+                horizon = min(horizon, covered - r.input_len - r.generated)
+        return horizon
 
     def can_restore(
         self,

@@ -2,7 +2,7 @@
 
 The engine's hot path coalesces long stretches of decode iterations whose
 batch composition cannot change (no finish, no admission, no arrival the
-scheduler would admit, no preemption).  Inside such a run, per-request
+scheduler would admit, no KV block claim).  Inside such a run, per-request
 Python objects are pure overhead — what the pricing math needs is the
 *columns* of the running set.  A :class:`SlotView` is exactly that: one
 array per

@@ -18,6 +18,7 @@ stepped one iteration at a time.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -262,6 +263,120 @@ def test_overloaded_runs_end_on_batch_changes_not_arrivals(
     finishes = len({t.finished_s for t in record.timings})
     assert record.max_queue_depth > 8  # overloaded: the queue backs up
     assert decode_spans <= admissions + finishes
+
+
+PAGED = tuple(s for s in SCHEDULERS if s.startswith(("paged", "prefix")))
+
+
+@pytest.mark.parametrize("trace_name", ("poisson", "chat", "overload"))
+@pytest.mark.parametrize("scheduler_name", PAGED)
+def test_paged_decode_runs_really_coalesce(
+    scheduler_name, trace_name, pimba_system, zamba_spec
+):
+    """Bit-exactness cannot see a silent fall back to one scalar step
+    per iteration, so count: a decode span is one coalesced run (or one
+    claiming step), and paged growth must leave most iterations inside
+    runs — at most one span per three iterations."""
+    collector = TimelineCollector()
+    record = ServingEngine(
+        pimba_system,
+        zamba_spec,
+        make_scheduler(scheduler_name, pimba_system, zamba_spec),
+    ).serve(TRACES[trace_name](), collector=collector)
+    (track,) = collector.timeline.tracks
+    decode_spans = sum(1 for s in track.spans if s[0] == "decode")
+    assert 3 * decode_spans < len(record.iteration_seconds)
+
+
+def _scalar_steps_before_claim(scheduler, running):
+    """Scalar ``prepare_iteration`` steps before ``allocated_blocks``
+    first moves (``math.inf`` if it never does before all finish)."""
+    steps = 0
+    while running:
+        claimed = scheduler.pool.allocated_blocks
+        assert scheduler.prepare_iteration(running) == []
+        if scheduler.pool.allocated_blocks != claimed:
+            return steps
+        steps += 1
+        for r in running:
+            r.generated += 1
+            if r.done:
+                scheduler.release(r)
+        running = [r for r in running if not r.done]
+    return math.inf
+
+
+#: residents as (input_len, output_len, generated) at block size 16 — a
+#: resident that has generated tokens enters by restore — and the
+#: claim-free iterations they have ahead
+HORIZON_CASES = {
+    # 64 prompt tokens fill four blocks: the first decode claims a fifth
+    "block-aligned prompt": ([(64, 40, 0), (50, 40, 0)], 0),
+    # both tails are trimmed to the final context: nothing ever claims
+    "final context fits the claimed blocks": ([(60, 4, 0), (20, 12, 0)], math.inf),
+    # 90 tokens in six blocks (96) of a 99-token final context
+    "mid-block residents": ([(50, 40, 0), (33, 40, 0), (90, 9, 0)], 6),
+    # restored at 73 tokens into five blocks (80)
+    "restores": ([(40, 40, 9), (70, 30, 3), (17, 40, 0)], 7),
+    # 64 pinned prefix tokens + 48 claimed cover 112 of 140
+    "shared prefix": ([(100, 40, 0), (50, 20, 0)], 12),
+    # restored at 105 tokens: again 64 pinned + 48 claimed
+    "shared prefix restore": ([(100, 40, 5), (41, 40, 0)], 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_CASES))
+def test_steps_before_claim_is_the_scalar_claim_horizon(case, pimba_system, zamba_spec):
+    """The horizon a paged run is cut at is exact: the number of scalar
+    iterations whose ``prepare_iteration`` claims nothing, counted by
+    stepping the scalar path until the pool's claim counter moves."""
+    residents, expected = HORIZON_CASES[case]
+    shared = case.startswith("shared")
+    scheduler = make_scheduler("prefix+tight", pimba_system, zamba_spec)
+    # Session 7's history covers four blocks; the first resident of the
+    # shared-prefix cases pins them instead of claiming its own.
+    scheduler.pool.publish(7, 64)
+    running = []
+    for rid, (input_len, output_len, generated) in enumerate(residents):
+        session = 7 if shared and rid == 0 else None
+        r = RunningRequest(
+            timed=TimedRequest(
+                request=Request(rid, input_len, output_len, session),
+                arrival_s=0.0,
+            ),
+            admitted_s=float(rid),
+            stride=scheduler.request_stride(output_len),
+            generated=generated,
+        )
+        if generated:
+            scheduler.on_restore(r)
+        else:
+            scheduler.on_admit([r])
+        running.append(r)
+    assert running[0].cache_hit_last == (64 if shared else 0)
+    horizon = scheduler.steps_before_claim(running)
+    assert horizon == expected
+    assert horizon == _scalar_steps_before_claim(scheduler, running)
+
+
+def test_steps_before_claim_is_unbounded_without_preemption(pimba_system, zamba_spec):
+    """``preempt=False`` reserves the final context at admission, so no
+    iteration ever claims — the runs ``paged == memory`` rests on."""
+    memory = MemoryModel.for_system(pimba_system, zamba_spec)
+    scheduler = PagedScheduler(
+        memory, pimba_system.capacity_bytes, block_size=16, preempt=False
+    )
+    r = RunningRequest(
+        timed=TimedRequest(
+            request=Request(request_id=0, input_len=64, output_len=40),
+            arrival_s=0.0,
+        ),
+        admitted_s=0.0,
+        stride=scheduler.request_stride(40),
+    )
+    scheduler.on_admit([r])
+    assert scheduler.steps_before_claim([r]) == math.inf
+    assert _scalar_steps_before_claim(scheduler, [r]) == math.inf
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)

@@ -1,10 +1,17 @@
 """MemoryModel footprints, capacity validation, and BlockPool accounting."""
 
+import random
+
 import pytest
 
 from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
-from repro.serving import BlockPool, MemoryModel, validate_capacity
+from repro.serving import (
+    BlockPool,
+    MemoryModel,
+    PrefixBlockPool,
+    validate_capacity,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +119,118 @@ class TestBlockPool:
         pool.allocate(0, 256, 256)
         pool.allocate(1, 256, 256)
         assert not pool.fits(128, 256)
+
+
+#: random-walk operations on a prefix pool (extend drawn twice as often)
+_WALK_OPS = ("allocate", "allocate_reusing", "extend", "extend", "release", "publish")
+
+
+class _FractionalSystem:
+    """A footprint model with a fractional state or per-token KV width."""
+
+    def __init__(self, state_bytes, kv_bytes_per_token):
+        self.state = state_bytes
+        self.kv = kv_bytes_per_token
+
+    def weights_bytes(self, spec):
+        return 1e9
+
+    def state_bytes_per_request(self, spec):
+        return self.state
+
+    def kv_bytes_per_request(self, spec, seq_len):
+        return self.kv * seq_len
+
+
+class TestWholeByteLedger:
+    """The pool's held total is a running integer, exact in any order.
+
+    These tests recompute ``free_bytes`` fresh after every operation of a
+    long random walk, and pin the invariant that lets the prefix pool skip
+    trims that move nothing.
+    """
+
+    @pytest.mark.parametrize("state, per_token", [(1000.5, 10.0), (1000.0, 10.25)])
+    def test_fractional_footprints_are_rejected(self, state, per_token):
+        memory = MemoryModel(spec=None, system=_FractionalSystem(state, per_token))
+        with pytest.raises(ValueError, match="whole-byte") as err:
+            BlockPool(memory, 2e9, 16)
+        assert repr(state) in str(err.value)
+        assert repr(per_token) in str(err.value)
+
+    @staticmethod
+    def fresh_free_bytes(pool):
+        held = sum(
+            pool.memory.reserved_bytes(h.kv_tokens) for h in pool._holdings.values()
+        )
+        return (
+            pool.capacity_bytes
+            - pool.memory.weights_bytes
+            - held
+            - pool.cache.pinned_bytes
+        )
+
+    def test_random_walk_keeps_free_bytes_exact_and_trims_sound(self, memory):
+        """Seeded allocate / allocate_reusing / extend / release /
+        publish walk on a prefix pool at the ``+tight`` rows' fractional
+        2.93-request budget: the running total never drifts from the
+        fresh sum, and retained cache always fits the free pool (or is
+        empty) — so a trim skipped after a no-op extend or a release
+        could never have evicted anything."""
+        rng = random.Random(2024)
+        pool = PrefixBlockPool(
+            memory,
+            memory.weights_bytes + 2.93 * memory.request_bytes(256, 32),
+            16,
+        )
+        live = {}  # request id -> [context, final context, session]
+        done = {"allocate": 0, "extend": 0, "release": 0, "publish": 0}
+        failed_extends = 0
+        for request_id in range(4000):
+            op = rng.choice(_WALK_OPS)
+            if op.startswith("allocate"):
+                context = rng.randint(1, 256)
+                final = context + rng.randint(1, 64)
+                if not pool.fits(context, final):
+                    continue
+                session = None
+                if op == "allocate":
+                    pool.allocate(request_id, context, final)
+                else:
+                    session = rng.randrange(4)
+                    pool.allocate_reusing(request_id, session, context, final, context)
+                live[request_id] = [context, final, session]
+                op = "allocate"
+            elif op == "extend" and live:
+                rid = rng.choice(list(live))
+                context, final, _ = live[rid]
+                grown = min(final, context + rng.randint(1, 24))
+                if pool.extend(rid, grown, final):
+                    live[rid][0] = grown
+                else:
+                    failed_extends += 1
+            elif op == "release" and live:
+                rid = rng.choice(list(live))
+                context, _, session = live.pop(rid)
+                if session is not None:
+                    pool.publish(session, context)
+                pool.release(rid)
+            elif op == "publish":
+                pool.publish(rng.randrange(4), rng.randint(1, 320))
+            else:
+                continue
+            done[op] += 1
+            assert pool.free_bytes == self.fresh_free_bytes(pool)
+            assert (
+                pool.cache.cached_bytes <= pool.free_bytes
+                or pool.cache.cached_blocks == 0
+            )
+        # The walk is not vacuous: every operation ran, the pool ran out
+        # of room, and live KV reclaimed cached blocks.
+        assert min(done.values()) > 300
+        assert failed_extends > 0
+        assert pool.cache.hit_tokens > 0
+        assert pool.cache.evictions > 0
+        for rid in list(live):
+            pool.release(rid)
+        assert pool.free_bytes == pool.capacity_bytes - memory.weights_bytes

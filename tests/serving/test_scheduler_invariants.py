@@ -235,13 +235,15 @@ class TestPagedPreemptionInvariants:
         return scheduler, trace, run
 
     def test_blocks_conserved_at_drain(self, served):
-        """Every block ever claimed is freed once the trace drains."""
+        """Every block ever claimed is freed once the trace drains, and
+        the whole-byte ledger returns to the empty pool exactly."""
         scheduler, _, _ = served
         pool = scheduler.pool
         assert pool.n_resident == 0
         assert pool.blocks_in_use == 0
         assert pool.allocated_blocks == pool.freed_blocks
         assert pool.allocated_blocks > 0
+        assert pool.free_bytes == pool.capacity_bytes - pool.memory.weights_bytes
 
     def test_no_restore_starvation(self, served):
         """Eviction is by admission age, restores re-enter in age order
