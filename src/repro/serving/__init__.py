@@ -73,6 +73,7 @@ from repro.serving.routing import (
 from repro.serving.metrics import (
     DEFAULT_SKETCH_CAPACITY,
     DepthSketch,
+    EngineCounters,
     EngineStats,
     RequestStats,
     RequestTiming,
@@ -144,6 +145,7 @@ __all__ = [
     "Track",
     "validate_trace_events",
     "write_trace_file",
+    "EngineCounters",
     "EngineStats",
     "RequestStats",
     "RequestTiming",

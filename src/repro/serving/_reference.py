@@ -56,6 +56,8 @@ class ReferenceEngine:
 
     def serve(self, trace: Trace) -> EngineTrace:
         """Run ``trace`` to completion and return the raw event record."""
+        # A reused engine must serve like a fresh one.
+        self.scheduler.reset()
         budget = self.scheduler.chunk_budget
         pending = collections.deque(trace.requests)
         queue: list = []
@@ -76,25 +78,7 @@ class ReferenceEngine:
             # An empty trace serves to an empty record: zero span, no
             # events, the NaN-percentile report — exactly what one
             # replica of a cluster that routed it nothing produces.
-            return EngineTrace(
-                timings=(),
-                iteration_seconds=(),
-                decode_tokens=(),
-                prefill_seconds=(),
-                prefill_tokens=(),
-                start_s=0.0,
-                end_s=0.0,
-                mean_queue_depth=0.0,
-                max_queue_depth=0,
-                preemptions=0,
-                cache_hit_tokens=self.scheduler.cache_hit_tokens,
-                cache_miss_tokens=self.scheduler.cache_miss_tokens,
-                cache_evictions=self.scheduler.cache_evictions,
-                remote_hit_tokens=self.scheduler.remote_hit_tokens,
-                transferred_bytes=self.scheduler.transferred_bytes,
-                kv_transfers=self.scheduler.kv_transfers,
-                depth=DepthSketch(DEFAULT_SKETCH_CAPACITY),
-            )
+            return EngineTrace.empty()
 
         start = pending[0].arrival_s
         clock = start
@@ -357,16 +341,11 @@ class ReferenceEngine:
             mean_queue_depth=depth_area / span,
             max_queue_depth=max_depth,
             preemptions=preemptions,
-            cache_hit_tokens=self.scheduler.cache_hit_tokens,
-            cache_miss_tokens=self.scheduler.cache_miss_tokens,
-            cache_evictions=self.scheduler.cache_evictions,
-            remote_hit_tokens=self.scheduler.remote_hit_tokens,
-            transferred_bytes=self.scheduler.transferred_bytes,
-            kv_transfers=self.scheduler.kv_transfers,
             handoffs=handoffs,
             handoff_bytes=handoff_bytes,
             busy_s=(end - start) - idle_s,
             depth=depth_sketch,
+            **self.scheduler.counters(),
         )
 
     def run(self, trace: Trace) -> ServingReport:

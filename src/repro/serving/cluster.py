@@ -32,11 +32,11 @@ from repro.serving.engine import EngineTrace, ServingEngine
 from repro.serving.memory import MemoryModel, SharedPrefixTier
 from repro.serving.metrics import (
     DEFAULT_SKETCH_CAPACITY,
-    DepthSketch,
     EngineStats,
     RequestTiming,
     ServingReport,
     SloSpec,
+    merge_runs,
 )
 
 if TYPE_CHECKING:  # telemetry stays optional at runtime
@@ -51,36 +51,6 @@ from repro.serving.routing import (
 )
 from repro.serving.schedulers import build_scheduler
 from repro.workloads.requests import Request, TimedRequest, Trace
-
-
-def _empty_record(
-    sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-) -> EngineTrace:
-    """The record a run that dispatched nothing produced.
-
-    Byte-for-byte what the bare engine serves for an empty trace (zero
-    span, no events, fresh depth sketch), so the 1-replica equivalence
-    holds even when there was nothing to route.
-    """
-    return EngineTrace(
-        timings=(),
-        iteration_seconds=(),
-        decode_tokens=(),
-        prefill_seconds=(),
-        prefill_tokens=(),
-        start_s=0.0,
-        end_s=0.0,
-        mean_queue_depth=0.0,
-        max_queue_depth=0,
-        preemptions=0,
-        cache_hit_tokens=0,
-        cache_miss_tokens=0,
-        cache_evictions=0,
-        remote_hit_tokens=0,
-        transferred_bytes=0.0,
-        kv_transfers=0,
-        depth=DepthSketch(sketch_capacity),
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,6 +175,31 @@ class ClusterReport(ServingReport):
         ]
         return payload
 
+    @classmethod
+    def assemble(
+        cls,
+        merged: EngineStats,
+        router: str,
+        phases: tuple[str, ...] | None,
+        per_replica: Sequence[EngineStats | None],
+    ) -> "ClusterReport":
+        """The cluster report of ``merged`` plus each replica's stats."""
+        report = merged.report()
+        # Shallow field copy (asdict would recurse into RequestTiming).
+        fields = {
+            f.name: getattr(report, f.name)
+            for f in dataclasses.fields(ServingReport)
+        }
+        return cls(
+            **fields,
+            router=router,
+            phases=phases,
+            per_replica=tuple(
+                ReplicaStats(replica=i, stats=s)
+                for i, s in enumerate(per_replica)
+            ),
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class ClusterTrace:
@@ -239,7 +234,7 @@ class ClusterTrace:
             # Empty trace: nothing was dispatched anywhere.  Fold to the
             # bare engine's empty record, not an error, so the cluster
             # and the engine agree on the degenerate input too.
-            return _empty_record()
+            return EngineTrace.empty()
         if len(active) == 1 and not self.split_ids:
             return active[0]
         timings: list[RequestTiming] = [
@@ -250,11 +245,6 @@ class ClusterTrace:
         ]
         timings.extend(self.stitched)
         timings.sort(key=lambda t: t.request_id)
-        start = min(t.start_s for t in active)
-        end = max(t.end_s for t in active)
-        span = max(end - start, 1e-12)
-        depth_area = sum(t.mean_queue_depth * t.makespan_s for t in active)
-        depths = [t.depth for t in active if t.depth is not None]
         return EngineTrace(
             timings=tuple(timings),
             iteration_seconds=tuple(
@@ -269,43 +259,17 @@ class ClusterTrace:
             prefill_tokens=tuple(
                 n for t in active for n in t.prefill_tokens
             ),
-            start_s=start,
-            end_s=end,
-            mean_queue_depth=depth_area / span,
-            max_queue_depth=max(t.max_queue_depth for t in active),
-            preemptions=sum(t.preemptions for t in active),
-            cache_hit_tokens=sum(t.cache_hit_tokens for t in active),
-            cache_miss_tokens=sum(t.cache_miss_tokens for t in active),
-            cache_evictions=sum(t.cache_evictions for t in active),
-            remote_hit_tokens=sum(t.remote_hit_tokens for t in active),
-            transferred_bytes=sum(t.transferred_bytes for t in active),
-            kv_transfers=sum(t.kv_transfers for t in active),
-            handoffs=sum(t.handoffs for t in active),
-            handoff_bytes=sum(t.handoff_bytes for t in active),
-            busy_s=sum(t.busy_s for t in active),
-            depth=DepthSketch.merge(depths) if depths else None,
+            **merge_runs(active),
         )
 
     def report(
         self, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
     ) -> ClusterReport:
-        merged = self.merged().stats(sketch_capacity).report()
-        # Shallow field copy (asdict would recurse into RequestTiming).
-        fields = {
-            f.name: getattr(merged, f.name)
-            for f in dataclasses.fields(ServingReport)
-        }
-        return ClusterReport(
-            **fields,
-            router=self.router,
-            phases=self.phases,
-            per_replica=tuple(
-                ReplicaStats(
-                    replica=i,
-                    stats=None if t is None else t.stats(sketch_capacity),
-                )
-                for i, t in enumerate(self.replicas)
-            ),
+        return ClusterReport.assemble(
+            self.merged().stats(sketch_capacity),
+            self.router,
+            self.phases,
+            [None if t is None else t.stats(sketch_capacity) for t in self.replicas],
         )
 
 
@@ -367,6 +331,8 @@ class ClusterEngine:
         self.router = router
         self.phases = phases
         self.link_gbps = link_gbps
+        #: the shared prefix tier every replica's pool joined, if any
+        self.tier: SharedPrefixTier | None = None
         # Handoff pricing is fixed per *destination* replica: the wire
         # moves the destination's KV layout, so bytes and seconds come
         # from its memory and cost models — the same formula the
@@ -385,6 +351,21 @@ class ClusterEngine:
     def n_replicas(self) -> int:
         return len(self.replicas)
 
+    def attach_tier(self, tier: SharedPrefixTier) -> None:
+        """Join every replica's prefix pool to one shared tier."""
+        for i, engine in enumerate(self.replicas):
+            engine.scheduler.pool.attach_tier(tier, i)
+        self.tier = tier
+
+    def _reset(self) -> None:
+        """A reused engine must route and share like a fresh one."""
+        self.router.reset()
+        if self.tier is not None:
+            # Once per run, before any replica serves: replicas serve in
+            # sequence, so a reset per replica would erase the earlier
+            # replicas' publishes.
+            self.tier.reset()
+
     def serve(
         self, trace: Trace, collector: "Collector | None" = None
     ) -> ClusterTrace:
@@ -397,7 +378,7 @@ class ClusterEngine:
         """
         if self.split:
             return self._serve_split(trace, collector)
-        self.router.reset()  # a reused engine must route like a fresh one
+        self._reset()
         assignments = self.router.assign(trace)
         parts = trace.partition(assignments)
         return ClusterTrace(
@@ -431,7 +412,7 @@ class ClusterEngine:
         disjoint, so every replica still runs exactly once.
         """
         assert isinstance(self.router, DisaggregatedRouter)
-        self.router.reset()
+        self._reset()
         pairs = self.router.assign_pairs(trace)
         stage1: dict[int, list[TimedRequest]] = {}
         split_pair: dict[int, tuple[int, int]] = {}
@@ -553,7 +534,7 @@ class ClusterEngine:
             return self._serve_split(trace, collector).report(
                 sketch_capacity
             )
-        self.router.reset()  # a reused engine must route like a fresh one
+        self._reset()
         assignments = self.router.assign(trace)
         parts = trace.partition(assignments)
         stats = tuple(
@@ -567,24 +548,15 @@ class ClusterEngine:
             for i, engine in enumerate(self.replicas)
         )
         active = [s for s in stats if s is not None]
-        if active:
-            merged = EngineStats.merge(active).report()
-        else:
-            # Empty trace: same NaN-percentile report the bare engine's
-            # streaming path returns for an empty trace.
-            merged = _empty_record(sketch_capacity).stats().report()
-        fields = {
-            f.name: getattr(merged, f.name)
-            for f in dataclasses.fields(ServingReport)
-        }
-        return ClusterReport(
-            **fields,
-            router=self.router.name,
-            phases=self.phases,
-            per_replica=tuple(
-                ReplicaStats(replica=i, stats=s)
-                for i, s in enumerate(stats)
-            ),
+        # Empty trace: same NaN-percentile report the bare engine's
+        # streaming path returns for an empty trace.
+        merged = (
+            EngineStats.merge(active)
+            if active
+            else EngineTrace.empty(sketch_capacity).stats()
+        )
+        return ClusterReport.assemble(
+            merged, self.router.name, self.phases, stats
         )
 
 
@@ -747,15 +719,6 @@ def build_cluster(
         )
         for kind in systems
     )
-    if shared_tier:
-        tier = SharedPrefixTier(
-            MemoryModel.for_system(system, spec),
-            block_size,
-            IterationCostModel(system, spec, link_gbps=link_gbps),
-        )
-        for i, engine in enumerate(replicas):
-            engine.scheduler.pool.attach_tier(tier, i)
-
     if router == DisaggregatedRouter.name:
         router_obj: Router = DisaggregatedRouter(
             n_replicas,
@@ -788,6 +751,15 @@ def build_cluster(
                 _prefix_savings_estimate(engine.cost) for engine in replicas
             ],
         )
-    return ClusterEngine(
+    cluster = ClusterEngine(
         replicas, router_obj, phases=phases, link_gbps=link_gbps
     )
+    if shared_tier:
+        cluster.attach_tier(
+            SharedPrefixTier(
+                MemoryModel.for_system(system, spec),
+                block_size,
+                IterationCostModel(system, spec, link_gbps=link_gbps),
+            )
+        )
+    return cluster

@@ -75,6 +75,7 @@ from repro.serving.costs import IterationCostModel
 from repro.serving.metrics import (
     DEFAULT_SKETCH_CAPACITY,
     DepthSketch,
+    EngineCounters,
     EngineStats,
     RequestStats,
     RequestTiming,
@@ -94,7 +95,7 @@ _MAX_RUN_STEPS = 4096
 
 
 @dataclasses.dataclass(frozen=True)
-class EngineTrace:
+class EngineTrace(EngineCounters):
     """Raw outcome of one engine run (before metric aggregation)."""
 
     timings: tuple[RequestTiming, ...]
@@ -107,24 +108,32 @@ class EngineTrace:
     mean_queue_depth: float
     max_queue_depth: int
     preemptions: int = 0  #: paged evictions (each implies one restore)
-    #: prefix-cache counters (all zero for schedulers without a cache)
-    cache_hit_tokens: int = 0
-    cache_miss_tokens: int = 0
-    cache_evictions: int = 0
-    #: shared-tier counters (all zero without a cross-replica tier)
-    remote_hit_tokens: int = 0
-    transferred_bytes: float = 0.0
-    kv_transfers: int = 0
-    #: disaggregation counters: prefill→decode KV handoffs this engine
-    #: *received* (all zero without a phase-split cluster upstream)
-    handoffs: int = 0
-    handoff_bytes: float = 0.0
-    #: seconds the engine spent pricing work (makespan minus arrival
-    #: idle) — the numerator of a replica's utilization
-    busy_s: float = 0.0
     #: time-weighted queue-depth sketch (p50/p99); optional so that
     #: hand-built traces in tests stay valid without one
     depth: DepthSketch | None = None
+
+    @classmethod
+    def empty(
+        cls, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
+    ) -> "EngineTrace":
+        """The record of a run that served nothing.
+
+        Zero span, no events, a fresh depth sketch: what the engine
+        serves for an empty trace, so a cluster that routed nothing
+        folds to the bare engine's record.
+        """
+        return cls(
+            timings=(),
+            iteration_seconds=(),
+            decode_tokens=(),
+            prefill_seconds=(),
+            prefill_tokens=(),
+            start_s=0.0,
+            end_s=0.0,
+            mean_queue_depth=0.0,
+            max_queue_depth=0,
+            depth=DepthSketch(sketch_capacity),
+        )
 
     @property
     def makespan_s(self) -> float:
@@ -147,15 +156,7 @@ class EngineTrace:
             n_prefills=len(self.prefill_seconds),
             preemptions=self.preemptions,
             depth=self.depth,
-            cache_hit_tokens=self.cache_hit_tokens,
-            cache_miss_tokens=self.cache_miss_tokens,
-            cache_evictions=self.cache_evictions,
-            remote_hit_tokens=self.remote_hit_tokens,
-            transferred_bytes=self.transferred_bytes,
-            kv_transfers=self.kv_transfers,
-            handoffs=self.handoffs,
-            handoff_bytes=self.handoff_bytes,
-            busy_s=self.busy_s,
+            **self.counters(),
         )
 
     def report(self) -> ServingReport:
@@ -283,38 +284,19 @@ class ServingEngine:
         priced event, every timestamp — is identical with or without one.
         """
         recorder = _TraceRecorder()
-        (
-            start, end, depth_area, max_depth, preemptions, depth,
-            handoffs, handoff_bytes, idle_s,
-        ) = self._serve(trace, recorder, collector)
-        timings = tuple(
-            r.timing()
-            for r in sorted(
-                recorder.finished, key=lambda r: r.timed.request_id
-            )
-        )
-        span = max(end - start, 1e-12)
+        run = self._serve(trace, recorder, collector)
         return EngineTrace(
-            timings=timings,
+            timings=tuple(
+                r.timing()
+                for r in sorted(
+                    recorder.finished, key=lambda r: r.timed.request_id
+                )
+            ),
             iteration_seconds=tuple(recorder.iterations),
             decode_tokens=tuple(recorder.decode_tokens),
             prefill_seconds=tuple(recorder.prefills),
             prefill_tokens=tuple(recorder.prefill_tokens),
-            start_s=start,
-            end_s=end,
-            mean_queue_depth=depth_area / span,
-            max_queue_depth=max_depth,
-            preemptions=preemptions,
-            cache_hit_tokens=self.scheduler.cache_hit_tokens,
-            cache_miss_tokens=self.scheduler.cache_miss_tokens,
-            cache_evictions=self.scheduler.cache_evictions,
-            remote_hit_tokens=self.scheduler.remote_hit_tokens,
-            transferred_bytes=self.scheduler.transferred_bytes,
-            kv_transfers=self.scheduler.kv_transfers,
-            handoffs=handoffs,
-            handoff_bytes=handoff_bytes,
-            busy_s=(end - start) - idle_s,
-            depth=depth,
+            **run,
         )
 
     def serve_stats(
@@ -334,30 +316,12 @@ class ServingEngine:
         above it, latency percentiles come from the seeded sample.
         """
         recorder = _StatsRecorder(sketch_capacity)
-        (
-            start, end, depth_area, max_depth, preemptions, depth,
-            handoffs, handoff_bytes, idle_s,
-        ) = self._serve(trace, recorder, collector, sketch_capacity)
-        span = max(end - start, 1e-12)
+        run = self._serve(trace, recorder, collector, sketch_capacity)
         return EngineStats(
             requests=recorder.requests,
-            start_s=start,
-            end_s=end,
-            mean_queue_depth=depth_area / span,
-            max_queue_depth=max_depth,
             n_iterations=recorder.n_iterations,
             n_prefills=recorder.n_prefills,
-            preemptions=preemptions,
-            depth=depth,
-            cache_hit_tokens=self.scheduler.cache_hit_tokens,
-            cache_miss_tokens=self.scheduler.cache_miss_tokens,
-            cache_evictions=self.scheduler.cache_evictions,
-            remote_hit_tokens=self.scheduler.remote_hit_tokens,
-            transferred_bytes=self.scheduler.transferred_bytes,
-            kv_transfers=self.scheduler.kv_transfers,
-            handoffs=handoffs,
-            handoff_bytes=handoff_bytes,
-            busy_s=(end - start) - idle_s,
+            **run,
         )
 
     def run(
@@ -372,12 +336,13 @@ class ServingEngine:
         rec,
         col: "Collector | None" = None,
         sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-    ) -> tuple[
-        float, float, float, int, int, DepthSketch, int, float, float
-    ]:
-        """The event loop; returns (start, end, depth_area, max_depth,
-        preemptions, depth_sketch, handoffs, handoff_bytes, idle_s) and
-        emits events through ``rec``."""
+    ) -> dict:
+        """The event loop: emits events through ``rec`` and returns, by
+        name, the run fields :class:`EngineTrace` and
+        :class:`~repro.serving.metrics.EngineStats` share."""
+        # A reused engine must serve like a fresh one: drop the previous
+        # run's cached prefixes and counters.
+        self.scheduler.reset()
         budget = self.scheduler.chunk_budget
         coalesce = self._coalesce
         #: one bool gates every telemetry touch on the hot path
@@ -392,16 +357,10 @@ class ServingEngine:
         handoff_bytes = 0.0
         idle_s = 0.0
 
-        if not pending:
-            # An empty trace serves to an empty record: zero span, no
-            # events, the NaN-percentile report — exactly what one
-            # replica of a cluster that routed it nothing produces.
-            return (
-                0.0, 0.0, 0.0, 0, 0, DepthSketch(sketch_capacity),
-                0, 0.0, 0.0,
-            )
-
-        start = pending[0].arrival_s
+        # An empty trace skips the loop and serves to the empty record
+        # (zero span, no events): what one replica of a cluster that
+        # routed it nothing produces.
+        start = pending[0].arrival_s if pending else 0.0
         clock = start
         depth_area = 0.0
         max_depth = 0
@@ -443,6 +402,13 @@ class ServingEngine:
                     if tel:
                         col.finish(r)
             return n
+
+        def gauge(n_running: int) -> None:
+            """Sample the telemetry gauges at a batch-composition event."""
+            col.gauge(
+                clock, len(queue), n_running, self.scheduler.blocks_in_use,
+                preemptions, self.scheduler.counters(),
+            )
 
         while pending or queue or running or preempted:
             while pending and pending[0].arrival_s <= clock:
@@ -499,15 +465,7 @@ class ServingEngine:
                         col.prefill_span(
                             t0, clock, context - cached, (head,), "restore"
                         )
-                        col.gauge(
-                            clock, len(queue), len(running),
-                            self.scheduler.blocks_in_use, preemptions,
-                            self.scheduler.cache_hit_tokens,
-                            self.scheduler.cache_miss_tokens,
-                            self.scheduler.cache_evictions,
-                            self.scheduler.remote_hit_tokens,
-                            self.scheduler.transferred_bytes,
-                        )
+                        gauge(len(running))
                     continue
                 admitted_n = 0
             else:
@@ -584,15 +542,7 @@ class ServingEngine:
                         # prompt is streamed by the chunk iterations below.
                         cohorts.append(_PrefillCohort(fresh, cohort_input))
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge(len(running))
                 continue
 
             if cohorts:
@@ -638,15 +588,7 @@ class ServingEngine:
                         r.prefilled = True
                     cohorts.popleft()
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge(len(running))
                 continue
 
             horizon = (
@@ -742,15 +684,7 @@ class ServingEngine:
                     else:
                         running = [r for r in running if not r.done]
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge(len(running))
                 continue
 
             if running:
@@ -773,15 +707,7 @@ class ServingEngine:
                         col.preempt(clock, victims)
                     if not running:
                         if tel:
-                            col.gauge(
-                                clock, len(queue), 0,
-                                self.scheduler.blocks_in_use, preemptions,
-                                self.scheduler.cache_hit_tokens,
-                                self.scheduler.cache_miss_tokens,
-                                self.scheduler.cache_evictions,
-                                self.scheduler.remote_hit_tokens,
-                                self.scheduler.transferred_bytes,
-                            )
+                            gauge(0)
                         continue
                 batch, seq = self.scheduler.iteration_shape(running)
                 dt = self.cost.decode_seconds(batch, seq)
@@ -797,15 +723,7 @@ class ServingEngine:
                 else:
                     running = [r for r in running if not r.done]
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge(len(running))
                 continue
 
             if pending:
@@ -813,15 +731,7 @@ class ServingEngine:
                 advance(dt)
                 idle_s += dt
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge(len(running))
                 continue
 
             raise RuntimeError(
@@ -832,7 +742,15 @@ class ServingEngine:
 
         if depth_acc > 0.0:
             depth_sketch.observe(cur_depth, depth_acc)
-        return (
-            start, clock, depth_area, max_depth, preemptions, depth_sketch,
-            handoffs, handoff_bytes, idle_s,
+        return dict(
+            start_s=start,
+            end_s=clock,
+            mean_queue_depth=depth_area / max(clock - start, 1e-12),
+            max_queue_depth=max_depth,
+            preemptions=preemptions,
+            depth=depth_sketch,
+            handoffs=handoffs,
+            handoff_bytes=handoff_bytes,
+            busy_s=(clock - start) - idle_s,
+            **self.scheduler.counters(),
         )

@@ -470,16 +470,25 @@ class PrefixBlockPool(BlockPool):
         self, memory: MemoryModel, capacity_bytes: float, block_size: int
     ):
         super().__init__(memory, capacity_bytes, block_size)
-        self.cache = PrefixCache(memory, block_size)
         #: shared cross-replica tier, attached by the cluster builder
         self.tier: SharedPrefixTier | None = None
         #: this pool's replica index within the tier (meaningless otherwise)
         self.replica = 0
-        #: lifetime prefill tokens served by pulling remote KV
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a run: an empty cache and zeroed counters.
+
+        Only cached blocks are dropped (a drained run leaves no holding,
+        so the ledger is already empty); the tier stays attached, and
+        its directory is the cluster's to reset.
+        """
+        self.cache = PrefixCache(self.memory, self.block_size)
+        #: prefill tokens served by pulling remote KV, this run
         self.remote_hit_tokens = 0
-        #: lifetime KV bytes pulled over the link into this pool
+        #: KV bytes pulled over the link into this pool, this run
         self.transferred_bytes = 0.0
-        #: lifetime remote pulls (each covers one contiguous block range)
+        #: remote pulls this run (each covers one contiguous block range)
         self.kv_transfers = 0
 
     def attach_tier(self, tier: "SharedPrefixTier", replica: int) -> None:
@@ -608,11 +617,15 @@ class SharedPrefixTier:
         self.memory = memory
         self.block_size = block_size
         self.cost = cost
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a cluster run: no published prefixes, zeroed counters."""
         #: session_id -> (replica, block-aligned history tokens, publish clock)
         self._published: dict[int, tuple[int, int, float]] = {}
-        #: lifetime pulls that went over the wire
+        #: pulls this run that went over the wire
         self.transfers = 0
-        #: lifetime lookups where a longer remote prefix existed but
+        #: lookups this run where a longer remote prefix existed but
         #: recomputing the suffix was cheaper than moving it
         self.recomputes = 0
 

@@ -130,7 +130,7 @@ class RequestStats:
 
     __slots__ = (
         "capacity", "count", "rows", "prompt_tokens", "generated_tokens",
-        "cached_tokens", "remote_tokens", "_rng",
+        "_rng",
     )
 
     def __init__(self, capacity: int = DEFAULT_SKETCH_CAPACITY):
@@ -142,8 +142,6 @@ class RequestStats:
         self.rows: list[tuple[float, float, float]] = []
         self.prompt_tokens = 0
         self.generated_tokens = 0
-        self.cached_tokens = 0
-        self.remote_tokens = 0
         self._rng = random.Random(_SKETCH_SEED)
 
     @property
@@ -160,8 +158,6 @@ class RequestStats:
         """Fold one completed request into the counters and the reservoir."""
         self.prompt_tokens += timing.input_len
         self.generated_tokens += timing.output_len
-        self.cached_tokens += timing.cached_tokens
-        self.remote_tokens += timing.remote_tokens
         self.count += 1
         row = (timing.ttft_s, timing.tpot_s, timing.e2e_s)
         if len(self.rows) < self.capacity:
@@ -226,8 +222,6 @@ class RequestStats:
         merged.count = sum(p.count for p in parts)
         merged.prompt_tokens = sum(p.prompt_tokens for p in parts)
         merged.generated_tokens = sum(p.generated_tokens for p in parts)
-        merged.cached_tokens = sum(p.cached_tokens for p in parts)
-        merged.remote_tokens = sum(p.remote_tokens for p in parts)
         if sum(len(p.rows) for p in parts) <= capacity:
             for p in parts:
                 merged.rows.extend(p.rows)
@@ -256,16 +250,12 @@ class RequestStats:
             self.count,
             self.prompt_tokens,
             self.generated_tokens,
-            self.cached_tokens,
-            self.remote_tokens,
             sorted(self.rows),
         ) == (
             other.capacity,
             other.count,
             other.prompt_tokens,
             other.generated_tokens,
-            other.cached_tokens,
-            other.remote_tokens,
             sorted(other.rows),
         )
 
@@ -393,8 +383,74 @@ class DepthSketch:
         return f"DepthSketch(n={self.count}, {kind})"
 
 
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class EngineCounters:
+    """The run-level counters of one engine run, declared once.
+
+    :class:`~repro.serving.engine.EngineTrace`, :class:`EngineStats` and
+    :class:`ServingReport` inherit these fields, so a conversion passes
+    them through by field (:meth:`counters`) and a cluster merge sums
+    each one (:func:`merge_runs`).  A new counter added here reaches
+    every record, merge and report with no other edit.  Every counter
+    defaults to zero: a run without the feature that produces it (a
+    prefix cache, a shared tier, a phase-split fleet) leaves it there.
+    """
+
+    #: prompt tokens served from a prefix cache / actually computed
+    #: under one, and cached blocks reclaimed for live KV
+    cache_hit_tokens: int = 0
+    cache_miss_tokens: int = 0
+    cache_evictions: int = 0
+    #: prompt tokens pulled from another replica through the shared
+    #: tier, the KV bytes those pulls moved, and how many pulls there were
+    remote_hit_tokens: int = 0
+    transferred_bytes: float = 0.0
+    kv_transfers: int = 0
+    #: prefill→decode KV handoffs this engine *received* and their bytes
+    handoffs: int = 0
+    handoff_bytes: float = 0.0
+    #: seconds spent pricing work (makespan minus arrival idle) — the
+    #: numerator of a replica's utilization; summed across replicas in
+    #: a cluster merge, so divide per replica
+    busy_s: float = 0.0
+
+    def counters(self) -> dict[str, float]:
+        """The counter fields by name, to pass on to another record."""
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
+
+
+#: :class:`EngineCounters` field names, in declaration order
+COUNTER_NAMES = tuple(f.name for f in dataclasses.fields(EngineCounters))
+
+
+def merge_runs(parts: Sequence, capacity: int | None = None) -> dict:
+    """The run-level fields of several replica records, merged by name.
+
+    ``parts`` are :class:`~repro.serving.engine.EngineTrace` or
+    :class:`EngineStats` records.  The merged span runs from the first
+    start to the last end, and the time-weighted queue depth re-averages
+    over it (per-replica depth areas add; spans overlap).  Preemptions
+    and every :class:`EngineCounters` field sum in replica order, and
+    the depth sketches merge.
+    """
+    start = min(p.start_s for p in parts)
+    end = max(p.end_s for p in parts)
+    span = max(end - start, 1e-12)
+    depth_area = sum(p.mean_queue_depth * p.makespan_s for p in parts)
+    depths = [p.depth for p in parts if p.depth is not None]
+    return dict(
+        start_s=start,
+        end_s=end,
+        mean_queue_depth=depth_area / span,
+        max_queue_depth=max(p.max_queue_depth for p in parts),
+        preemptions=sum(p.preemptions for p in parts),
+        depth=DepthSketch.merge(depths, capacity) if depths else None,
+        **{name: sum(getattr(p, name) for p in parts) for name in COUNTER_NAMES},
+    )
+
+
 @dataclasses.dataclass(frozen=True)
-class ServingReport:
+class ServingReport(EngineCounters):
     """Aggregate view of one trace served on one system.
 
     Holds a streaming :class:`RequestStats` instead of per-request
@@ -416,20 +472,6 @@ class ServingReport:
     #: time-weighted queue-depth sketch (p50/p99 companions to the exact
     #: mean/max); optional so hand-built reports stay valid without one
     depth: DepthSketch | None = dataclasses.field(default=None, kw_only=True)
-    #: prefix-cache counters (all zero for schedulers without a cache)
-    cache_hit_tokens: int = dataclasses.field(default=0, kw_only=True)
-    cache_miss_tokens: int = dataclasses.field(default=0, kw_only=True)
-    cache_evictions: int = dataclasses.field(default=0, kw_only=True)
-    #: shared-tier counters (all zero without a cross-replica tier)
-    remote_hit_tokens: int = dataclasses.field(default=0, kw_only=True)
-    transferred_bytes: float = dataclasses.field(default=0.0, kw_only=True)
-    kv_transfers: int = dataclasses.field(default=0, kw_only=True)
-    #: disaggregation counters (all zero without a phase-split fleet)
-    handoffs: int = dataclasses.field(default=0, kw_only=True)
-    handoff_bytes: float = dataclasses.field(default=0.0, kw_only=True)
-    #: seconds spent pricing work (makespan minus arrival idle); summed
-    #: across replicas in a cluster merge, so divide per replica
-    busy_s: float = dataclasses.field(default=0.0, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.stats.n and self.makespan_s <= 0:
@@ -591,12 +633,12 @@ class ServingReport:
 
 
 @dataclasses.dataclass(frozen=True)
-class EngineStats:
+class EngineStats(EngineCounters):
     """Streaming outcome of one engine run (the O(1)-memory EngineTrace).
 
     What :meth:`ServingEngine.serve_stats` returns: the per-request
     stream already folded into a :class:`RequestStats`, plus the same
-    run-level counters :class:`~repro.serving.engine.EngineTrace`
+    run-level fields :class:`~repro.serving.engine.EngineTrace`
     carries — everything :meth:`report` needs, nothing per-event.
     """
 
@@ -609,15 +651,6 @@ class EngineStats:
     n_prefills: int
     preemptions: int = 0
     depth: DepthSketch | None = None
-    cache_hit_tokens: int = 0
-    cache_miss_tokens: int = 0
-    cache_evictions: int = 0
-    remote_hit_tokens: int = 0
-    transferred_bytes: float = 0.0
-    kv_transfers: int = 0
-    handoffs: int = 0
-    handoff_bytes: float = 0.0
-    busy_s: float = 0.0
 
     @property
     def makespan_s(self) -> float:
@@ -633,15 +666,7 @@ class EngineStats:
             n_prefills=self.n_prefills,
             n_preemptions=self.preemptions,
             depth=self.depth,
-            cache_hit_tokens=self.cache_hit_tokens,
-            cache_miss_tokens=self.cache_miss_tokens,
-            cache_evictions=self.cache_evictions,
-            remote_hit_tokens=self.remote_hit_tokens,
-            transferred_bytes=self.transferred_bytes,
-            kv_transfers=self.kv_transfers,
-            handoffs=self.handoffs,
-            handoff_bytes=self.handoff_bytes,
-            busy_s=self.busy_s,
+            **self.counters(),
         )
 
     @classmethod
@@ -651,36 +676,16 @@ class EngineStats:
         capacity: int | None = None,
     ) -> "EngineStats":
         """Fold replica stats into one, mirroring ``ClusterTrace.merged``:
-        identity for a single part, depth areas add over the cluster-wide
-        span for many."""
+        identity for a single part, :func:`merge_runs` for many."""
         if not parts:
             raise ValueError("cannot merge zero engine stats")
         if len(parts) == 1:
             return parts[0]
-        start = min(p.start_s for p in parts)
-        end = max(p.end_s for p in parts)
-        span = max(end - start, 1e-12)
-        depth_area = sum(p.mean_queue_depth * p.makespan_s for p in parts)
-        depths = [p.depth for p in parts if p.depth is not None]
         return cls(
             requests=RequestStats.merge(
                 (p.requests for p in parts), capacity
             ),
-            start_s=start,
-            end_s=end,
-            mean_queue_depth=depth_area / span,
-            max_queue_depth=max(p.max_queue_depth for p in parts),
             n_iterations=sum(p.n_iterations for p in parts),
             n_prefills=sum(p.n_prefills for p in parts),
-            preemptions=sum(p.preemptions for p in parts),
-            depth=DepthSketch.merge(depths, capacity) if depths else None,
-            cache_hit_tokens=sum(p.cache_hit_tokens for p in parts),
-            cache_miss_tokens=sum(p.cache_miss_tokens for p in parts),
-            cache_evictions=sum(p.cache_evictions for p in parts),
-            remote_hit_tokens=sum(p.remote_hit_tokens for p in parts),
-            transferred_bytes=sum(p.transferred_bytes for p in parts),
-            kv_transfers=sum(p.kv_transfers for p in parts),
-            handoffs=sum(p.handoffs for p in parts),
-            handoff_bytes=sum(p.handoff_bytes for p in parts),
-            busy_s=sum(p.busy_s for p in parts),
+            **merge_runs(parts, capacity),
         )

@@ -282,40 +282,20 @@ class Scheduler(abc.ABC):
         """
         return 0
 
-    # Prefix-cache counters, read by the engine for gauges and the run
-    # record.  Zero for every policy without a cache, so the fields they
-    # feed keep their defaults and traces stay comparable across
-    # policies.
+    def reset(self) -> None:
+        """Forget the previous run: the engine calls this as each serve
+        starts, so a reused scheduler decides like a fresh one."""
 
-    @property
-    def cache_hit_tokens(self) -> int:
-        """Lifetime prefill tokens served from a prefix cache."""
-        return 0
+    def counters(self) -> dict[str, float]:
+        """The run's :class:`~repro.serving.metrics.EngineCounters` this
+        policy produces, by field name, cumulative since :meth:`reset`.
 
-    @property
-    def cache_miss_tokens(self) -> int:
-        """Lifetime prefill tokens actually computed under a prefix cache."""
-        return 0
-
-    @property
-    def cache_evictions(self) -> int:
-        """Lifetime cached blocks reclaimed to make room for live KV."""
-        return 0
-
-    @property
-    def remote_hit_tokens(self) -> int:
-        """Lifetime prefill tokens pulled from another replica's cache."""
-        return 0
-
-    @property
-    def transferred_bytes(self) -> float:
-        """Lifetime KV bytes pulled over the inter-replica link."""
-        return 0.0
-
-    @property
-    def kv_transfers(self) -> int:
-        """Lifetime cross-replica prefix pulls."""
-        return 0
+        Read by the engine for telemetry gauges and the run record.
+        Empty for every policy without a prefix cache, so the fields
+        keep their zero defaults and traces stay comparable across
+        policies.
+        """
+        return {}
 
     def iteration_shape(
         self, running: Sequence[RunningRequest]
@@ -853,29 +833,19 @@ class PrefixCachingScheduler(PagedScheduler):
             )
         self.pool.release(request.timed.request_id)
 
-    @property
-    def cache_hit_tokens(self) -> int:
-        return self.pool.cache.hit_tokens
+    def reset(self) -> None:
+        self.pool.reset()
 
-    @property
-    def cache_miss_tokens(self) -> int:
-        return self.pool.cache.miss_tokens
-
-    @property
-    def cache_evictions(self) -> int:
-        return self.pool.cache.evictions
-
-    @property
-    def remote_hit_tokens(self) -> int:
-        return self.pool.remote_hit_tokens
-
-    @property
-    def transferred_bytes(self) -> float:
-        return self.pool.transferred_bytes
-
-    @property
-    def kv_transfers(self) -> int:
-        return self.pool.kv_transfers
+    def counters(self) -> dict[str, float]:
+        pool, cache = self.pool, self.pool.cache
+        return {
+            "cache_hit_tokens": cache.hit_tokens,
+            "cache_miss_tokens": cache.miss_tokens,
+            "cache_evictions": cache.evictions,
+            "remote_hit_tokens": pool.remote_hit_tokens,
+            "transferred_bytes": pool.transferred_bytes,
+            "kv_transfers": pool.kv_transfers,
+        }
 
 
 class OverlapScheduler(ChunkedPrefillScheduler):

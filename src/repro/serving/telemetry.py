@@ -13,8 +13,9 @@ never *when* or *why*.  This module adds the time axis back: a
   request at export time is exact, not an approximation);
 * **gauges** — sampled at every batch-composition event: waiting-queue
   depth, running batch size, :class:`~repro.serving.memory.BlockPool`
-  blocks in use, cumulative preemptions, and cumulative prefill/decode
-  token counters;
+  blocks in use, cumulative preemptions, cumulative prefill/decode
+  token counters, and the scheduler's cumulative prefix-cache and
+  shared-tier counters (:data:`GAUGED_COUNTERS`, zero without a cache);
 * **preempt spans** — each eviction paired with the start of its restore
   re-prefill, so the time a request's KV spent evicted is a first-class
   interval.
@@ -48,15 +49,28 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
-from repro.serving.metrics import RequestStats, RequestTiming, SloSpec
+from repro.serving.metrics import (
+    EngineCounters,
+    RequestStats,
+    RequestTiming,
+    SloSpec,
+)
 from repro.serving.schedulers import RunningRequest
 
 #: span kinds a collector may receive (restore = post-preemption
 #: re-prefill; handoff = a disaggregated continuation's KV landing over
 #: the wire, always 0 tokens — nothing is computed during one)
 SPAN_KINDS = ("prefill", "chunk", "restore", "handoff", "decode")
+
+#: the cumulative counters a gauge row keeps, in row order (slots 7-11)
+GAUGED_COUNTERS = (
+    "cache_hit_tokens", "cache_miss_tokens", "cache_evictions",
+    "remote_hit_tokens", "transferred_bytes",
+)
+#: their values when the scheduler produces none (the field defaults)
+_UNGAUGED = tuple(getattr(EngineCounters(), name) for name in GAUGED_COUNTERS)
 
 
 class Collector:
@@ -112,17 +126,16 @@ class Collector:
         n_running: int,
         blocks_in_use: int,
         preemptions: int,
-        cache_hit_tokens: int = 0,
-        cache_miss_tokens: int = 0,
-        cache_evictions: int = 0,
-        remote_hit_tokens: int = 0,
-        transferred_bytes: float = 0.0,
+        counters: Mapping[str, float],
     ) -> None:
         """Iteration gauges at a batch-composition event.
 
-        The prefix-cache and shared-tier counters are cumulative and
-        default to 0 so hand-written collectors predating them stay
-        valid callers.
+        ``counters`` is the scheduler's
+        :meth:`~repro.serving.schedulers.Scheduler.counters` mapping:
+        the run's cumulative
+        :class:`~repro.serving.metrics.EngineCounters` by field name,
+        empty for a policy without a prefix cache (a missing counter
+        reads as zero).
         """
 
 
@@ -150,9 +163,7 @@ class Track:
         #: steps is 0 for prefill kinds, >= 1 for decode spans
         self.spans: list[tuple] = []
         #: (t, queue_depth, n_running, blocks_in_use, preemptions,
-        #:  prefill_tokens_cum, decode_tokens_cum,
-        #:  cache_hit_tokens_cum, cache_miss_tokens_cum, cache_evictions_cum,
-        #:  remote_hit_tokens_cum, transferred_bytes_cum)
+        #:  prefill_tokens_cum, decode_tokens_cum, *GAUGED_COUNTERS)
         self.gauges: list[tuple] = []
         #: (request_id, t_preempt, t_restore_start)
         self.preempt_spans: list[tuple[int, float, float]] = []
@@ -239,18 +250,17 @@ class _TrackCollector(Collector):
     def finish(self, request):
         self.track.finished.append(request)
 
-    def gauge(
-        self, t, queue_depth, n_running, blocks_in_use, preemptions,
-        cache_hit_tokens=0, cache_miss_tokens=0, cache_evictions=0,
-        remote_hit_tokens=0, transferred_bytes=0.0,
-    ):
+    def gauge(self, t, queue_depth, n_running, blocks_in_use, preemptions, counters):
         track = self.track
         track.gauges.append(
             (
                 t, queue_depth, n_running, blocks_in_use, preemptions,
                 track.prefill_tokens, track.decode_tokens,
-                cache_hit_tokens, cache_miss_tokens, cache_evictions,
-                remote_hit_tokens, transferred_bytes,
+            )
+            + (
+                tuple(map(counters.get, GAUGED_COUNTERS, _UNGAUGED))
+                if counters
+                else _UNGAUGED
             )
         )
 

@@ -10,11 +10,13 @@ from repro.perf.system import SystemKind, build_system
 from repro.serving import (
     ROUTER_NAMES,
     ClusterReport,
+    ReferenceEngine,
     ServingEngine,
     SloSpec,
     build_cluster,
     build_scheduler,
     gamma_trace,
+    multiturn_chat_trace,
     poisson_trace,
 )
 from repro.serving.experiments import cluster_slo, cluster_spec, scaling_spec
@@ -251,6 +253,51 @@ class TestDeterminism:
         second = cluster.serve(trace)
         assert first.assignments == second.assignments
         assert second.merged() == first.merged()
+
+    def test_reused_prefix_cluster_serves_like_a_fresh_one(
+        self, pimba_system, zamba_spec
+    ):
+        """Each run also starts from cold prefix caches, zeroed pool
+        counters and an empty shared-tier directory: a second run
+        neither hits the first run's warm blocks nor reports its
+        totals."""
+        trace = multiturn_chat_trace(
+            1.0, 8, turns=4, first_input=512, output_len=32, seed=0
+        )
+
+        def cluster():
+            return build_cluster(
+                pimba_system, zamba_spec, 2, router="cache-aware",
+                scheduler="prefix", max_batch=64, shared_tier=True,
+            )
+
+        fresh = cluster().serve(trace).merged()
+        assert fresh.cache_hit_tokens > 0 and fresh.kv_transfers > 0
+        reused = cluster()
+        first = reused.serve(trace)
+        second = reused.serve(trace)
+        assert first.merged() == fresh
+        assert second.merged() == fresh
+        assert reused.run(trace) == cluster().run(trace)
+
+    @pytest.mark.parametrize("engine_cls", [ServingEngine, ReferenceEngine])
+    def test_reused_prefix_engine_serves_like_a_fresh_one(
+        self, engine_cls, pimba_system, zamba_spec
+    ):
+        """The bare engine (and the scalar reference) reset the
+        scheduler's per-run state as each serve starts."""
+        trace = multiturn_chat_trace(
+            1.0, 8, turns=4, first_input=512, output_len=32, seed=0
+        )
+        engine = engine_cls(
+            pimba_system,
+            zamba_spec,
+            build_scheduler("prefix", pimba_system, zamba_spec, max_batch=64),
+        )
+        first = engine.serve(trace)
+        second = engine.serve(trace)
+        assert first.cache_hit_tokens > 0
+        assert second == first
 
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_trial_function_is_pure(self, router):
