@@ -36,7 +36,6 @@ from repro.models import MODEL_NAMES, Family, mamba2_2p7b, spec_for
 from repro.perf import SystemKind, build_system
 from repro.quant import FIG4_FORMATS
 from repro.serving import experiments as _serving  # noqa: F401  (registers)
-from repro.workloads import ServingSimulator, uniform_batch
 
 #: the four systems compared in Figs. 12/13 (NeuPIMs joins in Fig. 15)
 FIG12_SYSTEMS = ("GPU", "GPU+Q", "GPU+PIM", "Pimba")
@@ -106,26 +105,6 @@ def serving_throughput(
         "step_by_kind": {k.value: v for k, v in metrics.step.seconds_by_kind.items()},
         "placements": {k.value: v for k, v in metrics.step.placements.items()},
         "memory_bytes": metrics.memory_bytes_per_device,
-    }
-
-
-@trial("served_throughput")
-def served_throughput(
-    system: str,
-    model: str,
-    batch: int,
-    scale: str = "small",
-    input_len: int = 2048,
-    output_len: int = 2048,
-) -> dict:
-    """Step-accurate serving-loop throughput (no midpoint approximation)."""
-    spec = spec_for(model, scale)
-    simulator = ServingSimulator(build_system(SystemKind(system), scale), spec)
-    result = simulator.run(uniform_batch(batch, input_len, output_len))
-    return {
-        "generation_throughput": result.generation_throughput,
-        "prefill_seconds": result.prefill_seconds,
-        "decode_seconds": result.decode_seconds,
     }
 
 

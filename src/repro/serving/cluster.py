@@ -49,7 +49,7 @@ from repro.serving.routing import (
     build_router,
     load_imbalance,
 )
-from repro.serving.schedulers import build_scheduler
+from repro.serving.schedulers import PrefixCachingScheduler, build_scheduler
 from repro.workloads.requests import Request, TimedRequest, Trace
 
 
@@ -351,8 +351,34 @@ class ClusterEngine:
     def n_replicas(self) -> int:
         return len(self.replicas)
 
-    def attach_tier(self, tier: SharedPrefixTier) -> None:
-        """Join every replica's prefix pool to one shared tier."""
+    def attach_tier(self) -> None:
+        """Join every replica's prefix pool to one shared tier.
+
+        Every replica must run the ``prefix`` scheduler with its cache on
+        (nothing else publishes session prefixes), and all must share one
+        node system (a prefix computed in one KV layout cannot be reused
+        in another).  The tier prices a pull like a handoff: the first
+        replica's memory and cost models over the cluster's
+        ``link_gbps`` wire, at its pool's block size.
+        """
+        if not all(
+            isinstance(engine.scheduler, PrefixCachingScheduler)
+            and engine.scheduler.cache_enabled
+            for engine in self.replicas
+        ):
+            raise ValueError(
+                "a shared prefix tier needs the prefix scheduler with "
+                "cache=True (nothing else publishes session prefixes)"
+            )
+        first = self.replicas[0]
+        if any(engine.system is not first.system for engine in self.replicas):
+            raise ValueError(
+                "a shared prefix tier needs a homogeneous fleet (a prefix "
+                "computed in one node kind's KV layout cannot be reused in "
+                "another's)"
+            )
+        memory, cost = self._handoff[0]
+        tier = SharedPrefixTier(memory, first.scheduler.pool.block_size, cost)
         for i, engine in enumerate(self.replicas):
             engine.scheduler.pool.attach_tier(tier, i)
         self.tier = tier
@@ -626,26 +652,22 @@ def build_cluster(
     n_replicas: int,
     router: str = "round-robin",
     scheduler: str = "fcfs",
-    max_batch: int = 32,
-    step_stride: int = 32,
-    capacity_bytes: float | None = None,
-    chunk_budget: int = 256,
-    block_size: int = 64,
-    preempt: bool = True,
     affinity_key: AffinityKey | None = None,
-    cache: bool = True,
     shared_tier: bool = False,
     link_gbps: float = DEFAULT_LINK_GBPS,
     node_kinds: Sequence[ServingSystem] | None = None,
     phases: Sequence[str] | None = None,
+    **knobs,
 ) -> ClusterEngine:
     """A cluster of ``n_replicas`` nodes, homogeneous or mixed.
 
     Every replica gets its *own* scheduler instance (and therefore its own
     HBM reservation ledger under the ``memory`` policy and its own block
-    pool under ``paged`` — ``block_size``/``preempt``/``cache`` are
-    threaded through to every replica's scheduler).  By default all
-    replicas share one node design; ``node_kinds`` (one
+    pool under ``paged``): ``scheduler`` and the remaining keyword
+    ``knobs`` (``max_batch``, ``capacity_bytes``, ``block_size``, ...)
+    are forwarded to :func:`~repro.serving.schedulers.build_scheduler`
+    for every replica, which declares them and their defaults.  By
+    default all replicas share one node design; ``node_kinds`` (one
     :class:`~repro.perf.system.ServingSystem` per replica) builds a mixed
     fleet instead — e.g. GPU nodes next to PIM nodes.  Router estimates
     are *per replica*: each node's own
@@ -665,9 +687,8 @@ def build_cluster(
 
     ``shared_tier=True`` joins every replica's prefix pool to one
     :class:`~repro.serving.memory.SharedPrefixTier`, pricing cross-replica
-    prefix pulls over a ``link_gbps`` interconnect; it requires the
-    ``prefix`` scheduler with its cache on and a homogeneous fleet (a
-    prefix computed in one KV layout cannot be reused in another).  Left
+    prefix pulls over a ``link_gbps`` interconnect
+    (:meth:`ClusterEngine.attach_tier` checks its preconditions).  Left
     ``False`` (the default) every replica is bit-exact with a standalone
     engine.
     """
@@ -679,18 +700,6 @@ def build_cluster(
             )
     else:
         systems = (system,) * n_replicas
-    mixed = any(kind != systems[0] for kind in systems[1:])
-    if shared_tier and (scheduler != "prefix" or not cache):
-        raise ValueError(
-            "a shared prefix tier needs the prefix scheduler with "
-            "cache=True (nothing else publishes session prefixes)"
-        )
-    if shared_tier and mixed:
-        raise ValueError(
-            "a shared prefix tier needs a homogeneous fleet (a prefix "
-            "computed in one node kind's KV layout cannot be reused in "
-            "another's)"
-        )
     if phases is not None:
         phases = tuple(phases)
         if any(phase != "both" for phase in phases) and (
@@ -701,22 +710,7 @@ def build_cluster(
                 "(classic routers cannot pair prefill and decode nodes)"
             )
     replicas = tuple(
-        ServingEngine(
-            kind,
-            spec,
-            build_scheduler(
-                scheduler,
-                kind,
-                spec,
-                max_batch=max_batch,
-                step_stride=step_stride,
-                capacity_bytes=capacity_bytes,
-                chunk_budget=chunk_budget,
-                block_size=block_size,
-                preempt=preempt,
-                cache=cache,
-            ),
-        )
+        ServingEngine(kind, spec, build_scheduler(scheduler, kind, spec, **knobs))
         for kind in systems
     )
     if router == DisaggregatedRouter.name:
@@ -755,11 +749,5 @@ def build_cluster(
         replicas, router_obj, phases=phases, link_gbps=link_gbps
     )
     if shared_tier:
-        cluster.attach_tier(
-            SharedPrefixTier(
-                MemoryModel.for_system(system, spec),
-                block_size,
-                IterationCostModel(system, spec, link_gbps=link_gbps),
-            )
-        )
+        cluster.attach_tier()
     return cluster

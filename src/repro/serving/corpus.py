@@ -27,6 +27,7 @@ import pathlib
 
 from repro.experiments.registry import sweep, trial
 from repro.experiments.spec import ExperimentSpec
+from repro.serving.costs import DEFAULT_LINK_GBPS
 
 #: corpus name -> file name under ``traces/``
 SHIPPED_TRACES = {
@@ -80,7 +81,7 @@ def trace_replay_slo(
     scale: str = "small",
     cache: bool = True,
     shared_tier: bool = False,
-    link_gbps: float | None = None,
+    link_gbps: float = DEFAULT_LINK_GBPS,
     slo_ttft_s: float = 2.0,
     slo_tpot_s: float = 0.018,
 ) -> dict:
@@ -94,7 +95,6 @@ def trace_replay_slo(
     ``cache``/``shared_tier``/``link_gbps`` pass straight through to the
     cluster builder (the ``cross_replica_prefix`` sweep sets them).
     """
-    from repro.serving.costs import DEFAULT_LINK_GBPS
     from repro.serving.experiments import cluster_slo
 
     name, _, sha = trace.partition("@")
@@ -111,7 +111,7 @@ def trace_replay_slo(
         scale=scale,
         cache=cache,
         shared_tier=shared_tier,
-        link_gbps=DEFAULT_LINK_GBPS if link_gbps is None else link_gbps,
+        link_gbps=link_gbps,
         slo_ttft_s=slo_ttft_s,
         slo_tpot_s=slo_tpot_s,
         trace_file=str(path),

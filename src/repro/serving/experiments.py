@@ -74,10 +74,10 @@ from repro.serving._reference import ReferenceEngine
 from repro.serving.cluster import build_cluster
 from repro.serving.costs import DEFAULT_LINK_GBPS
 from repro.serving.engine import ServingEngine
-from repro.serving.metrics import SloSpec
+from repro.serving.metrics import ServingReport, SloSpec
 from repro.serving.routing import ROUTER_NAMES
 from repro.serving.schedulers import build_scheduler
-from repro.serving.telemetry import Timeline, TimelineCollector
+from repro.serving.telemetry import Collector, Timeline, TimelineCollector
 from repro.workloads.requests import Trace
 
 #: all five evaluated systems, in the paper's presentation order
@@ -184,40 +184,55 @@ def build_arrival_trace(
     )
 
 
-def build_serving_engine(
-    system: str,
-    model: str = "Zamba2",
-    scale: str = "small",
-    scheduler: str = "fcfs",
-    max_batch: int = 32,
-    step_stride: int = 32,
-    capacity_gib: float | None = None,
-    chunk_budget: int = 256,
-    block_size: int = 64,
-    preempt: bool = True,
-    cache: bool = True,
-) -> ServingEngine:
-    """One configured engine, exactly as the ``serving_slo`` trial builds it.
+#: trial parameters forwarded to :func:`build_scheduler` by name (trials
+#: spell its ``capacity_bytes`` as ``capacity_gib``)
+_SCHEDULER_KNOBS = tuple(inspect.signature(build_scheduler).parameters)[3:]
 
-    Shared by the trial, the ``serving_timeline`` trial, and the
-    ``repro trace export`` path, so an exported timeline always comes
-    from the same engine configuration the cached metrics did.
+#: cluster-trial parameters forwarded to :func:`build_cluster` by name
+_CLUSTER_KNOBS = ("router", "shared_tier", "link_gbps")
+
+
+def _serve_trial(
+    p: dict, collector: Collector | None = None
+) -> tuple[dict, SloSpec]:
+    """Serve one serving trial's parameters ``p``; return (payload, slo).
+
+    The one path from serving parameters to a served fleet: every
+    serving trial and :func:`collect_timeline` build their trace and
+    fleet here, so an exported timeline always comes from the
+    configuration the cached metrics did.  A trial without a
+    ``replicas`` parameter is single-node: it serves as a 1-replica
+    ``round-robin`` cluster (bit-exact with the bare engine, tested) and
+    reports only :class:`ServingReport` keys.  ``nodes`` builds the
+    fleet from a ``"KIND[:phase],..."`` string (see :func:`parse_fleet`)
+    instead of ``system`` x ``replicas``.
     """
-    spec = spec_for(model, scale)
-    serving = build_system(SystemKind(system), scale)
-    policy = build_scheduler(
-        scheduler,
-        serving,
-        spec,
-        max_batch=max_batch,
-        step_stride=step_stride,
-        capacity_bytes=None if capacity_gib is None else capacity_gib * 2**30,
-        chunk_budget=chunk_budget,
-        block_size=block_size,
-        preempt=preempt,
-        cache=cache,
+    trace = build_arrival_trace(
+        p["qps"], p["n_requests"], p["seed"], p["arrival"], p["cv"],
+        p["length_dist"], p["input_len"], p["output_len"], p["sigma"],
+        p["trace_file"], p["trace_sha"],
     )
-    return ServingEngine(serving, spec, policy)
+    slo = SloSpec(ttft_s=p["slo_ttft_s"], tpot_s=p["slo_tpot_s"])
+    node_kinds = phases = None
+    n_replicas = p.get("replicas", 1)
+    if p.get("nodes") is not None:
+        node_kinds, phases = parse_fleet(p["nodes"], p["scale"])
+        n_replicas = len(node_kinds)
+    capacity_gib = p["capacity_gib"]
+    cluster = build_cluster(
+        build_system(SystemKind(p["system"]), p["scale"]),
+        spec_for(p["model"], p["scale"]),
+        n_replicas,
+        node_kinds=node_kinds,
+        phases=phases,
+        scheduler=p["scheduler"],
+        capacity_bytes=None if capacity_gib is None else capacity_gib * 2**30,
+        **{k: p[k] for k in (*_CLUSTER_KNOBS, *_SCHEDULER_KNOBS) if k in p},
+    )
+    report = cluster.run(trace, collector=collector)
+    if "replicas" in p:
+        return report.to_payload(slo), slo
+    return ServingReport.to_payload(report, slo), slo
 
 
 @trial("serving_slo")
@@ -259,16 +274,7 @@ def serving_slo(
     trial instead of serving the old file's metrics (a mismatch between
     the two raises instead of answering stale).
     """
-    engine = build_serving_engine(
-        system, model, scale, scheduler, max_batch, step_stride,
-        capacity_gib, chunk_budget, block_size, preempt, cache,
-    )
-    trace = build_arrival_trace(
-        qps, n_requests, seed, arrival, cv, length_dist,
-        input_len, output_len, sigma, trace_file, trace_sha,
-    )
-    report = engine.run(trace)
-    return report.to_payload(SloSpec(ttft_s=slo_ttft_s, tpot_s=slo_tpot_s))
+    return _serve_trial(locals())[0]
 
 
 def trace_fingerprint(path: str | pathlib.Path) -> str:
@@ -343,13 +349,18 @@ def parse_fleet(
     kind (``"GPU"``) serves both phases.  This is the CLI-friendly spelling
     of :func:`~repro.serving.cluster.build_cluster`'s
     ``node_kinds``/``phases`` pair, shared by the ``cluster_slo`` trial
-    and ``repro trace export``.
+    and ``repro trace export``.  Nodes of one kind share one system, so
+    a fleet of one kind is homogeneous (a shared prefix tier needs that).
     """
+    systems = {}
     kinds = []
     phases = []
     for item in nodes.split(","):
-        kind, _, phase = item.strip().partition(":")
-        kinds.append(build_system(SystemKind(kind), scale))
+        name, _, phase = item.strip().partition(":")
+        kind = SystemKind(name)
+        if kind not in systems:
+            systems[kind] = build_system(kind, scale)
+        kinds.append(systems[kind])
         phases.append(phase or "both")
     return tuple(kinds), tuple(phases)
 
@@ -401,36 +412,7 @@ def cluster_slo(
     overriding ``system`` and ``replicas`` — the replica count is the
     fleet's length.  Phase restrictions need ``router="disaggregated"``.
     """
-    spec = spec_for(model, scale)
-    serving = build_system(SystemKind(system), scale)
-    node_kinds = fleet_phases = None
-    if nodes is not None:
-        node_kinds, fleet_phases = parse_fleet(nodes, scale)
-        replicas = len(node_kinds)
-    trace = build_arrival_trace(
-        qps, n_requests, seed, arrival, cv, length_dist,
-        input_len, output_len, sigma, trace_file, trace_sha,
-    )
-    cluster = build_cluster(
-        serving,
-        spec,
-        n_replicas=replicas,
-        router=router,
-        node_kinds=node_kinds,
-        phases=fleet_phases,
-        scheduler=scheduler,
-        max_batch=max_batch,
-        step_stride=step_stride,
-        capacity_bytes=None if capacity_gib is None else capacity_gib * 2**30,
-        chunk_budget=chunk_budget,
-        block_size=block_size,
-        preempt=preempt,
-        cache=cache,
-        shared_tier=shared_tier,
-        link_gbps=link_gbps,
-    )
-    report = cluster.run(trace)
-    return report.to_payload(SloSpec(ttft_s=slo_ttft_s, tpot_s=slo_tpot_s))
+    return _serve_trial(locals())[0]
 
 
 #: the cluster sweeps run one system under deliberately saturating load —
@@ -1047,18 +1029,8 @@ def serving_timeline(
     occupancy, sampled queue depth, preemption deltas, and per-window
     goodput — what the ``utilization_timeline`` figure tabulates.
     """
-    engine = build_serving_engine(
-        system, model, scale, scheduler, max_batch, step_stride,
-        capacity_gib, chunk_budget, block_size, preempt, cache,
-    )
-    trace = build_arrival_trace(
-        qps, n_requests, seed, arrival, cv, length_dist,
-        input_len, output_len, sigma, trace_file, trace_sha,
-    )
     collector = TimelineCollector()
-    slo = SloSpec(ttft_s=slo_ttft_s, tpot_s=slo_tpot_s)
-    report = engine.run(trace, collector=collector)
-    payload = report.to_payload(slo)
+    payload, slo = _serve_trial(locals(), collector)
     payload["n_windows"] = n_windows
     payload["windows"] = collector.timeline.windowed(n_windows, slo)
     return payload
@@ -1077,21 +1049,19 @@ def collect_timeline(
 ) -> tuple[Timeline, SloSpec, dict]:
     """Re-run one serving trial with the flight recorder attached.
 
-    Builds the same engine (or cluster) and trace that ``serving_slo`` /
-    ``cluster_slo`` would for ``params`` (missing keys take the trial's
-    own defaults; ``system``/``qps`` default to Pimba at 8 QPS), serves
-    it once with a :class:`~repro.serving.telemetry.TimelineCollector`,
-    and returns ``(timeline, slo, payload)``.  This is what backs
-    ``repro trace export``.
+    Serves ``params`` through the builder ``serving_slo`` /
+    ``cluster_slo`` use (missing keys take the trial's own defaults;
+    ``system``/``qps`` default to Pimba at 8 QPS) with a
+    :class:`~repro.serving.telemetry.TimelineCollector` attached, and
+    returns ``(timeline, slo, payload)`` — the payload is the trial's
+    own.  This is what backs ``repro trace export``.
     """
-    if trial_name == "serving_slo":
-        base = _trial_defaults(serving_slo)
-    elif trial_name == "cluster_slo":
-        base = _trial_defaults(cluster_slo)
-    else:
+    trials = {"serving_slo": serving_slo, "cluster_slo": cluster_slo}
+    if trial_name not in trials:
         raise KeyError(
             f"unknown trial {trial_name!r}; use serving_slo|cluster_slo"
         )
+    base = _trial_defaults(trials[trial_name])
     base.setdefault("system", "Pimba")
     base.setdefault("qps", 8.0)
     unknown = sorted(set(params) - set(base))
@@ -1099,51 +1069,9 @@ def collect_timeline(
         raise KeyError(
             f"unknown parameter(s) {unknown} for trial {trial_name!r}"
         )
-    p = {**base, **params}
-    trace = build_arrival_trace(
-        p["qps"], p["n_requests"], p["seed"], p["arrival"], p["cv"],
-        p["length_dist"], p["input_len"], p["output_len"], p["sigma"],
-        p["trace_file"], p["trace_sha"],
-    )
-    slo = SloSpec(ttft_s=p["slo_ttft_s"], tpot_s=p["slo_tpot_s"])
     collector = TimelineCollector()
-    if trial_name == "serving_slo":
-        engine = build_serving_engine(
-            p["system"], p["model"], p["scale"], p["scheduler"],
-            p["max_batch"], p["step_stride"], p["capacity_gib"],
-            p["chunk_budget"], p["block_size"], p["preempt"], p["cache"],
-        )
-        report = engine.run(trace, collector=collector)
-    else:
-        node_kinds = fleet_phases = None
-        n_replicas = p["replicas"]
-        if p["nodes"] is not None:
-            node_kinds, fleet_phases = parse_fleet(p["nodes"], p["scale"])
-            n_replicas = len(node_kinds)
-        cluster = build_cluster(
-            build_system(SystemKind(p["system"]), p["scale"]),
-            spec_for(p["model"], p["scale"]),
-            n_replicas=n_replicas,
-            router=p["router"],
-            node_kinds=node_kinds,
-            phases=fleet_phases,
-            scheduler=p["scheduler"],
-            max_batch=p["max_batch"],
-            step_stride=p["step_stride"],
-            capacity_bytes=(
-                None
-                if p["capacity_gib"] is None
-                else p["capacity_gib"] * 2**30
-            ),
-            chunk_budget=p["chunk_budget"],
-            block_size=p["block_size"],
-            preempt=p["preempt"],
-            cache=p["cache"],
-            shared_tier=p["shared_tier"],
-            link_gbps=p["link_gbps"],
-        )
-        report = cluster.run(trace, collector=collector)
-    return collector.timeline, slo, report.to_payload(slo)
+    payload, slo = _serve_trial({**base, **params}, collector)
+    return collector.timeline, slo, payload
 
 
 @sweep("utilization_timeline")

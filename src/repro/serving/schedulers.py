@@ -888,50 +888,41 @@ def build_scheduler(
     degenerate mode).  ``cache=False`` builds ``prefix`` with its cache
     off — the :class:`PagedScheduler`-bit-exact degenerate mode — and is
     ignored by every other policy.
+
+    This signature is the one declaration of the scheduler knobs:
+    :func:`~repro.serving.cluster.build_cluster` and the serving trials
+    forward them here.
     """
-    if name in ("paged", "prefix"):
-        if name == "paged":
-            return PagedScheduler(
-                MemoryModel.for_system(system, spec),
-                capacity_bytes if capacity_bytes is not None
-                else system.capacity_bytes,
-                block_size=block_size,
-                preempt=preempt,
-                max_batch=max_batch,
-                step_stride=step_stride,
-            )
-        return PrefixCachingScheduler(
-            MemoryModel.for_system(system, spec),
-            capacity_bytes if capacity_bytes is not None
-            else system.capacity_bytes,
-            block_size=block_size,
-            preempt=preempt,
-            max_batch=max_batch,
-            step_stride=step_stride,
-            cache=cache,
-        )
     if name == "static":
         return StaticBatchScheduler(max_batch, step_stride)
     if name == "fcfs":
         return FcfsContinuousScheduler(max_batch, step_stride)
-    if name == "memory":
-        return MemoryAwareScheduler(
-            MemoryModel.for_system(system, spec),
-            capacity_bytes if capacity_bytes is not None
-            else system.capacity_bytes,
-            max_batch=max_batch,
-            step_stride=step_stride,
-        )
+    memory = MemoryModel.for_system(system, spec)
     if name in ("chunked", "overlap"):
         cls = ChunkedPrefillScheduler if name == "chunked" else OverlapScheduler
         return cls(
             chunk_budget,
             max_batch=max_batch,
             step_stride=step_stride,
-            memory=None if capacity_bytes is None
-            else MemoryModel.for_system(system, spec),
+            memory=None if capacity_bytes is None else memory,
             capacity_bytes=capacity_bytes,
         )
+    if capacity_bytes is None:
+        capacity_bytes = system.capacity_bytes
+    if name == "memory":
+        return MemoryAwareScheduler(
+            memory, capacity_bytes, max_batch=max_batch, step_stride=step_stride
+        )
+    paged = dict(
+        block_size=block_size,
+        preempt=preempt,
+        max_batch=max_batch,
+        step_stride=step_stride,
+    )
+    if name == "paged":
+        return PagedScheduler(memory, capacity_bytes, **paged)
+    if name == "prefix":
+        return PrefixCachingScheduler(memory, capacity_bytes, cache=cache, **paged)
     raise KeyError(
         f"unknown scheduler {name!r}; "
         "available: static, fcfs, memory, chunked, overlap, paged, prefix"

@@ -12,6 +12,7 @@ from repro.serving import (
     ClusterReport,
     ReferenceEngine,
     ServingEngine,
+    ServingReport,
     SloSpec,
     build_cluster,
     build_scheduler,
@@ -69,6 +70,38 @@ class TestSingleReplicaEquivalence:
             "load_imbalance": 1.0,
             "per_replica": cluster.report().to_payload(SLO)["per_replica"],
         }
+
+    @pytest.mark.parametrize("router", ROUTER_NAMES)
+    @pytest.mark.parametrize(
+        "scheduler",
+        ["static", "fcfs", "memory", "chunked", "overlap", "paged", "prefix"],
+    )
+    def test_sessions_bit_exact_through_serve_and_run(
+        self, router, scheduler, pimba_system, zamba_spec
+    ):
+        """Every scheduler, ``prefix`` included, on a multi-turn trace
+        whose turns hit its cache: the raw record, and the streaming
+        ``run`` payload every serving trial reports, are the bare
+        engine's."""
+        trace = multiturn_chat_trace(
+            1.0, 8, 4, first_input=512, output_len=32, seed=0
+        )
+        knobs = dict(max_batch=8, chunk_budget=192)
+        engine = ServingEngine(
+            pimba_system,
+            zamba_spec,
+            build_scheduler(scheduler, pimba_system, zamba_spec, **knobs),
+        )
+        cluster = build_cluster(
+            pimba_system, zamba_spec, 1,
+            router=router, scheduler=scheduler, **knobs,
+        )
+        bare = engine.serve(trace)
+        assert (bare.cache_hit_tokens > 0) == (scheduler == "prefix")
+        assert cluster.serve(trace).merged() == bare
+        assert ServingReport.to_payload(
+            cluster.run(trace), SLO
+        ) == engine.run(trace).to_payload(SLO)
 
 
 class TestPagedCluster:

@@ -176,6 +176,58 @@ class TestCacheKnob:
             )
 
 
+class TestSharedTierOnNodeFleets:
+    """The tier reads its preconditions and prices off the built fleet."""
+
+    COMMON = dict(
+        qps=1.0, arrival="multiturn", n_requests=16, input_len=512,
+        output_len=32, max_batch=8, scheduler="prefix", shared_tier=True,
+    )
+
+    @pytest.mark.parametrize("system", ["Pimba", "GPU"])
+    def test_one_kind_nodes_serve_like_replicas(self, system):
+        """A ``nodes`` fleet of one kind is homogeneous: the tier joins
+        it, and it serves exactly the ``replicas=2`` payload."""
+        from repro.serving.experiments import cluster_slo
+
+        nodes = cluster_slo(system, nodes="Pimba,Pimba", **self.COMMON)
+        replicas = cluster_slo("Pimba", replicas=2, **self.COMMON)
+        assert nodes["kv_transfers"] > 0
+        assert nodes == replicas
+
+    def test_tier_is_priced_from_the_replicas(
+        self, pimba_system, zamba_spec
+    ):
+        """``system`` is unused when ``node_kinds`` is given, so it must
+        not price the tier either."""
+        gpu = build_system(SystemKind.GPU, "small")
+        trace = multiturn_chat_trace(
+            2.0, 8, 4, first_input=512, user_tokens=128, output_len=32,
+            seed=0,
+        )
+        knobs = dict(scheduler="prefix", shared_tier=True, max_batch=8)
+        via_kinds = build_cluster(
+            gpu, zamba_spec, 2, node_kinds=(pimba_system,) * 2, **knobs
+        ).serve(trace)
+        direct = build_cluster(pimba_system, zamba_spec, 2, **knobs).serve(
+            trace
+        )
+        assert via_kinds.merged() == direct.merged()
+
+    def test_mixed_kinds_are_refused(self, pimba_system, zamba_spec):
+        from repro.serving.experiments import cluster_slo
+
+        gpu = build_system(SystemKind.GPU, "small")
+        with pytest.raises(ValueError, match="homogeneous fleet"):
+            build_cluster(
+                pimba_system, zamba_spec, 2,
+                node_kinds=(pimba_system, gpu),
+                scheduler="prefix", shared_tier=True,
+            )
+        with pytest.raises(ValueError, match="homogeneous fleet"):
+            cluster_slo("Pimba", nodes="Pimba,GPU", **self.COMMON)
+
+
 class TestEmptyTraceEquivalence:
     """The bare engine, the reference, and any cluster agree on nothing."""
 

@@ -1,22 +1,36 @@
-"""Serving trials/sweeps: engine integration and replay-file caching."""
+"""Serving trials/sweeps: engine integration, replay-file caching, and
+the one build path every serving trial and ``repro trace export`` share."""
+
+import inspect
+import json
 
 import pytest
 
 from repro.experiments import Runner
+from repro.experiments.cli import main
 from repro.serving.arrivals import poisson_trace, save_trace
+from repro.serving.corpus import trace_replay_slo
 from repro.serving.experiments import (
     CHUNK_BUDGET_GRID,
+    PAGED_LOAD,
     chunking_spec,
+    cluster_slo,
+    collect_timeline,
     replay_spec,
     serving_assemble,
     serving_render,
     serving_slo,
     serving_spec,
+    serving_timeline,
     trace_fingerprint,
     ttft_tradeoff_assemble,
     ttft_tradeoff_render,
     ttft_tradeoff_spec,
 )
+from repro.serving.telemetry import validate_trace_events
+
+#: a small load every one-path test serves
+SMALL = dict(n_requests=8, input_len=256, output_len=32, max_batch=4)
 
 
 class TestServingSloTrial:
@@ -135,3 +149,82 @@ class TestTraceReplayCaching:
         by_system = report.mapping("system")
         assert by_system["GPU"]["n_requests"] == 5
         assert by_system["Pimba"]["n_requests"] == 5
+
+
+class TestOneServingPath:
+    """Every serving trial and the trace export build the same fleet."""
+
+    def test_timeline_trial_payload_is_the_slo_payload(self):
+        params = {**PAGED_LOAD, "scheduler": "paged", "qps": 4.0}
+        timeline = serving_timeline(n_windows=4, **params)
+        assert timeline.pop("n_windows") == 4
+        assert len(timeline.pop("windows")) == 4
+        assert timeline == serving_slo(**params)
+
+    def test_single_node_payload_has_no_cluster_keys(self):
+        payload = serving_slo("Pimba", 8.0, **SMALL)
+        fleet = cluster_slo("Pimba", 8.0, replicas=1, **SMALL)
+        for key in ("router", "n_replicas", "load_imbalance", "per_replica"):
+            assert key not in payload
+            assert key in fleet
+            del fleet[key]
+        assert payload == fleet
+
+    @pytest.mark.parametrize(
+        "trial, fn, params, n_tracks",
+        [
+            ("serving_slo", serving_slo, {}, 1),
+            ("cluster_slo", cluster_slo, {"replicas": 2}, 2),
+        ],
+    )
+    def test_collect_timeline_returns_the_trial_payload(
+        self, trial, fn, params, n_tracks
+    ):
+        timeline, _slo, payload = collect_timeline(trial, **params, **SMALL)
+        assert payload == fn("Pimba", 8.0, **params, **SMALL)
+        assert len(timeline.tracks) == n_tracks
+
+    def test_collect_timeline_rejects_unknown_names(self):
+        with pytest.raises(KeyError, match="unknown trial"):
+            collect_timeline("wallclock")
+        with pytest.raises(KeyError, match="unknown parameter"):
+            collect_timeline("serving_slo", replicas=2)
+
+    @pytest.mark.parametrize(
+        "trial, extra, n_tracks",
+        [("serving_slo", [], 1), ("cluster_slo", ["replicas=2"], 2)],
+    )
+    def test_trace_export_writes_a_valid_file(
+        self, trial, extra, n_tracks, tmp_path, capsys
+    ):
+        out = tmp_path / "trace.json"
+        sets = [f"{k}={v}" for k, v in SMALL.items()] + extra
+        argv = ["trace", "export", "--trial", trial, "--out", str(out)]
+        for text in sets:
+            argv += ["--set", text]
+        assert main(argv) == 0
+        assert validate_trace_events(json.loads(out.read_text())) == []
+        assert f"({n_tracks} track(s)," in capsys.readouterr().out
+
+    def test_trace_export_refuses_a_multi_valued_set(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        argv = ["trace", "export", "--set", "qps=1,2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "one value per --set" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shared_parameters_share_defaults(self):
+        """The trial signatures stay explicit (``--set`` validation and
+        ``collect_timeline`` read them), so they must not drift apart:
+        a parameter two serving trials share has one default, except
+        the replica count."""
+        seen: dict = {}
+        for fn in (serving_slo, serving_timeline, cluster_slo, trace_replay_slo):
+            for name, p in inspect.signature(fn).parameters.items():
+                if name == "replicas" or p.default is p.empty:
+                    continue
+                owner, default = seen.setdefault(name, (fn.__name__, p.default))
+                assert p.default == default, (
+                    f"{name}: {fn.__name__} defaults to {p.default!r}, "
+                    f"{owner} to {default!r}"
+                )

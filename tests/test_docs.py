@@ -73,6 +73,43 @@ class TestCheckerDetectsBreakage:
             "gamma"
         }
 
+    def test_table_drivers_parse_the_last_column(self):
+        readme = (
+            "### Trial functions\n\n| trial | computes | driven by |\n"
+            "| --- | --- | --- |\n"
+            "| `alpha` | reads `x` | `s1`, `s2` |\n"
+            "| `beta` | b | |\n"
+        )
+        assert check_docs.table_drivers(readme) == {
+            "alpha": {"s1", "s2"}, "beta": set(),
+        }
+
+    def test_wrong_driven_by_rows_are_reported(self):
+        """A sweep left out, a wrong sweep, and an extra sweep are each
+        reported; a correct row is not."""
+        readme = (
+            "### Trial functions\n\n| trial | computes | driven by |\n"
+            "| --- | --- | --- |\n"
+            "| `cluster_slo` | c | `cluster`, `scaling` |\n"
+            "| `serving_throughput` | s | `ablation` |\n"
+            "| `unit_area_power` | u | `table3`, `fig12` |\n"
+            "| `wallclock` | w | `wallclock` |\n"
+        )
+        errors = check_docs.check_trial_drivers(readme)
+        assert len(errors) == 3
+        for name in ("cluster_slo", "serving_throughput", "unit_area_power"):
+            assert any(repr(name) in error for error in errors)
+
+    def test_sweep_drivers_read_the_registry(self):
+        drivers = check_docs.sweep_drivers()
+        assert drivers["serving_throughput"] == {"fig12"}
+        assert drivers["cluster_slo"] == {
+            "cluster", "scaling", "disaggregation",
+        }
+        assert drivers["trace_replay_slo"] == {
+            "trace-replay", "cross_replica_prefix",
+        }
+
     def test_registry_names_cover_all_kinds(self):
         names = check_docs.registry_names()
         assert {"figures", "sweeps", "trials"} == set(names)

@@ -11,7 +11,9 @@ Two families of checks, both run by the CI ``docs`` job and by
 * **Registry sync** — the README's experiment-catalog tables (Figures /
   Sweeps / Trial functions) must list *exactly* the names registered in
   ``repro.experiments``: a new sweep without a README row fails, as does
-  a README row whose sweep was renamed or removed.
+  a README row whose sweep was renamed or removed.  Each trial row's
+  "driven by" column must list exactly the built-in sweeps whose full or
+  smoke grid runs that trial.
 
 Run from the repository root (or pass it as ``argv[1]``):
 
@@ -87,17 +89,34 @@ def check_links(root: pathlib.Path) -> list[str]:
     return errors
 
 
-def table_names(readme: str, section_heading: str) -> set[str]:
-    """First-column backquoted names of the table under ``section_heading``."""
+def _section(readme: str, section_heading: str) -> str:
+    """The text under ``section_heading`` up to the next heading."""
     try:
         start = readme.index(section_heading)
     except ValueError:
-        return set()
+        return ""
     section = readme[start + len(section_heading):]
     next_heading = re.search(r"\n#{2,3} ", section)
     if next_heading:
         section = section[: next_heading.start()]
+    return section
+
+
+def table_names(readme: str, section_heading: str) -> set[str]:
+    """First-column backquoted names of the table under ``section_heading``."""
+    section = _section(readme, section_heading)
     return set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
+
+
+def table_drivers(readme: str) -> dict[str, set[str]]:
+    """Trial name -> backquoted sweep names of its "driven by" column."""
+    section = _section(readme, _SECTIONS["trials"])
+    return {
+        name: set(re.findall(r"`([^`]+)`", last))
+        for name, last in re.findall(
+            r"^\| `([^`]+)` \|.*\|([^|]*)\|\s*$", section, re.MULTILINE
+        )
+    }
 
 
 def registry_names() -> dict[str, set[str]]:
@@ -122,8 +141,37 @@ def registry_names() -> dict[str, set[str]]:
     }
 
 
+def sweep_drivers() -> dict[str, set[str]]:
+    """Trial name -> built-in sweeps whose full or smoke grid runs it."""
+    from repro.experiments import registry
+
+    drivers: dict[str, set[str]] = {}
+    for name in registry_names()["sweeps"]:
+        build = registry.get_sweep(name)
+        for smoke in (False, True):
+            drivers.setdefault(build(smoke=smoke).trial_fn, set()).add(name)
+    return drivers
+
+
+def check_trial_drivers(readme: str) -> list[str]:
+    """Each registered trial's row names exactly the sweeps driving it."""
+    drivers = sweep_drivers()
+    registered = registry_names()["trials"]
+    errors = []
+    for name, listed in sorted(table_drivers(readme).items()):
+        actual = drivers.get(name, set())
+        if name in registered and listed != actual:
+            errors.append(
+                f"README.md: trial {name!r} is driven by "
+                f"{sorted(actual) or 'no sweep'}, but its row lists "
+                f"{sorted(listed) or 'none'}"
+            )
+    return errors
+
+
 def check_registry_sync(root: pathlib.Path) -> list[str]:
-    """The README catalog tables list exactly the registered names."""
+    """The README catalog tables list exactly the registered names, and
+    each trial row exactly the sweeps that drive it."""
     readme = (root / "README.md").read_text(encoding="utf-8")
     errors = []
     for kind, registered in registry_names().items():
@@ -142,7 +190,7 @@ def check_registry_sync(root: pathlib.Path) -> list[str]:
                 f"README.md: row {name!r} under {heading!r} matches no "
                 f"registered {kind[:-1]}"
             )
-    return errors
+    return errors + check_trial_drivers(readme)
 
 
 def main(argv: list[str]) -> int:
