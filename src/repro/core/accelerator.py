@@ -24,6 +24,7 @@ from repro.core.layout import (
 )
 from repro.core.scheduler import (
     SweepTiming,
+    attention_subchunks_per_row,
     schedule_attention_rows,
     schedule_state_update_rows,
 )
@@ -50,6 +51,9 @@ class PimbaAccelerator:
         self.config = config or pimba_config()
         self.format = get_format(self.config.state_format)
         self._rng = np.random.default_rng(seed)
+        #: attention records by the values their sweeps read; see
+        #: :meth:`attention_timing`
+        self._attention_memo: dict[tuple, PimTiming] = {}
 
     # -- functional execution ----------------------------------------------
 
@@ -160,32 +164,49 @@ class PimbaAccelerator:
 
         The score phase streams the K cache (``dim_head``-wide vectors);
         the attend phase streams the V cache (``dim_value``-wide).
+
+        Memoized.  A PIM sweep is row-granular (Section 5.5):
+        ``schedule_attention_rows`` reads the rows and caches per bank,
+        the columns streamed per row and the vector geometry, never the
+        context length itself.  The memo key is exactly those values for
+        both phases, plus the heads per bank the record reports, so
+        contexts that fill the same rows share one (immutable) record.
         """
         dim_value = dim_value or dim_head
-        k_layout = kv_layout_for(self.config, dim_head, seq_len)
-        v_layout = kv_layout_for(self.config, dim_value, seq_len)
         banks = self._assignment(max(1, total_heads)).total_banks
+        caches = max(1.0, total_heads / banks) if total_heads else 0.0
+        heads_per_bank = -(-total_heads // banks) if total_heads else 0
 
-        def rows_for(layout):
+        def read_by_sweep(layout):
             total_rows = total_heads * max(1, layout.rows_per_cache)
-            rows = -(-total_rows // banks) if total_heads else 0
-            caches = max(1.0, total_heads / banks) if total_heads else 0.0
-            return rows, caches
+            return (
+                -(-total_rows // banks) if total_heads else 0,
+                attention_subchunks_per_row(self.config, layout),
+                layout.subchunks_per_vector,
+                layout.dim_head,
+            )
 
-        k_rows, k_caches = rows_for(k_layout)
-        v_rows, v_caches = rows_for(v_layout)
-        score = schedule_attention_rows(
-            self.config, k_layout, k_rows, k_caches, "score"
-        )
-        attend = schedule_attention_rows(
-            self.config, v_layout, v_rows, v_caches, "attend"
-        )
-        total = score + attend
-        seconds = total.bus_cycles / self.config.hbm.bus_frequency_hz
-        return PimTiming(
-            seconds=seconds, sweep=total,
-            heads_per_bank=-(-total_heads // banks) if total_heads else 0,
-        )
+        k_layout = kv_layout_for(self.config, dim_head, seq_len)
+        k_key = read_by_sweep(k_layout)
+        if dim_value == dim_head:  # the V cache is laid out like the K cache
+            v_layout, v_key = k_layout, k_key
+        else:
+            v_layout = kv_layout_for(self.config, dim_value, seq_len)
+            v_key = read_by_sweep(v_layout)
+        key = (caches, heads_per_bank, k_key, v_key)
+        timing = self._attention_memo.get(key)
+        if timing is None:
+            total = schedule_attention_rows(
+                self.config, k_layout, k_key[0], caches, "score"
+            ) + schedule_attention_rows(
+                self.config, v_layout, v_key[0], caches, "attend"
+            )
+            timing = self._attention_memo[key] = PimTiming(
+                seconds=total.bus_cycles / self.config.hbm.bus_frequency_hz,
+                sweep=total,
+                heads_per_bank=heads_per_bank,
+            )
+        return timing
 
     # -- capacity ------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 from repro.dram.timing import HbmConfig, a100_hbm
 from repro.quant.registry import get_format
@@ -72,11 +73,14 @@ class PimbaConfig:
         """Processing units instantiated per pseudo-channel."""
         return self.hbm.organization.banks // self.banks_per_unit
 
-    @property
+    # Derived from the format once per config: get_format builds a new
+    # format object per call.  The cache sits in the instance __dict__,
+    # outside the fields, so == and hash are unchanged.
+    @functools.cached_property
     def state_bits_per_value(self) -> float:
         return get_format(self.state_format).bits_per_value
 
-    @property
+    @functools.cached_property
     def values_per_column(self) -> int:
         """State elements held in one DRAM column access."""
         column_bits = self.hbm.organization.column_bytes * 8

@@ -194,6 +194,18 @@ def schedule_state_update_sweep(
 
 # -- attention (Section 5.4) ---------------------------------------------------
 
+def attention_subchunks_per_row(config: PimbaConfig, layout: KvCacheLayout) -> int:
+    """Column accesses per activated row of an attention sweep.
+
+    The whole cache's sub-chunks, capped at one DRAM row: past one row a
+    longer context adds rows, never columns per row.
+    """
+    return min(
+        config.hbm.organization.columns_per_row,
+        max(1, layout.subchunks_per_pass),
+    )
+
+
 def schedule_attention_rows(
     config: PimbaConfig,
     layout: KvCacheLayout,
@@ -212,8 +224,7 @@ def schedule_attention_rows(
     if rows_per_bank == 0:
         return _sweep(config, 0, 0, 0.0, 0.0)
 
-    org = config.hbm.organization
-    subchunks_per_row = min(org.columns_per_row, max(1, layout.subchunks_per_pass))
+    subchunks_per_row = attention_subchunks_per_row(config, layout)
     comps = subchunks_per_row * comps_per_subchunk(config, needs_write=False)
     positions_per_row = subchunks_per_row / layout.subchunks_per_vector
     operand_bytes = config.state_bits_per_value / 8

@@ -125,11 +125,3 @@ class PseudoChannel:
         self._bus_free = cycle + self.timing.tBL
         self.stats["bus_busy_cycles"] += self.timing.tBL
         return self._bus_free
-
-    # -- convenience -------------------------------------------------------
-
-    def stream_bandwidth_utilization(self) -> float:
-        """Fraction of elapsed cycles the data bus carried data."""
-        if self.now == 0:
-            return 0.0
-        return min(1.0, self.stats["bus_busy_cycles"] / self.now)

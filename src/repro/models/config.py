@@ -32,14 +32,6 @@ class Family(enum.Enum):
     ZAMBA2 = "zamba2"  # hybrid Mamba-2 + attention
     TRANSFORMER = "opt"  # pure softmax attention
 
-    @property
-    def uses_state_update(self) -> bool:
-        return self is not Family.TRANSFORMER
-
-    @property
-    def uses_attention(self) -> bool:
-        return self in (Family.ZAMBA2, Family.TRANSFORMER)
-
 
 @dataclasses.dataclass(frozen=True)
 class ModelSpec:
@@ -90,11 +82,6 @@ class ModelSpec:
         return self.n_heads * self.dim_head * self.dim_state
 
     @property
-    def kv_values_per_token(self) -> int:
-        """K+V cache elements appended per token per attention layer."""
-        return 2 * self.n_heads * self.dim_head
-
-    @property
     def qk_width(self) -> int:
         """Output width of the q and k projections."""
         return self.dim_head if self.shared_qk else self.n_heads * self.dim_head
@@ -114,10 +101,6 @@ class ModelSpec:
         ffn = 3 * d * d * self.ffn_mult if self.ffn_mult else 0
         embed = self.vocab_size * d
         return self.n_layers * (qk + v_and_out + gate + ffn) + embed
-
-    @property
-    def param_bytes_fp16(self) -> float:
-        return 2.0 * self.param_count
 
     def scaled_to(self, target_params: float, name_suffix: str = "-70B") -> "ModelSpec":
         """Proportionally scale layers and width to ``target_params``.

@@ -69,19 +69,38 @@ def generation_step_ops(
         tp_degree: tensor-parallel device count; weights, heads and
             per-layer all-reduces are sharded accordingly.
     """
-    if batch <= 0 or seq_len < 0 or tp_degree < 1:
-        raise ValueError("batch must be positive, seq_len >= 0, tp_degree >= 1")
+    before, after = context_free_ops(spec, batch, precision, tp_degree)
+    attention = attention_op(spec, batch, seq_len, precision, tp_degree)
+    return before + ([] if attention is None else [attention]) + after
+
+
+def context_free_ops(
+    spec: ModelSpec,
+    batch: int,
+    precision: PrecisionConfig | None = None,
+    tp_degree: int = 1,
+) -> tuple[list[OpCost], list[OpCost]]:
+    """The entries of :func:`generation_step_ops` that ignore ``seq_len``.
+
+    Split as (the entries before ATTENTION, the entries after it), the
+    two lists ``generation_step_ops`` puts around :func:`attention_op`:
+    a caller that prices many contexts at one batch size can price these
+    once and still add the terms in the step's operator order.
+    """
+    if batch <= 0 or tp_degree < 1:
+        raise ValueError("batch must be positive, tp_degree >= 1")
     p = precision or PrecisionConfig()
     d = spec.d_model
     heads = spec.n_heads / tp_degree
 
-    ops: list[OpCost] = []
+    before: list[OpCost] = []
+    after: list[OpCost] = []
 
     # ---- GEMM: projections, FFN, LM head -----------------------------------
     proj_params = (spec.param_count - spec.vocab_size * d) / tp_degree
     lm_head_params = spec.vocab_size * d / tp_degree
     gemm_params = proj_params + lm_head_params
-    ops.append(OpCost(
+    before.append(OpCost(
         OpKind.GEMM,
         flops=2.0 * batch * gemm_params,
         bytes=gemm_params * p.weight_bytes
@@ -95,42 +114,31 @@ def generation_step_ops(
         operand_bytes = batch * heads * (
             3 * spec.dim_head + spec.dim_state
         ) * p.act_bytes
-        ops.append(OpCost(
+        before.append(OpCost(
             OpKind.STATE_UPDATE,
             flops=spec.state_update_layers * batch * state_values * 6,
             bytes=spec.state_update_layers * (per_layer_bytes + operand_bytes),
         ))
 
-    # ---- attention over the KV cache ----------------------------------------
-    if spec.attention_layers and seq_len > 0:
-        kv_read = batch * heads * seq_len * (
-            spec.dim_head + spec.dim_state
-        ) * p.kv_bytes
-        kv_append = batch * heads * (spec.dim_head + spec.dim_state) * p.kv_bytes
-        ops.append(OpCost(
-            OpKind.ATTENTION,
-            flops=spec.attention_layers * batch * heads * seq_len
-            * (spec.dim_head + spec.dim_state) * 2,
-            bytes=spec.attention_layers * (kv_read + kv_append),
-        ))
+    # ---- attention over the KV cache goes here: attention_op ---------------
 
     # ---- Mamba-2-family element-wise stages ---------------------------------
     if spec.family in (Family.MAMBA2, Family.ZAMBA2):
         su_layers = spec.state_update_layers
         inner = heads * spec.dim_state
-        ops.append(OpCost(
+        after.append(OpCost(
             OpKind.DISCRETIZATION,
             flops=su_layers * batch * heads * (d / tp_degree + 8),
             bytes=su_layers * batch * (inner + heads) * p.act_bytes * 2,
         ))
-        ops.append(OpCost(
+        after.append(OpCost(
             OpKind.CAUSAL_CONV,
             flops=su_layers * batch * inner * spec.conv_width * 2,
             bytes=su_layers * batch * inner * (spec.conv_width + 2) * p.act_bytes,
         ))
 
     # ---- residuals, norms, embedding lookup ---------------------------------
-    ops.append(OpCost(
+    after.append(OpCost(
         OpKind.OTHER,
         flops=spec.n_layers * batch * d * 8,
         bytes=spec.n_layers * batch * d * p.act_bytes * 6 + batch * d * p.weight_bytes,
@@ -140,14 +148,47 @@ def generation_step_ops(
     if tp_degree > 1:
         reduces_per_layer = 2 if spec.ffn_mult else 1
         payload = batch * d * p.act_bytes
-        ops.append(OpCost(
+        after.append(OpCost(
             OpKind.COMMUNICATION,
             flops=0.0,
             bytes=0.0,
             comm_bytes=spec.n_layers * reduces_per_layer * payload,
         ))
 
-    return ops
+    return before, after
+
+
+def attention_op(
+    spec: ModelSpec,
+    batch: int,
+    seq_len: int,
+    precision: PrecisionConfig | None = None,
+    tp_degree: int = 1,
+) -> OpCost | None:
+    """The ATTENTION entry of :func:`generation_step_ops`, or ``None``.
+
+    The only operator whose cost depends on ``seq_len``: a caller that
+    prices many contexts at one batch size can price
+    :func:`context_free_ops` once and only this one per context.  Absent
+    for models without attention layers and for an empty context.
+    """
+    if batch <= 0 or seq_len < 0 or tp_degree < 1:
+        raise ValueError("batch must be positive, seq_len >= 0, tp_degree >= 1")
+    layers = spec.attention_layers
+    if not (layers and seq_len > 0):
+        return None
+    p = precision or PrecisionConfig()
+    heads = spec.n_heads / tp_degree
+    kv_read = batch * heads * seq_len * (
+        spec.dim_head + spec.dim_state
+    ) * p.kv_bytes
+    kv_append = batch * heads * (spec.dim_head + spec.dim_state) * p.kv_bytes
+    return OpCost(
+        OpKind.ATTENTION,
+        flops=layers * batch * heads * seq_len
+        * (spec.dim_head + spec.dim_state) * 2,
+        bytes=layers * (kv_read + kv_append),
+    )
 
 
 def ops_by_kind(ops: list[OpCost]) -> dict[OpKind, OpCost]:

@@ -32,6 +32,8 @@ from repro.perf.operators import (
     OpCost,
     OpKind,
     PrecisionConfig,
+    attention_op,
+    context_free_ops,
     generation_step_ops,
 )
 from repro.perf.parallelism import Interconnect, communication_seconds, nvlink3
@@ -144,6 +146,13 @@ class ServingSystem:
         self.offloads = _OFFLOADS[kind]
         pim_cfg = _pim_for(kind, self.gpu_spec)
         self.pim = PimbaAccelerator(pim_cfg) if pim_cfg else None
+        #: spec -> (decode, prefill) price tables; see :meth:`price_tables`
+        self._tables: dict[ModelSpec, tuple[dict, dict]] = {}
+        #: (spec, batch) -> seconds of the context-free ops before and after
+        #: ATTENTION; see :meth:`step_seconds`
+        self._step_terms: dict[
+            tuple[ModelSpec, int], tuple[tuple[float, ...], tuple[float, ...]]
+        ] = {}
 
     # -- one generation step ---------------------------------------------------
 
@@ -155,19 +164,65 @@ class ServingSystem:
         seconds: dict[OpKind, float] = {}
         placements: dict[OpKind, str] = {}
         for op in ops:
-            if op.kind is OpKind.COMMUNICATION:
-                reduces = spec.n_layers * (2 if spec.ffn_mult else 1)
-                seconds[op.kind] = communication_seconds(
-                    op.comm_bytes, reduces, self.n_devices, self.link
-                )
-                placements[op.kind] = self.link.name
-            elif op.kind in self.offloads and self.pim is not None:
-                seconds[op.kind] = self._pim_seconds(op, spec, batch, seq_len)
-                placements[op.kind] = "PIM"
-            else:
-                seconds[op.kind] = self.gpu.op_seconds(op)
-                placements[op.kind] = self.gpu_spec.name
+            seconds[op.kind], placements[op.kind] = self._priced(
+                op, spec, batch, seq_len
+            )
         return StepBreakdown(seconds_by_kind=seconds, placements=placements)
+
+    def step_seconds(self, spec: ModelSpec, batch: int, seq_len: int) -> float:
+        """``step_latency(spec, batch, seq_len).total``, bit for bit.
+
+        Only the ATTENTION term depends on ``seq_len``: the terms of
+        :func:`~repro.perf.operators.context_free_ops` are priced once per
+        ``(spec, batch)`` and kept, and ATTENTION is priced per call
+        through the same per-op code :meth:`step_latency` runs.  The
+        builtin ``sum`` then adds the same floats in the same order as
+        :attr:`StepBreakdown.total`, so the result is the same float on
+        every Python version (from 3.12 ``sum`` compensates float
+        rounding, so a running ``+=`` total would not be).
+        """
+        terms = self._step_terms.get((spec, batch))
+        if terms is None:
+            terms = self._step_terms[spec, batch] = tuple(
+                tuple(self._priced(op, spec, batch, 0)[0] for op in ops)
+                for ops in context_free_ops(
+                    spec, batch, self.precision, tp_degree=self.n_devices
+                )
+            )
+        before, after = terms
+        attention = attention_op(
+            spec, batch, seq_len, self.precision, tp_degree=self.n_devices
+        )
+        if attention is None:
+            return sum((*before, *after))
+        seconds = self._priced(attention, spec, batch, seq_len)[0]
+        return sum((*before, seconds, *after))
+
+    def price_tables(self, spec: ModelSpec) -> tuple[dict, dict]:
+        """The ``(decode, prefill)`` price tables of ``spec`` on this system.
+
+        Every :class:`~repro.serving.costs.IterationCostModel` built on
+        this system for an equal spec binds the same two dicts, so a
+        point one replica priced is a hit for every other replica, router
+        estimate and tier of its fleet.  They live on the system, not at
+        module level: a freshly built system starts cold.  The system only
+        keeps the dicts; the cost model keys and fills them.
+        """
+        return self._tables.setdefault(spec, ({}, {}))
+
+    def _priced(
+        self, op: OpCost, spec: ModelSpec, batch: int, seq_len: int
+    ) -> tuple[float, str]:
+        """(seconds, placement) of one operator of a generation step."""
+        if op.kind is OpKind.COMMUNICATION:
+            reduces = spec.n_layers * (2 if spec.ffn_mult else 1)
+            seconds = communication_seconds(
+                op.comm_bytes, reduces, self.n_devices, self.link
+            )
+            return seconds, self.link.name
+        if op.kind in self.offloads and self.pim is not None:
+            return self._pim_seconds(op, spec, batch, seq_len), "PIM"
+        return self.gpu.op_seconds(op), self.gpu_spec.name
 
     def _pim_seconds(
         self, op: OpCost, spec: ModelSpec, batch: int, seq_len: int

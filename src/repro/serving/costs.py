@@ -9,9 +9,18 @@ properties matter:
   length through the same ``step_latency`` cost model the static
   simulators use, so request-level and batch-level results are directly
   comparable (and exactly equal under static batching).
-* **Speed** — contexts are anchored to the scheduler-chosen stride before
-  pricing, so a multi-thousand-iteration trace touches only a few hundred
-  distinct ``(batch, seq)`` points.
+* **Speed** — each distinct ``(batch, seq)`` point is priced once per
+  fleet, and cheaply.  The decode and prefill tables live on the
+  ``ServingSystem`` (one pair per ``ModelSpec``) and every cost model
+  built on that system binds them, so all replicas of a fleet, the
+  router's estimates and the handoff and tier cost models share one
+  table; a hit is one dict lookup.  A miss prices the decode step
+  through ``ServingSystem.step_seconds``, which keeps the
+  context-free operator terms per batch size and prices only attention
+  per context (PIM attention timings are kept per DRAM row count), and
+  sums the same terms in the same order as ``step_latency(...).total``,
+  so the float is the same.
+  Nothing is cached at module level: a freshly built system starts cold.
 """
 
 from __future__ import annotations
@@ -28,9 +37,13 @@ DEFAULT_LINK_GBPS = 100.0
 class IterationCostModel:
     """Memoized prefill/decode pricing on one serving system.
 
-    ``link_gbps`` prices cross-replica KV movement (the shared prefix
-    tier); it never enters prefill/decode pricing, so two models differing
-    only in link bandwidth price every iteration identically.
+    The memo is the system's (see
+    :meth:`~repro.perf.system.ServingSystem.price_tables`): every model
+    built on one system for an equal spec reads and fills the same
+    tables.  ``link_gbps`` prices cross-replica KV movement (the shared
+    prefix tier); it never enters prefill/decode pricing, so two models
+    differing only in link bandwidth price every iteration identically
+    and share the tables too.
     """
 
     def __init__(
@@ -44,22 +57,28 @@ class IterationCostModel:
         self.system = system
         self.spec = spec
         self.link_gbps = link_gbps
-        self._decode: dict[tuple[int, int], float] = {}
-        self._prefill: dict[tuple[int, int], float] = {}
+        # Bound once: a hit is one lookup in the system's shared table.
+        self._decode, self._prefill = system.price_tables(spec)
 
     def decode_seconds(self, batch: int, seq_len: int) -> float:
         """One decode iteration for ``batch`` requests at context ``seq_len``."""
         key = (int(batch), int(seq_len))
-        if key not in self._decode:
-            self._decode[key] = self.system.step_latency(self.spec, *key).total
-        return self._decode[key]
+        seconds = self._decode.get(key)
+        if seconds is None:
+            seconds = self._decode[key] = self.system.step_seconds(
+                self.spec, *key
+            )
+        return seconds
 
     def prefill_seconds(self, batch: int, input_len: int) -> float:
         """Prefill of ``batch`` admitted requests at ``input_len`` tokens."""
         key = (int(batch), int(input_len))
-        if key not in self._prefill:
-            self._prefill[key] = self.system.prefill_latency(self.spec, *key)
-        return self._prefill[key]
+        seconds = self._prefill.get(key)
+        if seconds is None:
+            seconds = self._prefill[key] = self.system.prefill_latency(
+                self.spec, *key
+            )
+        return seconds
 
     def chunk_prefill_seconds(self, batch: int, start: int, end: int) -> float:
         """Prefill of the prompt token range ``[start, end)`` for ``batch``.
@@ -90,8 +109,3 @@ class IterationCostModel:
         if n_bytes < 0:
             raise ValueError("cannot transfer a negative byte count")
         return n_bytes * 8.0 / (self.link_gbps * 1e9)
-
-    @property
-    def n_priced_points(self) -> int:
-        """Distinct (batch, seq) points actually sent to the cost model."""
-        return len(self._decode) + len(self._prefill)

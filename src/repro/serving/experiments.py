@@ -54,6 +54,7 @@ import dataclasses
 import hashlib
 import inspect
 import pathlib
+import re
 import time
 
 from repro.experiments.registry import sweep, trial
@@ -339,6 +340,14 @@ def serving_assemble(report: RunReport) -> dict:
     return out
 
 
+#: a ``+`` between two fleet nodes: a whole kind name follows it, so the
+#: ``+`` inside ``GPU+Q`` and ``GPU+PIM`` does not separate anything
+_NODE_PLUS = re.compile(
+    r"\+(?=\s*(?:%s)\s*(?:[:+,]|$))"
+    % "|".join(re.escape(kind.value) for kind in SystemKind)
+)
+
+
 def parse_fleet(
     nodes: str, scale: str = "small"
 ) -> tuple[tuple, tuple[str, ...]]:
@@ -349,13 +358,18 @@ def parse_fleet(
     kind (``"GPU"``) serves both phases.  This is the CLI-friendly spelling
     of :func:`~repro.serving.cluster.build_cluster`'s
     ``node_kinds``/``phases`` pair, shared by the ``cluster_slo`` trial
-    and ``repro trace export``.  Nodes of one kind share one system, so
-    a fleet of one kind is homogeneous (a shared prefix tier needs that).
+    and ``repro trace export``.  ``+`` separates nodes too
+    (``"GPU:prefill+Pimba:decode"``): ``--set`` splits its values on
+    commas, so that is how a multi-node fleet reaches one trial from the
+    command line.  A ``+`` inside a kind name (``GPU+Q``, ``GPU+PIM``)
+    stays part of the name: ``"GPU+GPU+PIM"`` is a GPU node and a
+    GPU+PIM node.  Nodes of one kind share one system, so a fleet of one
+    kind is homogeneous (a shared prefix tier needs that).
     """
     systems = {}
     kinds = []
     phases = []
-    for item in nodes.split(","):
+    for item in _NODE_PLUS.sub(",", nodes).split(","):
         name, _, phase = item.strip().partition(":")
         kind = SystemKind(name)
         if kind not in systems:

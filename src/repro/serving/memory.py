@@ -377,11 +377,6 @@ class PrefixCache:
     def cached_bytes(self) -> float:
         return self.cached_blocks * self.block_bytes
 
-    @property
-    def hit_rate(self) -> float:
-        seen = self.hit_tokens + self.miss_tokens
-        return self.hit_tokens / seen if seen else 0.0
-
     # -- lookup and lifecycle ----------------------------------------------
 
     def match(self, session_id: int, prefill_tokens: int) -> int:

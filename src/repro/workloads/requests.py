@@ -8,6 +8,7 @@ also produces randomized traces for stress tests.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -32,10 +33,6 @@ class Request:
     def __post_init__(self) -> None:
         if self.input_len < 1 or self.output_len < 1:
             raise ValueError("request lengths must be positive")
-
-    @property
-    def total_len(self) -> int:
-        return self.input_len + self.output_len
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,22 +86,31 @@ class TimedRequest:
     handoff_bytes: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival time must be non-negative")
+        # NaN fails every comparison, so `not 0 <= x < inf` catches it
+        # (a NaN arrival would never be served).
+        if not 0 <= self.arrival_s < math.inf:
+            raise self._bad_time("arrival_s")
         if self.prefilled_tokens not in (0, self.request.input_len):
             raise ValueError(
                 "prefilled_tokens is all-or-nothing: 0 or the full "
                 f"input_len, got {self.prefilled_tokens} of "
                 f"{self.request.input_len}"
             )
-        if self.handoff_s < 0 or self.handoff_bytes < 0:
-            raise ValueError("handoff cost fields must be non-negative")
-        if self.prefilled_tokens == 0 and (
-            self.handoff_s or self.handoff_bytes
-        ):
-            raise ValueError(
-                "handoff costs require prefilled_tokens (nothing moved)"
-            )
+        # An ordinary request carries 0.0 in both (and NaN is truthy).
+        if self.handoff_s or self.handoff_bytes:
+            for name in ("handoff_s", "handoff_bytes"):
+                if not 0 <= getattr(self, name) < math.inf:
+                    raise self._bad_time(name)
+            if self.prefilled_tokens == 0:
+                raise ValueError(
+                    "handoff costs require prefilled_tokens (nothing moved)"
+                )
+
+    def _bad_time(self, name: str) -> ValueError:
+        return ValueError(
+            f"request {self.request.request_id}: {name} must be finite and "
+            f"non-negative, got {getattr(self, name)!r}"
+        )
 
     @property
     def request_id(self) -> int:

@@ -1,5 +1,7 @@
 """Arrival processes, length distributions, and trace replay files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,29 @@ class TestTraceReplay:
                 TimedRequest(Request(0, 1, 1), 2.0),
                 TimedRequest(Request(1, 1, 1), 1.0),
             ))
+
+
+class TestNonFiniteTimes:
+    """NaN passes a bare ``< 0`` check and would never be served.  The one
+    gate is :class:`TimedRequest` construction: every engine and cluster
+    serves a :class:`Trace` of them, so none can be handed such a time,
+    and ``load_trace`` builds them from the file's values."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("field", ["arrival_s", "handoff_s", "handoff_bytes"])
+    def test_timed_request_refuses(self, field, value):
+        fields = {"arrival_s": 0.0, "prefilled_tokens": 8, field: value}
+        with pytest.raises(ValueError, match=f"request 7: {field} must be finite"):
+            TimedRequest(Request(7, 8, 8), **fields)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_load_trace_refuses_json_non_finite_literals(self, value, tmp_path):
+        # json.dumps writes NaN / Infinity / -Infinity, which json.loads reads.
+        requests = [
+            {"request_id": 0, "input_len": 5, "output_len": 2, "arrival_s": 0.0},
+            {"request_id": 1, "input_len": 6, "output_len": 3, "arrival_s": value},
+        ]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"requests": requests}))
+        with pytest.raises(ValueError, match="request 1: arrival_s"):
+            load_trace(path)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import Runner
 from repro.experiments.cli import main
+from repro.perf import SystemKind
 from repro.serving.arrivals import poisson_trace, save_trace
 from repro.serving.corpus import trace_replay_slo
 from repro.serving.experiments import (
@@ -16,6 +17,7 @@ from repro.serving.experiments import (
     chunking_spec,
     cluster_slo,
     collect_timeline,
+    parse_fleet,
     replay_spec,
     serving_assemble,
     serving_render,
@@ -192,7 +194,15 @@ class TestOneServingPath:
 
     @pytest.mark.parametrize(
         "trial, extra, n_tracks",
-        [("serving_slo", [], 1), ("cluster_slo", ["replicas=2"], 2)],
+        [
+            ("serving_slo", [], 1),
+            ("cluster_slo", ["replicas=2"], 2),
+            (
+                "cluster_slo",
+                ["nodes=GPU:prefill+Pimba:decode", "router=disaggregated"],
+                2,
+            ),
+        ],
     )
     def test_trace_export_writes_a_valid_file(
         self, trial, extra, n_tracks, tmp_path, capsys
@@ -205,6 +215,39 @@ class TestOneServingPath:
         assert main(argv) == 0
         assert validate_trace_events(json.loads(out.read_text())) == []
         assert f"({n_tracks} track(s)," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
+    def test_plus_separates_fleet_nodes_like_a_comma(self, kind):
+        # The "+" inside GPU+Q and GPU+PIM is part of the name.
+        for other in SystemKind:
+            for sep in (",", "+"):
+                for nodes, phases in (
+                    (f"{kind.value}:prefill{sep}{other.value}", ("prefill", "both")),
+                    (f"{kind.value}{sep}{other.value}:decode", ("both", "decode")),
+                ):
+                    systems, got = parse_fleet(nodes)
+                    assert [s.kind for s in systems] == [kind, other], nodes
+                    assert got == phases, nodes
+        (system,), phases = parse_fleet(kind.value)
+        assert (system.kind, phases) == (kind, ("both",))
+
+    def test_a_plus_fleet_is_one_sweep_cell(self, tmp_path):
+        out = tmp_path / "disagg.json"
+        argv = [
+            "sweep",
+            "disaggregation",
+            "--smoke",
+            "--serial",
+            "--cache-dir",
+            str(tmp_path),
+            "--json",
+            str(out),
+            "--set",
+            "nodes=GPU:prefill+Pimba:decode",
+        ]
+        assert main(argv) == 0
+        (result,) = json.loads(out.read_text())["results"]
+        assert result["value"]["phases"] == ["prefill", "decode"]
 
     def test_trace_export_refuses_a_multi_valued_set(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
