@@ -1,4 +1,4 @@
-"""Discrete-event, request-level serving engine (vectorized hot path).
+"""Discrete-event, request-level serving engine (coalesced hot path).
 
 Advances a :class:`~repro.perf.system.ServingSystem` through a
 :class:`~repro.workloads.requests.Trace` one event at a time.  Four event
@@ -32,12 +32,15 @@ kinds move the clock:
 a finish, an admission, an arrival the scheduler would admit, a KV
 block claim — nothing about the decode batch can change, so the engine
 prices the whole stretch at once: it snapshots the running set into a
-columnar :class:`~repro.serving.slots.SlotView`, asks the scheduler's
-:meth:`~repro.serving.schedulers.Scheduler.decode_run` for the run's
-``(batch, seq)`` pricing points in one vectorized call, maps them through
-the memoized cost model, and replays only the clock/queue-depth
-accumulation as a tight scalar loop (float addition is order-sensitive,
-so that part *must* stay sequential to remain bit-exact).  An arrival
+:class:`~repro.serving.slots.SlotView` (tuples of ints), asks the
+scheduler's :meth:`~repro.serving.schedulers.Scheduler.decode_run` for
+the run's pricing points as run-length ``(seq, count)`` stride segments,
+prices each segment with one lookup in the memoized cost model, and
+replays only the clock/queue-depth accumulation as a tight scalar loop
+(float addition is order-sensitive, so that part *must* stay sequential
+to remain bit-exact).  A run costs in proportion to the pricing points
+that change, not to batch × steps, and every point is computed with
+the integer arithmetic the scalar shape uses.  An arrival
 that lands mid-run joins the queue inside that loop, and the run ends
 there only if the scheduler's pure ``admit`` would take a request at
 that clock — under overload, a full batch absorbs arrivals until its
@@ -65,9 +68,8 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
@@ -87,11 +89,6 @@ from repro.workloads.requests import Trace
 
 if TYPE_CHECKING:  # telemetry is optional at runtime; never imported here
     from repro.serving.telemetry import Collector
-
-#: cap on iterations priced per coalesced run — bounds the batch x steps
-#: pricing matrix a single ``decode_run`` call materializes (a longer
-#: stretch simply takes several runs, with identical results)
-_MAX_RUN_STEPS = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -598,19 +595,15 @@ class ServingEngine:
                 # Coalesced decode run: until a resident finishes, the
                 # scheduler would admit an arrival, or a resident must
                 # claim KV, the batch cannot change — price the whole
-                # stretch in one vectorized call and replay only the
-                # order-sensitive float accumulation.  A claiming
+                # stretch one stride segment at a time and replay only
+                # the order-sensitive float accumulation.  A claiming
                 # iteration (horizon 0) takes the scalar step below.
                 slots = SlotView.from_requests(running)
-                steps = min(slots.max_coalesced_steps(), _MAX_RUN_STEPS, horizon)
-                batch, seqs = self.scheduler.decode_run(slots, steps)
-                uniq, inverse = np.unique(seqs, return_inverse=True)
-                costs = np.fromiter(
-                    (self.cost.decode_seconds(batch, s) for s in uniq.tolist()),
-                    float,
-                    len(uniq),
-                )
-                dts = costs[inverse].tolist()
+                steps = min(slots.max_coalesced_steps(), horizon)
+                batch, segments = self.scheduler.decode_run(slots, steps)
+                dts = []
+                for seq, count in segments:
+                    dts += [self.cost.decode_seconds(batch, seq)] * count
                 qlen = len(queue)
                 clock_before = clock
                 if pending:
@@ -640,7 +633,7 @@ class ServingEngine:
                             ):
                                 break
                             next_arrival = (
-                                pending[0].arrival_s if pending else np.inf
+                                pending[0].arrival_s if pending else math.inf
                             )
                 else:
                     for dt in dts:

@@ -54,8 +54,6 @@ import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
 from repro.serving.memory import (
@@ -174,11 +172,14 @@ class Scheduler(abc.ABC):
     :meth:`prepare_iteration` claims nothing and evicts nobody,
     :meth:`admit` depends only on the queue, the running *composition*
     and state those iterations leave alone (never on residents' decode
-    progress), and :meth:`decode_run` returns exactly the ``(batch,
+    progress), and :meth:`decode_run` returns the run as run-length
+    ``(seq, count)`` segments whose expansion is exactly the ``(batch,
     seq)`` points that calling :meth:`iteration_shape` once per step
-    would — so the engine may price the whole run from a
+    would give — so the engine may price the whole run from a
     :class:`~repro.serving.slots.SlotView` without touching per-request
-    state.  When an arrival lands mid-run, the engine queues it and
+    state, with one cost lookup per segment.  The points change only
+    where a slot crosses its pricing stride, so a run has few segments.
+    When an arrival lands mid-run, the engine queues it and
     calls :meth:`admit` right there, with residents' ``generated``
     counts still at the run's start; the run ends only if that call
     admits.  This is exact only because :meth:`admit` is pure and
@@ -313,25 +314,50 @@ class Scheduler(abc.ABC):
 
     def decode_run(
         self, slots: SlotView, steps: int
-    ) -> tuple[int, np.ndarray]:
+    ) -> tuple[int, list[tuple[int, int]]]:
         """Pricing points for ``steps`` consecutive decode iterations.
 
-        The vectorized counterpart of :meth:`iteration_shape`: element
-        ``j`` of the returned context array must *bit-exactly* equal the
-        scalar shape after ``j`` tokens of progress on every slot (the
-        differential tests enforce this).  Mean-context arithmetic stays
-        exact because integer sums are exact in int64, ``totals / n``
-        performs the same correctly-rounded float64 division as Python's
-        ``int / int``, and ``np.rint`` rounds half-to-even exactly like
-        builtin ``round``.
+        The run-length counterpart of :meth:`iteration_shape`: the batch
+        and a list of ``(seq, count)`` segments, counts positive and
+        summing to ``steps``.  Expanded, the segments must equal the
+        scalar shape after ``j`` tokens of progress on every slot, for
+        every ``j`` (the differential tests enforce this).
+
+        The mean anchored context changes only where some slot crosses
+        its stride: slot ``i`` re-anchors ``s_i - g_i % s_i`` steps in,
+        then every ``s_i`` steps, each time by ``s_i``.  Slots sharing a
+        stride and a phase cross together, so they add one jump: a run
+        costs one pass over the slots plus one update per crossing of
+        each (stride, phase) group, so stride 1 takes ``steps`` updates
+        whatever the batch.  Each segment's point is ``round(total /
+        n)`` on the exact integer total, the arithmetic
+        :meth:`iteration_shape` performs, so every point is the same
+        int.  Adjacent segments at one point merge.
         """
-        offsets = np.arange(steps, dtype=np.int64)
-        anchored = (
-            (slots.generated[:, None] + offsets[None, :])
-            // slots.stride[:, None] * slots.stride[:, None]
-        )
-        totals = (slots.input_len[:, None] + anchored).sum(axis=0)
-        return slots.n_slots, np.rint(totals / slots.n_slots).astype(np.int64)
+        n = slots.n_slots
+        total = 0
+        # (stride, first crossing) -> context added at each crossing
+        jumps: dict[tuple[int, int], int] = {}
+        for input_len, g, s in zip(slots.input_len, slots.generated, slots.stride):
+            total += input_len + g // s * s
+            first = s - g % s
+            if first < steps:
+                jumps[s, first] = jumps.get((s, first), 0) + s
+        seq = round(total / n)
+        added: dict[int, int] = {}
+        for (s, first), jump in jumps.items():
+            for j in range(first, steps, s):
+                added[j] = added.get(j, 0) + jump
+        segments = []
+        start = 0
+        for j in sorted(added):
+            total += added[j]
+            point = round(total / n)
+            if point != seq:
+                segments.append((seq, j - start))
+                seq, start = point, j
+        segments.append((seq, steps - start))
+        return n, segments
 
 
 class StaticBatchScheduler(Scheduler):
@@ -375,20 +401,26 @@ class StaticBatchScheduler(Scheduler):
 
     def decode_run(
         self, slots: SlotView, steps: int
-    ) -> tuple[int, np.ndarray]:
+    ) -> tuple[int, list[tuple[int, int]]]:
         """Padded-cohort pricing over a whole run: batch counts every
         slot (finished ones still hold theirs), and the shared decode
-        position is the max over frozen finished slots and the advancing
-        active ones."""
-        input_len = int(slots.input_len.max())
-        stride = clamped_stride(self.step_stride, int(slots.output_len.max()))
-        active = ~slots.done
-        frozen = int(slots.generated[slots.done].max(initial=0))
-        advancing = int(slots.generated[active].max())
-        positions = np.maximum(
-            frozen, advancing + np.arange(steps, dtype=np.int64)
-        )
-        return slots.n_slots, input_len + positions // stride * stride
+        position ``max(frozen, advancing + j)`` is the max over frozen
+        finished slots and the advancing active ones.  Its anchor moves
+        once the advancing position reaches the next stride multiple,
+        so each segment runs up to there."""
+        input_len = max(slots.input_len)
+        stride = clamped_stride(self.step_stride, max(slots.output_len))
+        progress = list(zip(slots.generated, slots.done))
+        frozen = max((g for g, done in progress if done), default=0)
+        advancing = max(g for g, done in progress if not done)
+        segments = []
+        j = 0
+        while j < steps:
+            anchor = max(frozen, advancing + j) // stride * stride
+            end = min(steps, anchor + stride - advancing)
+            segments.append((input_len + anchor, end - j))
+            j = end
+        return slots.n_slots, segments
 
 
 class FcfsContinuousScheduler(Scheduler):

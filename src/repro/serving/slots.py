@@ -1,16 +1,16 @@
-"""Slot-array batch state: the running set as numpy arrays.
+"""Slot snapshot of the running set: what a coalesced decode run prices.
 
 The engine's hot path coalesces long stretches of decode iterations whose
 batch composition cannot change (no finish, no admission, no arrival the
-scheduler would admit, no KV block claim).  Inside such a run, per-request
-Python objects are pure overhead — what the pricing math needs is the
-*columns* of the running set.  A :class:`SlotView` is exactly that: one
-array per
-:class:`~repro.serving.schedulers.RunningRequest` field that pricing
-reads, built in one pass whenever the batch re-forms and handed to
-:meth:`~repro.serving.schedulers.Scheduler.decode_run` so a scheduler can
-price a whole run of iterations with vectorized arithmetic instead of
-O(batch) attribute walks per step.
+scheduler would admit, no KV block claim).  Inside such a run the
+pricing math needs only a few fields of each
+:class:`~repro.serving.schedulers.RunningRequest`.  A :class:`SlotView`
+holds exactly those, as one tuple of plain Python ints per field, built
+in one pass whenever the batch re-forms and handed to
+:meth:`~repro.serving.schedulers.Scheduler.decode_run`.  The scheduler
+walks the run by stride segment, so a run costs in proportion to the
+pricing points that change, not to batch × steps, and all of it is
+exact integer arithmetic.
 
 The view is a snapshot, not a live mirror: the engine folds the run's
 outcome (tokens generated, finishers) back into the ``RunningRequest``
@@ -23,43 +23,34 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.serving.schedulers import RunningRequest
 
 
 @dataclasses.dataclass(frozen=True)
 class SlotView:
-    """Columnar snapshot of the running set at one batch composition."""
+    """Snapshot of the running set at one batch composition."""
 
     requests: tuple[RunningRequest, ...]  #: slot index -> request
-    input_len: np.ndarray  #: int64, prompt tokens per slot
-    output_len: np.ndarray  #: int64, requested output tokens per slot
-    generated: np.ndarray  #: int64, tokens decoded so far per slot
-    stride: np.ndarray  #: int64, per-slot pricing-anchor stride
-    done: np.ndarray  #: bool, finished slots (static batching keeps them)
+    input_len: tuple[int, ...]  #: prompt tokens per slot
+    output_len: tuple[int, ...]  #: requested output tokens per slot
+    generated: tuple[int, ...]  #: tokens decoded so far per slot
+    stride: tuple[int, ...]  #: per-slot pricing-anchor stride
+    done: tuple[bool, ...]  #: finished slots (static batching keeps them)
 
     @classmethod
     def from_requests(cls, running: Sequence[RunningRequest]) -> "SlotView":
-        input_len = np.fromiter(
-            (r.input_len for r in running), np.int64, len(running)
-        )
-        output_len = np.fromiter(
-            (r.output_len for r in running), np.int64, len(running)
-        )
-        generated = np.fromiter(
-            (r.generated for r in running), np.int64, len(running)
-        )
-        stride = np.fromiter(
-            (r.stride for r in running), np.int64, len(running)
-        )
+        requests = tuple(running)
+        specs = [r.timed.request for r in requests]
+        output_len = tuple([q.output_len for q in specs])
+        generated = tuple([r.generated for r in requests])
+        # positional: keyword arguments nearly double the cost of this call
         return cls(
-            requests=tuple(running),
-            input_len=input_len,
-            output_len=output_len,
-            generated=generated,
-            stride=stride,
-            done=generated >= output_len,
+            requests,
+            tuple([q.input_len for q in specs]),
+            output_len,
+            generated,
+            tuple([r.stride for r in requests]),
+            tuple([g >= o for g, o in zip(generated, output_len)]),
         )
 
     @property
@@ -69,7 +60,7 @@ class SlotView:
     @property
     def n_active(self) -> int:
         """Slots still decoding (a token per iteration comes from each)."""
-        return int((~self.done).sum())
+        return self.done.count(False)
 
     def max_coalesced_steps(self) -> int:
         """Iterations until the *earliest* active slot finishes.
@@ -78,5 +69,8 @@ class SlotView:
         decode run may be priced ahead; every active slot has at least
         one token left, so the bound is always >= 1.
         """
-        remaining = (self.output_len - self.generated)[~self.done]
-        return int(remaining.min())
+        return min(
+            o - g
+            for o, g, d in zip(self.output_len, self.generated, self.done)
+            if not d
+        )

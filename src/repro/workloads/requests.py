@@ -146,9 +146,29 @@ class Trace:
     requests: tuple[TimedRequest, ...]
 
     def __post_init__(self) -> None:
-        arrivals = [r.arrival_s for r in self.requests]
+        # Both checks scan once; positions are found only on the error
+        # path.  Ids must be unique because a fleet keys its routing,
+        # handoffs and timings by them.
+        requests = self.requests
+        arrivals = [r.arrival_s for r in requests]
         if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-            raise ValueError("trace arrivals must be non-decreasing")
+            i = next(
+                i for i in range(1, len(arrivals)) if arrivals[i] < arrivals[i - 1]
+            )
+            raise ValueError(
+                "trace arrivals must be non-decreasing: request "
+                f"{requests[i].request_id} at position {i} arrives at "
+                f"{arrivals[i]!r}, before {arrivals[i - 1]!r}"
+            )
+        if len({r.request.request_id for r in requests}) < len(requests):
+            first: dict[int, int] = {}
+            for i, r in enumerate(requests):
+                j = first.setdefault(r.request_id, i)
+                if j != i:
+                    raise ValueError(
+                        f"trace repeats request id {r.request_id} at "
+                        f"positions {j} and {i}"
+                    )
 
     @property
     def n_requests(self) -> int:
@@ -228,12 +248,18 @@ class Trace:
 
     @classmethod
     def from_payload(cls, payload: list[dict]) -> "Trace":
+        """Rebuild a trace from :meth:`to_payload` output.
+
+        Lengths must be whole numbers (an int, or a float without a
+        fraction); a fractional length, a bool or a string raises
+        instead of being truncated.
+        """
         return cls(tuple(
             TimedRequest(
                 Request(
                     int(d["request_id"]),
-                    int(d["input_len"]),
-                    int(d["output_len"]),
+                    _whole_length(d, i, "input_len"),
+                    _whole_length(d, i, "output_len"),
                     session_id=(
                         int(d["session_id"])
                         if d.get("session_id") is not None
@@ -242,8 +268,20 @@ class Trace:
                 ),
                 float(d["arrival_s"]),
             )
-            for d in payload
+            for i, d in enumerate(payload)
         ))
+
+
+def _whole_length(entry: dict, index: int, field: str) -> int:
+    """``entry[field]`` as an int, refusing anything but a whole number."""
+    value = entry[field]
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if not whole or isinstance(value, bool):
+        raise ValueError(
+            f"trace entry {index} (request {entry.get('request_id')!r}): "
+            f"{field} must be a whole number, got {value!r}"
+        )
+    return int(value)
 
 
 def uniform_batch(

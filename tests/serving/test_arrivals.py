@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.models import spec_for
+from repro.perf.system import SystemKind, build_system
+from repro.serving import ServingEngine, build_cluster, build_scheduler
 from repro.serving.arrivals import (
     empirical_lengths,
     fixed_lengths,
@@ -102,6 +105,116 @@ class TestTraceReplay:
                 TimedRequest(Request(0, 1, 1), 2.0),
                 TimedRequest(Request(1, 1, 1), 1.0),
             ))
+
+    def test_unordered_arrivals_name_the_first_late_request(self):
+        arrivals = [0.0, 3.0, 2.0, 1.0]
+        with pytest.raises(
+            ValueError,
+            match=r"request 12 at position 2 arrives at 2\.0, before 3\.0",
+        ):
+            Trace(
+                tuple(
+                    TimedRequest(Request(10 + i, 1, 1), t)
+                    for i, t in enumerate(arrivals)
+                )
+            )
+
+
+def _payload_file(tmp_path, requests):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"requests": requests}))
+    return path
+
+
+class TestDuplicateRequestIds:
+    """A fleet keys routing, handoffs and timings by request id, so a
+    trace that repeats one would lose requests silently (a split fleet
+    served 3 of 6).  :class:`Trace` refuses it at construction, naming
+    the id and both positions, so no engine or fleet can be handed one."""
+
+    MATCH = "trace repeats request id 0 at positions 0 and 3"
+
+    @staticmethod
+    def repeated():
+        return tuple(
+            TimedRequest(Request(rid, 64, 8), 0.1 * i)
+            for i, rid in enumerate((0, 1, 2, 0, 1, 2))
+        )
+
+    def test_split_fleet_refuses(self):
+        spec = spec_for("Zamba2")
+        gpu = build_system(SystemKind.GPU, "small")
+        pimba = build_system(SystemKind.PIMBA, "small")
+        fleet = build_cluster(
+            gpu,
+            spec,
+            2,
+            router="disaggregated",
+            node_kinds=(gpu, pimba),
+            phases=("prefill", "decode"),
+        )
+        with pytest.raises(ValueError, match=self.MATCH):
+            fleet.run(Trace(self.repeated()))
+
+    def test_bare_engine_refuses(self):
+        spec = spec_for("Zamba2")
+        pimba = build_system(SystemKind.PIMBA, "small")
+        engine = ServingEngine(pimba, spec, build_scheduler("fcfs", pimba, spec))
+        with pytest.raises(ValueError, match=self.MATCH):
+            engine.run(Trace(self.repeated()))
+
+    def test_load_trace_refuses(self, tmp_path):
+        requests = [
+            {
+                "request_id": r.request_id,
+                "input_len": r.input_len,
+                "output_len": r.output_len,
+                "arrival_s": r.arrival_s,
+            }
+            for r in self.repeated()
+        ]
+        with pytest.raises(ValueError, match=self.MATCH):
+            load_trace(_payload_file(tmp_path, requests))
+
+
+class TestWholeLengths:
+    """``load_trace`` used to truncate with ``int()``: 100.9 prompt
+    tokens loaded as 100.  A length must be a whole number; anything
+    else fails naming the entry, its request id and the field."""
+
+    @staticmethod
+    def entries(**second):
+        return [
+            {"request_id": 0, "input_len": 5, "output_len": 2, "arrival_s": 0.0},
+            {"request_id": 7, "input_len": 6, "output_len": 3, "arrival_s": 1.0}
+            | second,
+        ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("input_len", 100.9),
+            ("output_len", 3.7),
+            ("input_len", True),
+            ("output_len", "3"),
+            ("output_len", None),
+        ],
+    )
+    def test_refuses_non_whole_lengths(self, field, value, tmp_path):
+        path = _payload_file(tmp_path, self.entries(**{field: value}))
+        with pytest.raises(
+            ValueError,
+            match=rf"trace entry 1 \(request 7\): {field} must be a whole number",
+        ):
+            load_trace(path)
+
+    def test_accepts_ints_and_whole_floats(self, tmp_path):
+        path = _payload_file(
+            tmp_path, self.entries(input_len=100, output_len=4.0)
+        )
+        request = load_trace(path).requests[1].request
+        assert (request.input_len, request.output_len) == (100, 4)
+        assert type(request.output_len) is int
 
 
 class TestNonFiniteTimes:

@@ -1,7 +1,7 @@
-"""Differential harness: the vectorized engine vs the scalar reference.
+"""Differential harness: the coalesced engine vs the scalar reference.
 
 The production :class:`~repro.serving.engine.ServingEngine` coalesces
-decode stretches and prices them through vectorized scheduler math; the
+decode stretches and prices them by stride segment; the
 :class:`~repro.serving._reference.ReferenceEngine` is the pre-vectorization
 scalar loop kept in-tree as the executable specification.  These tests pin
 the two together *bit for bit* — not approximately — across every
@@ -13,12 +13,13 @@ serving result downstream.
 The same harness pins the streaming side: ``run()`` (reservoir-backed,
 O(1) memory) must produce the *identical* payload as the full event
 record's report while traces fit the sketch capacity, and a scheduler's
-vectorized ``decode_run`` must equal its own scalar ``iteration_shape``
-stepped one iteration at a time.
+segmented ``decode_run`` must expand to its own scalar
+``iteration_shape`` stepped one iteration at a time.
 """
 
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -43,7 +44,9 @@ from repro.serving import (
     multiturn_chat_trace,
     poisson_trace,
 )
+from repro.serving.costs import IterationCostModel
 from repro.workloads.requests import Request, TimedRequest, Trace
+from repro.workloads.serving import clamped_stride
 
 BUDGET = 96
 
@@ -379,18 +382,25 @@ def test_steps_before_claim_is_unbounded_without_preemption(pimba_system, zamba_
     assert _scalar_steps_before_claim(scheduler, [r]) == math.inf
 
 
+def _expand(segments):
+    """The per-step pricing points a run's ``(seq, count)`` segments
+    stand for."""
+    return [seq for seq, count in segments for _ in range(count)]
+
+
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
 def test_decode_run_equals_stepwise_iteration_shape(
     scheduler_name, pimba_system, zamba_spec
 ):
-    """A scheduler's vectorized run pricing must equal its own scalar
+    """A scheduler's segmented run pricing must equal its own scalar
     pricing stepped one iteration at a time (the coalescing contract).
 
     Replays the engine's scalar decode loop — iteration_shape, advance
     every active request one token, drop finishers (keep them frozen for
     static batching) — and compares each step's (batch, seq) against the
-    one decode_run priced up front.  Ragged progress and per-request
-    strides make the anchored contexts move at different times.
+    expansion of the segments decode_run priced up front.  Ragged
+    progress and per-request strides make the anchored contexts move at
+    different times.
     """
     scheduler = make_scheduler(scheduler_name, pimba_system, zamba_spec)
 
@@ -419,7 +429,8 @@ def test_decode_run_equals_stepwise_iteration_shape(
     steps = slots.max_coalesced_steps()
     assert steps == 15  # request 3 finishes first: 17 - 2 tokens left
 
-    batch, seqs = scheduler.decode_run(slots, steps)
+    batch, segments = scheduler.decode_run(slots, steps)
+    seqs = _expand(segments)
     assert len(seqs) == steps
 
     stepwise = []
@@ -431,14 +442,14 @@ def test_decode_run_equals_stepwise_iteration_shape(
                 r.generated += 1
         if not scheduler.keep_finished:
             running = [r for r in running if not r.done]
-    assert [(batch, int(s)) for s in seqs] == stepwise
+    assert [(batch, s) for s in seqs] == stepwise
 
 
 def test_static_decode_run_with_frozen_finished_slots(
     pimba_system, zamba_spec
 ):
     """Static batching keeps finished requests resident (and priced) until
-    the whole cohort drains — the vectorized run must freeze their
+    the whole cohort drains — the segmented run must freeze their
     contribution exactly like the scalar loop does."""
     scheduler = build_scheduler("static", pimba_system, zamba_spec, max_batch=8)
 
@@ -462,7 +473,8 @@ def test_static_decode_run_with_frozen_finished_slots(
     steps = slots.max_coalesced_steps()
     assert steps == 35
 
-    batch, seqs = scheduler.decode_run(slots, steps)
+    batch, segments = scheduler.decode_run(slots, steps)
+    seqs = _expand(segments)
     stepwise = []
     for _ in range(steps):
         b, s = scheduler.iteration_shape(running)
@@ -471,7 +483,134 @@ def test_static_decode_run_with_frozen_finished_slots(
             if not r.done:
                 r.generated += 1
         # keep_finished: the cohort stays intact until everyone is done
-    assert [(batch, int(s)) for s in seqs] == stepwise
+    assert [(batch, s) for s in seqs] == stepwise
+
+
+def _stride_crossings(scheduler, slots, steps):
+    """Steps ``j`` in ``[1, steps)`` at which a pricing anchor moves,
+    counted once per slot that crosses there (static batching anchors
+    one shared position on the cohort's stride)."""
+    progress = list(zip(slots.generated, slots.done))
+    if scheduler.keep_finished:
+        stride = clamped_stride(scheduler.step_stride, max(slots.output_len))
+        advancing = max(g for g, done in progress if not done)
+        return sum((advancing + j) % stride == 0 for j in range(1, steps))
+    return sum(
+        (g + j) % s == 0
+        for g, s in zip(slots.generated, slots.stride)
+        for j in range(1, steps)
+    )
+
+
+@pytest.mark.parametrize(
+    "scheduler_name", ("fcfs", "static", "paged", "prefix", "chunked")
+)
+def test_decode_run_segments_match_stepwise_on_random_batches(
+    scheduler_name, pimba_system, zamba_spec
+):
+    """Seeded differential check of the segment contract on random
+    batches: 1-12 slots with ragged progress, strides from 1 to 64
+    (clamped per request), finished slots frozen in place under static
+    batching.  The expanded segments must equal stepwise
+    ``iteration_shape``; counts are positive and sum to ``steps``;
+    adjacent segments differ; and there is at most one segment per
+    stride crossing beyond the first."""
+    rng = random.Random(f"decode-run-{scheduler_name}")
+    schedulers = {
+        stride: build_scheduler(
+            scheduler_name,
+            pimba_system,
+            zamba_spec,
+            max_batch=12,
+            step_stride=stride,
+        )
+        for stride in (1, 2, 3, 7, 32, 64)
+    }
+    for _ in range(300):
+        scheduler = rng.choice(list(schedulers.values()))
+        n = rng.randint(1, 12)
+        # static batching keeps finished slots; anyone else drops them
+        n_frozen = rng.randrange(n) if scheduler.keep_finished else 0
+        running = []
+        for rid in range(n):
+            output_len = rng.randint(1, 160)
+            generated = output_len if rid < n_frozen else rng.randrange(output_len)
+            running.append(
+                RunningRequest(
+                    timed=TimedRequest(
+                        Request(rid, rng.randint(1, 4096), output_len), 0.0
+                    ),
+                    admitted_s=0.0,
+                    stride=scheduler.request_stride(output_len),
+                    generated=generated,
+                )
+            )
+        rng.shuffle(running)
+        slots = SlotView.from_requests(running)
+        steps = rng.randint(1, slots.max_coalesced_steps())
+        batch, segments = scheduler.decode_run(slots, steps)
+
+        counts = [count for _, count in segments]
+        assert all(count > 0 for count in counts)
+        assert sum(counts) == steps
+        assert all(a[0] != b[0] for a, b in zip(segments, segments[1:]))
+        assert len(segments) <= 1 + _stride_crossings(scheduler, slots, steps)
+
+        stepwise = []
+        for _ in range(steps):
+            stepwise.append(scheduler.iteration_shape(running))
+            for r in running:
+                if not r.done:
+                    r.generated += 1
+        assert [(batch, s) for s in _expand(segments)] == stepwise
+
+
+def test_a_coalesced_run_prices_once_per_segment(
+    pimba_system, zamba_spec, monkeypatch
+):
+    """The engine prices a coalesced run one ``decode_seconds`` call per
+    segment, never per step: a single request decoding 100 tokens at
+    stride 32 re-anchors three times, so its one run is four calls.  A
+    ragged burst then has every run price exactly its segments."""
+    calls = []
+    priced = IterationCostModel.decode_seconds
+
+    def counted(self, batch, seq_len):
+        calls.append((batch, seq_len))
+        return priced(self, batch, seq_len)
+
+    monkeypatch.setattr(IterationCostModel, "decode_seconds", counted)
+
+    def serve(lengths):
+        scheduler = build_scheduler("fcfs", pimba_system, zamba_spec, max_batch=8)
+        runs = []
+        decode_run = scheduler.decode_run
+
+        def recorded(slots, steps):
+            batch, segments = decode_run(slots, steps)
+            runs.append(segments)
+            return batch, segments
+
+        scheduler.decode_run = recorded
+        calls.clear()
+        trace = Trace(
+            tuple(
+                TimedRequest(Request(rid, 128, out), 0.0)
+                for rid, out in enumerate(lengths)
+            )
+        )
+        record = ServingEngine(pimba_system, zamba_spec, scheduler).serve(trace)
+        return record, runs
+
+    record, runs = serve([100])
+    assert runs == [[(128, 32), (160, 32), (192, 32), (224, 4)]]
+    assert calls == [(1, 128), (1, 160), (1, 192), (1, 224)]
+    assert len(record.iteration_seconds) == 100
+
+    record, runs = serve([100, 37, 64, 5, 80])
+    assert len(runs) == 5  # one run per finish
+    assert len(calls) == sum(len(segments) for segments in runs)
+    assert len(calls) < len(record.iteration_seconds)
 
 
 class TestClusterStreaming:
