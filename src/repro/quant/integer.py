@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quant.formats import StorageFormat, pad_to_group
-from repro.quant.rounding import RoundingMode, round_lattice
+from repro.quant.rounding import RoundingMode, round_lattice, round_nearest_even
 
 
 class Int8GroupFormat(StorageFormat):
@@ -47,7 +47,13 @@ class Int8GroupFormat(StorageFormat):
         scale = (amax / self.qmax).astype(np.float16).astype(np.float64)
         scale = np.where(scale == 0.0, 1.0, scale)
 
-        q = round_lattice(grouped / scale, self.rounding, rng)
+        units = grouped / scale
+        q = round_lattice(units, self.rounding, rng)
+        # The group maximum sets the scale, so it is stored at its nearest
+        # grid point (±qmax) under every rounding mode: a stochastic step
+        # inwards would shrink the scale the next store derives, and
+        # re-quantizing a stored group would no longer leave it unchanged.
+        q = np.where(np.abs(grouped) == amax, round_nearest_even(units), q)
         q = np.clip(q, -self.qmax, self.qmax)
         out = (q * scale).reshape(padded.shape)
         return out[..., :n] if n != padded.shape[-1] else out

@@ -210,8 +210,6 @@ class ClusterTrace:
     router: str
     #: phase per replica; ``None`` for a colocated (pre-phase) run
     phases: tuple[str, ...] | None = None
-    #: decode replica per request (equals ``assignments`` when colocated)
-    decode_assignments: tuple[int, ...] | None = None
     #: whole-lifecycle timings of split requests; their per-replica
     #: half-timings are dropped by :meth:`merged` in favour of these
     stitched: tuple[RequestTiming, ...] = ()
@@ -420,7 +418,6 @@ class ClusterEngine:
             ),
             router=self.router.name,
             phases=self.phases,
-            decode_assignments=assignments,
         )
 
     def _serve_split(
@@ -530,7 +527,6 @@ class ClusterEngine:
             replicas=tuple(results),
             router=self.router.name,
             phases=self.phases,
-            decode_assignments=tuple(d for _, d in pairs),
             stitched=tuple(stitched),
             split_ids=frozenset(split_pair),
         )
@@ -579,7 +575,7 @@ class ClusterEngine:
         merged = (
             EngineStats.merge(active)
             if active
-            else EngineTrace.empty(sketch_capacity).stats()
+            else EngineTrace.empty(sketch_capacity).stats(sketch_capacity)
         )
         return ClusterReport.assemble(
             merged, self.router.name, self.phases, stats

@@ -52,9 +52,14 @@ Paged KV growth ends a run instead of opting out of coalescing: the
 scheduler's
 :meth:`~repro.serving.schedulers.Scheduler.steps_before_claim` caps each
 run at the next block claim, and the claiming iteration — the one that
-may preempt — takes the scalar path, which is kept verbatim from the
-reference implementation (:mod:`repro.serving._reference` — the
-specification both paths are differentially tested against).
+may preempt — runs
+:meth:`~repro.serving.schedulers.Scheduler.prepare_iteration`, is priced
+at the scheduler's scalar
+:meth:`~repro.serving.schedulers.Scheduler.iteration_shape`, and then
+keeps the same books as a one-step run.  The per-iteration loop lives
+on only in the reference implementation
+(:mod:`repro.serving._reference` — the specification the engine is
+differentially tested against).
 
 The engine records per-request lifecycle timestamps (arrival, admission,
 first token, completion).  :meth:`ServingEngine.serve` keeps every event
@@ -69,6 +74,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.models.config import ModelSpec
@@ -199,10 +205,6 @@ class _TraceRecorder:
         self.prefills.append(dt)
         self.prefill_tokens.append(tokens)
 
-    def decode(self, dt: float, tokens: int) -> None:
-        self.iterations.append(dt)
-        self.decode_tokens.append(tokens)
-
     def decode_run(self, dts: list[float], tokens_each: int) -> None:
         self.iterations.extend(dts)
         self.decode_tokens.extend([tokens_each] * len(dts))
@@ -223,9 +225,6 @@ class _StatsRecorder:
 
     def prefill(self, dt: float, tokens: int) -> None:
         self.n_prefills += 1
-
-    def decode(self, dt: float, tokens: int) -> None:
-        self.n_iterations += 1
 
     def decode_run(self, dts: list[float], tokens_each: int) -> None:
         self.n_iterations += len(dts)
@@ -262,14 +261,6 @@ class ServingEngine:
         self.spec = spec
         self.scheduler = scheduler
         self.cost = IterationCostModel(system, spec)
-        # Refuse to coalesce a subclass that reshaped scalar pricing
-        # without teaching decode_run the same shape — silent divergence
-        # between the two paths is the one bug class this line removes.
-        cls = type(scheduler)
-        self._coalesce = (
-            cls.decode_run is not Scheduler.decode_run
-            or cls.iteration_shape is Scheduler.iteration_shape
-        )
 
     def serve(
         self, trace: Trace, collector: "Collector | None" = None
@@ -327,6 +318,24 @@ class ServingEngine:
         """Serve ``trace`` (streaming) and return the aggregated report."""
         return self.serve_stats(trace, collector=collector).report()
 
+    def _price_prefill(
+        self, members: Sequence[RunningRequest], context: int
+    ) -> tuple[float, int]:
+        """One padded prefill of ``members`` over ``context`` tokens: its
+        seconds, and the prompt tokens it computes.
+
+        Padded-cohort pricing reuses only what *every* member has cached
+        (``on_admit``/``on_restore`` just pinned it): the batch runs as
+        one fused prefill, so the min hit is the longest prefix all of
+        it can skip, and only the uncached suffix is priced — chunk
+        costs telescope, so the split is exact.  Remote prefix pulls
+        serialize on the link ahead of the prefill; each member's wire
+        time adds up.
+        """
+        cached = min(m.cache_hit_last for m in members)
+        seconds = self.cost.chunk_prefill_seconds(len(members), cached, context)
+        return seconds + sum(m.transfer_s_last for m in members), context - cached
+
     def _serve(
         self,
         trace: Trace,
@@ -341,7 +350,6 @@ class ServingEngine:
         # run's cached prefixes and counters.
         self.scheduler.reset()
         budget = self.scheduler.chunk_budget
-        coalesce = self._coalesce
         #: one bool gates every telemetry touch on the hot path
         tel = col is not None and col.enabled
         pending = collections.deque(trace.requests)
@@ -382,16 +390,24 @@ class ServingEngine:
             depth_acc += dt
             clock += dt
 
-        def generate(members: list[RunningRequest]) -> int:
-            """One decode token per unfinished member, stamped at ``clock``."""
+        def generate(
+            members: list[RunningRequest], steps: int, first_clock: float
+        ) -> int:
+            """``steps`` decode tokens for each unfinished member, ending
+            at ``clock``; returns how many members decoded.
+
+            A first token is stamped at ``first_clock``, the end of the
+            stretch's first iteration; a finish at ``clock``, which only
+            the stretch's last iteration can reach.
+            """
             n = 0
             for r in members:
                 if r.done:
                     continue
-                r.generated += 1
                 n += 1
-                if r.generated == 1:
-                    r.first_token_s = clock
+                if r.generated == 0:
+                    r.first_token_s = first_clock
+                r.generated += steps
                 if r.done:
                     r.finished_s = clock
                     self.scheduler.release(r)
@@ -438,30 +454,16 @@ class ServingEngine:
                     )
                     running.insert(at, head)
                     # Recompute-style restore: re-prefill the prompt plus
-                    # every token generated before the eviction.  A prefix
-                    # cache may cover a leading run of those tokens
-                    # (on_restore just re-acquired the session's blocks);
-                    # only the uncached suffix is computed and priced —
-                    # chunk costs telescope, so the split is exact.
-                    context = head.input_len + head.generated
-                    cached = head.cache_hit_last
-                    if cached:
-                        dt = self.cost.chunk_prefill_seconds(
-                            1, cached, context
-                        )
-                    else:
-                        dt = self.cost.prefill_seconds(1, context)
-                    # A restore that pulled remote prefix blocks pays the
-                    # wire time before its (shortened) re-prefill.
-                    if head.transfer_s_last:
-                        dt += head.transfer_s_last
+                    # every token generated before the eviction, less the
+                    # prefix on_restore just re-acquired from a cache.
+                    dt, tokens = self._price_prefill(
+                        (head,), head.input_len + head.generated
+                    )
                     t0 = clock
                     advance(dt)
-                    rec.prefill(dt, context - cached)
+                    rec.prefill(dt, tokens)
                     if tel:
-                        col.prefill_span(
-                            t0, clock, context - cached, (head,), "restore"
-                        )
+                        col.prefill_span(t0, clock, tokens, (head,), "restore")
                         gauge(len(running))
                     continue
                 admitted_n = 0
@@ -505,35 +507,16 @@ class ServingEngine:
                         )
                 fresh = [m for m in members if not m.timed.prefilled_tokens]
                 if fresh:
-                    t0 = clock
                     cohort_input = max(m.input_len for m in fresh)
                     if budget is None:
-                        # Padded-cohort pricing reuses only what *every*
-                        # member has cached: the cohort runs as one fused
-                        # prefill of length cohort_input, so the min hit
-                        # is the longest prefix the whole batch can skip.
-                        cached = min(m.cache_hit_last for m in fresh)
-                        if cached:
-                            dt = self.cost.chunk_prefill_seconds(
-                                len(fresh), cached, cohort_input
-                            )
-                        else:
-                            dt = self.cost.prefill_seconds(
-                                len(fresh), cohort_input
-                            )
-                        # Remote prefix pulls serialize on the link ahead
-                        # of the fused prefill; each member's wire time
-                        # adds up.
-                        transfer = sum(m.transfer_s_last for m in fresh)
-                        if transfer:
-                            dt += transfer
+                        # The cohort runs as one fused prefill of length
+                        # cohort_input.
+                        dt, tokens = self._price_prefill(fresh, cohort_input)
+                        t0 = clock
                         advance(dt)
-                        rec.prefill(dt, cohort_input - cached)
+                        rec.prefill(dt, tokens)
                         if tel:
-                            col.prefill_span(
-                                t0, clock, cohort_input - cached,
-                                fresh, "prefill",
-                            )
+                            col.prefill_span(t0, clock, tokens, fresh, "prefill")
                     else:
                         # Chunking: no clock movement at admission — the
                         # prompt is streamed by the chunk iterations below.
@@ -575,10 +558,10 @@ class ServingEngine:
                 if tel:
                     col.prefill_span(t0, clock, chunk, cohort.members, "chunk")
                 if fused:
-                    n_tok = generate(fused)
-                    rec.decode(dt, n_tok)
+                    n_active = generate(fused, 1, clock)
+                    rec.decode_run([dt], n_active)
                     if tel:
-                        col.decode_span(t0, clock, 1, n_tok, fused)
+                        col.decode_span(t0, clock, 1, n_active, fused)
                     running = [r for r in running if not r.done]
                 if cohort.remaining == 0:
                     for r in cohort.members:
@@ -588,85 +571,84 @@ class ServingEngine:
                     gauge(len(running))
                 continue
 
-            horizon = (
-                self.scheduler.steps_before_claim(running) if running and coalesce else 0
-            )
-            if horizon:
-                # Coalesced decode run: until a resident finishes, the
-                # scheduler would admit an arrival, or a resident must
-                # claim KV, the batch cannot change — price the whole
-                # stretch one stride segment at a time and replay only
-                # the order-sensitive float accumulation.  A claiming
-                # iteration (horizon 0) takes the scalar step below.
-                slots = SlotView.from_requests(running)
-                steps = min(slots.max_coalesced_steps(), horizon)
-                batch, segments = self.scheduler.decode_run(slots, steps)
+            if running:
+                # Every decode stretch outside a prefill chunk.  Until a
+                # resident finishes, the scheduler would admit an
+                # arrival, or a resident must claim KV, the batch cannot
+                # change: a coalesced run prices the whole stretch one
+                # stride segment at a time.  The claiming iteration
+                # (horizon 0) may preempt, so it runs alone, priced at
+                # the scalar shape — what decode_run would return for
+                # one step, at a fraction of its cost.
+                horizon = self.scheduler.steps_before_claim(running)
+                if horizon:
+                    slots = SlotView.from_requests(running)
+                    steps = min(slots.max_coalesced_steps(), horizon)
+                    batch, segments = self.scheduler.decode_run(slots, steps)
+                else:
+                    victims = self.scheduler.prepare_iteration(running)
+                    if victims:
+                        # Pool exhausted: the scheduler already freed the
+                        # victims' blocks; evict them from the running set
+                        # and re-queue them (oldest first) for restore.
+                        preemptions += len(victims)
+                        evicted = {id(v) for v in victims}
+                        running = [r for r in running if id(r) not in evicted]
+                        for v in victims:
+                            v.prefilled = False
+                            v.preemptions += 1
+                        preempted.extend(victims)
+                        preempted.sort(
+                            key=lambda r: (r.admitted_s, r.timed.request_id)
+                        )
+                        if tel:
+                            col.preempt(clock, victims)
+                        if not running:
+                            if tel:
+                                gauge(0)
+                            continue
+                    batch, seq = self.scheduler.iteration_shape(running)
+                    steps, segments = 1, [(seq, 1)]
                 dts = []
                 for seq, count in segments:
                     dts += [self.cost.decode_seconds(batch, seq)] * count
+                # Replay only the order-sensitive float accumulation.
                 qlen = len(queue)
                 clock_before = clock
-                if pending:
-                    next_arrival = pending[0].arrival_s
-                    executed = 0
-                    for dt in dts:
-                        depth_area += qlen * dt
-                        depth_acc += dt
-                        clock += dt
-                        executed += 1
-                        if next_arrival <= clock:
-                            # Absorb the arrivals exactly as the loop top
-                            # would after this step: queue them and start
-                            # a depth segment at the new length (the queue
-                            # only grows mid-run, so the loop top's
-                            # max_depth still sees its peak).  The run
-                            # goes on unless admit — pure, and blind to
-                            # decode progress — would take one now.  A
-                            # waiting restore blocks admission, and no
-                            # claim-free step can let it in.
-                            while pending and pending[0].arrival_s <= clock:
-                                queue.append(pending.popleft())
-                            qlen = len(queue)
-                            set_depth(qlen)
-                            if not preempted and self.scheduler.admit(
-                                queue, running, bool(pending)
-                            ):
-                                break
-                            next_arrival = (
-                                pending[0].arrival_s if pending else math.inf
-                            )
-                else:
-                    for dt in dts:
-                        depth_area += qlen * dt
-                        depth_acc += dt
-                        clock += dt
-                    executed = steps
+                next_arrival = pending[0].arrival_s if pending else math.inf
+                for executed, dt in enumerate(dts, 1):
+                    depth_area += qlen * dt
+                    depth_acc += dt
+                    clock += dt
+                    if next_arrival <= clock:
+                        # Absorb the arrivals exactly as the loop top
+                        # would after this step: queue them and start
+                        # a depth segment at the new length (the queue
+                        # only grows mid-run, so the loop top's
+                        # max_depth still sees its peak).  The run
+                        # goes on unless admit — pure, and blind to
+                        # decode progress — would take one now.  A
+                        # waiting restore blocks admission, and no
+                        # claim-free step can let it in.
+                        while pending and pending[0].arrival_s <= clock:
+                            queue.append(pending.popleft())
+                        qlen = len(queue)
+                        set_depth(qlen)
+                        if not preempted and self.scheduler.admit(
+                            queue, running, bool(pending)
+                        ):
+                            break
+                        next_arrival = pending[0].arrival_s if pending else math.inf
                 # Bit-exact re-derivation: after the first iteration the
                 # clock was exactly clock_before + dts[0] (one float add).
-                first_clock = clock_before + dts[0]
-                rec.decode_run(
-                    dts if executed == steps else dts[:executed],
-                    slots.n_active,
-                )
-                for r in running:
-                    if r.done:
-                        continue
-                    if r.generated == 0:
-                        r.first_token_s = first_clock
-                    r.generated += executed
-                    if r.done:
-                        r.finished_s = clock
-                        self.scheduler.release(r)
-                        rec.finish(r)
-                        if tel:
-                            col.finish(r)
+                n_active = generate(running, executed, clock_before + dts[0])
+                rec.decode_run(dts if executed == steps else dts[:executed], n_active)
                 if tel:
-                    # The whole coalesced stretch is one decode span; the
-                    # exporter expands it per member (the batch could not
-                    # change mid-run — that is what made it coalescable).
+                    # The whole stretch is one decode span; the exporter
+                    # expands it per member (the batch could not change
+                    # mid-run — that is what made it coalescable).
                     col.decode_span(
-                        clock_before, clock, executed,
-                        executed * slots.n_active, slots.requests,
+                        clock_before, clock, executed, executed * n_active, running
                     )
                 if executed == steps:
                     # Only a full run can finish anyone (a run stops at
@@ -676,45 +658,6 @@ class ServingEngine:
                             running.clear()
                     else:
                         running = [r for r in running if not r.done]
-                if tel:
-                    gauge(len(running))
-                continue
-
-            if running:
-                victims = self.scheduler.prepare_iteration(running)
-                if victims:
-                    # Pool exhausted: the scheduler already freed the
-                    # victims' blocks; evict them from the running set
-                    # and re-queue them (oldest first) for restore.
-                    preemptions += len(victims)
-                    evicted = {id(v) for v in victims}
-                    running = [r for r in running if id(r) not in evicted]
-                    for v in victims:
-                        v.prefilled = False
-                        v.preemptions += 1
-                    preempted.extend(victims)
-                    preempted.sort(
-                        key=lambda r: (r.admitted_s, r.timed.request_id)
-                    )
-                    if tel:
-                        col.preempt(clock, victims)
-                    if not running:
-                        if tel:
-                            gauge(0)
-                        continue
-                batch, seq = self.scheduler.iteration_shape(running)
-                dt = self.cost.decode_seconds(batch, seq)
-                t0 = clock
-                advance(dt)
-                n_tok = generate(running)
-                rec.decode(dt, n_tok)
-                if tel:
-                    col.decode_span(t0, clock, 1, n_tok, running)
-                if self.scheduler.keep_finished:
-                    if all(r.done for r in running):
-                        running.clear()
-                else:
-                    running = [r for r in running if not r.done]
                 if tel:
                     gauge(len(running))
                 continue

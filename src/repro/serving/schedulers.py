@@ -97,8 +97,6 @@ class RunningRequest:
     #: lifetime prefix tokens pulled from *another replica* through the
     #: shared tier (a subset of :attr:`cached_tokens`; 0 without a tier)
     remote_tokens: int = 0
-    #: remote share of :attr:`cache_hit_last` for the latest allocation
-    remote_hit_last: int = 0
     #: wire seconds the latest allocation's remote pull costs — the
     #: engine serializes this ahead of the prefill it prices (reset per
     #: admission/restore; 0.0 whenever nothing moved)
@@ -186,11 +184,11 @@ class Scheduler(abc.ABC):
     independent of decode progress — it returns what the scalar loop's
     call at that clock would.  Paged growth ends a run instead of
     opting out of it: the iteration that claims a block (and may
-    preempt) takes the scalar :meth:`prepare_iteration` step, and the
-    claim-free stretches between claims coalesce like any other.
-    Overriding :meth:`iteration_shape` obliges overriding
-    :meth:`decode_run` to match; the engine refuses to coalesce when
-    only the former changed.
+    preempt) runs :meth:`prepare_iteration` alone and is priced at
+    :meth:`iteration_shape`, and the claim-free stretches between
+    claims coalesce like any other.  So both pricing methods are live,
+    and a class that overrides one without the other fails at
+    definition: the two can never silently disagree.
     """
 
     #: registry name (``--set scheduler=...`` on the CLI)
@@ -203,6 +201,17 @@ class Scheduler(abc.ABC):
     #: chunk iterations run concurrently with the decode batch and are
     #: priced at max(chunk, decode) instead of their sum (NeuPIMs overlap)
     overlap_decode: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        pricing = ("iteration_shape", "decode_run")
+        overridden = [name for name in pricing if name in vars(cls)]
+        if len(overridden) == 1:
+            raise TypeError(
+                f"{cls.__name__} overrides {overridden[0]} alone: "
+                "iteration_shape and decode_run price the same decode "
+                "iterations, so they must be overridden together"
+            )
 
     def __init__(self, step_stride: int = 32):
         if step_stride < 1:
@@ -845,7 +854,6 @@ class PrefixCachingScheduler(PagedScheduler):
             hit, remote, transfer_s = 0, 0, 0.0
         r.cache_hit_last = hit
         r.cached_tokens += hit
-        r.remote_hit_last = remote
         r.remote_tokens += remote
         r.transfer_s_last = transfer_s
 

@@ -57,11 +57,6 @@ class SlotView:
     def n_slots(self) -> int:
         return len(self.requests)
 
-    @property
-    def n_active(self) -> int:
-        """Slots still decoding (a token per iteration comes from each)."""
-        return self.done.count(False)
-
     def max_coalesced_steps(self) -> int:
         """Iterations until the *earliest* active slot finishes.
 

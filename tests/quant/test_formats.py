@@ -39,6 +39,18 @@ class TestInt8Group:
         with pytest.raises(ValueError):
             Int8GroupFormat(group=0)
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_stochastic_store_keeps_group_max_on_scale(self, seed):
+        # -17 sits 0.06 grid units inside qmax under its fp16 scale; were it
+        # rounded stochastically, a step inwards would change the scale the
+        # next store derives and re-quantizing would move the value again.
+        fmt = Int8GroupFormat(rounding=RoundingMode.STOCHASTIC)
+        x = np.array([0.0, 0.0, -17.0])
+        q = fmt.quantize(x, rng=np.random.default_rng(seed))
+        scale = float(np.float16(17.0 / 127))
+        assert q[2] == -127 * scale
+        assert np.array_equal(fmt.quantize(q, rng=np.random.default_rng(seed)), q)
+
 
 class TestMiniFloat:
     def test_e4m3_saturates_at_448(self):

@@ -11,6 +11,8 @@ conservation when a prefix crosses replicas, and the degenerate inputs
 (cache off, empty trace) folding onto their baselines.
 """
 
+import collections
+import dataclasses
 import math
 
 import pytest
@@ -23,6 +25,7 @@ from repro.serving import (
     IterationCostModel,
     MemoryModel,
     PrefixBlockPool,
+    PrefixCachingScheduler,
     ReferenceEngine,
     ServingEngine,
     SharedPrefixTier,
@@ -253,17 +256,21 @@ class TestEmptyTraceEquivalence:
         self, replicas, pimba_system, zamba_spec
     ):
         empty = Trace(())
-        bare = ServingEngine(
+        engine = ServingEngine(
             pimba_system, zamba_spec,
             build_scheduler("fcfs", pimba_system, zamba_spec),
-        ).serve(empty)
+        )
         cluster = build_cluster(pimba_system, zamba_spec, replicas)
-        assert cluster.serve(empty).merged() == bare
+        assert cluster.serve(empty).merged() == engine.serve(empty)
         report = cluster.run(empty)
         assert report.n_requests == 0
         assert report.n_replicas == replicas
         assert math.isnan(report.ttft_percentile(99))
         assert all(r.stats is None for r in report.per_replica)
+        # The caller's sketch capacity survives the empty fold.
+        small = cluster.run(empty, sketch_capacity=16).stats
+        assert small.capacity == 16
+        assert small == engine.serve_stats(empty, 16).report().stats
 
 
 def paired_pools(memory, cost, n=2):
@@ -413,6 +420,71 @@ class TestSharedTierInEngines:
         assert vec.remote_hit_tokens > 0
         assert vec.kv_transfers > 0
         assert any(t.remote_tokens for t in vec.timings)
+
+    def tiered_chat_engine(self, engine_cls, pimba_system, zamba_spec, memory):
+        """A tight prefix-caching engine behind a fast tier that already
+        advertises every even session's history, so restores re-acquire
+        cached or pulled prefixes and cohorts mix different hits."""
+        sched = PrefixCachingScheduler(
+            memory,
+            memory.weights_bytes + 3.0 * memory.request_bytes(512, 48),
+            block_size=16,
+            max_batch=8,
+        )
+        tier = SharedPrefixTier(
+            memory,
+            16,
+            IterationCostModel(pimba_system, zamba_spec, link_gbps=1e4),
+        )
+        sched.pool.attach_tier(tier, 0)
+        for session in range(0, 24, 2):
+            tier.publish(1, session, 4096, at=0.0)
+        return engine_cls(pimba_system, zamba_spec, sched)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prefill_rules_are_reference_bit_exact(
+        self, seed, pimba_system, zamba_spec, memory
+    ):
+        """A restore prices its re-prefill from its cached prefix plus
+        its wire time, and a cohort skips only the prefix every member
+        has cached — exactly like the scalar specification."""
+        trace = multiturn_chat_trace(
+            8.0,
+            24,
+            turns=3,
+            first_input=256,
+            user_tokens=64,
+            output_len=48,
+            think_s=0.2,
+            seed=seed,
+        )
+        engine = self.tiered_chat_engine(
+            ServingEngine, pimba_system, zamba_spec, memory
+        )
+        reached = collections.Counter()
+        sched = engine.scheduler
+        on_restore, on_admit = sched.on_restore, sched.on_admit
+
+        def restored(request):
+            on_restore(request)
+            reached["cached restore"] += request.cache_hit_last > 0
+            reached["pulled restore"] += request.transfer_s_last > 0
+
+        def admitted(members):
+            on_admit(members)
+            reached["mixed cohort"] += len({m.cache_hit_last for m in members}) > 1
+
+        sched.on_restore, sched.on_admit = restored, admitted
+        ref = self.tiered_chat_engine(
+            ReferenceEngine, pimba_system, zamba_spec, memory
+        ).serve(trace)
+        assert dataclasses.asdict(engine.serve(trace)) == dataclasses.asdict(ref)
+        if seed == 0:
+            # The comparison above only means something if the run
+            # reaches every case the two prefill rules distinguish.
+            assert reached["cached restore"] > 0
+            assert reached["pulled restore"] > 0
+            assert reached["mixed cohort"] > 0
 
     def test_rebalanced_sessions_pull_their_history(
         self, pimba_system, zamba_spec, corpus

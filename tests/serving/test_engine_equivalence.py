@@ -27,6 +27,7 @@ from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
 from repro.serving import (
     ChunkedPrefillScheduler,
+    FcfsContinuousScheduler,
     MemoryModel,
     PagedScheduler,
     PrefixCachingScheduler,
@@ -571,7 +572,8 @@ def test_a_coalesced_run_prices_once_per_segment(
     """The engine prices a coalesced run one ``decode_seconds`` call per
     segment, never per step: a single request decoding 100 tokens at
     stride 32 re-anchors three times, so its one run is four calls.  A
-    ragged burst then has every run price exactly its segments."""
+    ragged burst then has every run price exactly its segments, and a
+    paged batch adds exactly one call per block-claiming iteration."""
     calls = []
     priced = IterationCostModel.decode_seconds
 
@@ -581,36 +583,73 @@ def test_a_coalesced_run_prices_once_per_segment(
 
     monkeypatch.setattr(IterationCostModel, "decode_seconds", counted)
 
-    def serve(lengths):
-        scheduler = build_scheduler("fcfs", pimba_system, zamba_spec, max_batch=8)
-        runs = []
+    def serve(scheduler, trace):
+        runs, claims = [], []
         decode_run = scheduler.decode_run
+        prepare_iteration = scheduler.prepare_iteration
 
         def recorded(slots, steps):
             batch, segments = decode_run(slots, steps)
             runs.append(segments)
             return batch, segments
 
+        def claiming(running):
+            claims.append(len(running))
+            return prepare_iteration(running)
+
         scheduler.decode_run = recorded
+        scheduler.prepare_iteration = claiming
         calls.clear()
+        record = ServingEngine(pimba_system, zamba_spec, scheduler).serve(trace)
+        return record, runs, claims
+
+    def burst(lengths):
+        scheduler = build_scheduler("fcfs", pimba_system, zamba_spec, max_batch=8)
         trace = Trace(
             tuple(
                 TimedRequest(Request(rid, 128, out), 0.0)
                 for rid, out in enumerate(lengths)
             )
         )
-        record = ServingEngine(pimba_system, zamba_spec, scheduler).serve(trace)
-        return record, runs
+        return serve(scheduler, trace)
 
-    record, runs = serve([100])
+    record, runs, claims = burst([100])
     assert runs == [[(128, 32), (160, 32), (192, 32), (224, 4)]]
     assert calls == [(1, 128), (1, 160), (1, 192), (1, 224)]
+    assert claims == []
     assert len(record.iteration_seconds) == 100
 
-    record, runs = serve([100, 37, 64, 5, 80])
+    record, runs, claims = burst([100, 37, 64, 5, 80])
     assert len(runs) == 5  # one run per finish
     assert len(calls) == sum(len(segments) for segments in runs)
     assert len(calls) < len(record.iteration_seconds)
+
+    record, runs, claims = serve(
+        make_scheduler("paged+tight", pimba_system, zamba_spec),
+        TRACES["poisson"](),
+    )
+    assert runs and claims
+    assert record.preemptions > 0
+    assert len(calls) == sum(len(segments) for segments in runs) + len(claims)
+    assert len(calls) < len(record.iteration_seconds)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [(), ("iteration_shape",), ("decode_run",), ("iteration_shape", "decode_run")],
+    ids=["neither", "shape-only", "run-only", "both"],
+)
+def test_pricing_methods_are_overridden_together(overrides):
+    """``iteration_shape`` prices claiming and chunk-fused iterations and
+    ``decode_run`` prices coalesced runs, so a scheduler that reshaped
+    only one would price the same batch two ways: such a class fails at
+    definition."""
+    body = {name: getattr(FcfsContinuousScheduler, name) for name in overrides}
+    if len(overrides) == 1:
+        with pytest.raises(TypeError, match=overrides[0]):
+            type("Reshaped", (FcfsContinuousScheduler,), body)
+    else:
+        type("Reshaped", (FcfsContinuousScheduler,), body)  # defines cleanly
 
 
 class TestClusterStreaming:

@@ -16,6 +16,7 @@ time-series must partition the run without losing requests.
 
 import copy
 import dataclasses
+import importlib.util
 import json
 import math
 import pathlib
@@ -54,6 +55,13 @@ SCHEDULERS = (
 SLO = SloSpec(ttft_s=2.0, tpot_s=0.018)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "perfetto_golden.json"
+
+_spec = importlib.util.spec_from_file_location(
+    "make_perfetto_golden",
+    pathlib.Path(__file__).resolve().parents[2] / "tools" / "make_perfetto_golden.py",
+)
+make_perfetto_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_perfetto_golden)
 
 
 @pytest.fixture(scope="module")
@@ -300,18 +308,13 @@ class TestIdleTailSpan:
 
 
 class TestPerfettoExport:
-    def test_golden_trace_is_reproduced(self, pimba_system, zamba_spec):
+    def test_golden_trace_is_reproduced(self):
         """The exporter's byte-level schema is pinned by a committed
-        golden file; regenerate with
+        golden file, replayed from the run the tool that writes it
+        declares; regenerate with
         ``python tools/make_perfetto_golden.py`` when the format
         changes *on purpose*."""
-        _, timeline = recorded_run(
-            pimba_system,
-            zamba_spec,
-            "paged+tight",
-            poisson_trace(10.0, 8, fixed_lengths(256, 32), seed=3),
-        )
-        payload = json.loads(json.dumps(timeline.to_trace_events()))
+        payload = json.loads(json.dumps(make_perfetto_golden.golden_payload()))
         golden = json.loads(GOLDEN_PATH.read_text())
         assert payload == golden
 

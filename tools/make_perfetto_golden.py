@@ -2,17 +2,12 @@
 """Regenerate the committed Perfetto golden trace.
 
 ``tests/serving/test_telemetry.py`` pins the trace-event exporter's
-output byte-for-byte against ``tests/serving/data/perfetto_golden.json``.
-When the export format changes *on purpose*, rerun this script and
+output byte-for-byte against ``tests/serving/data/perfetto_golden.json``
+by replaying :func:`golden_payload`, the one declaration of the golden
+run.  When the export format changes *on purpose*, rerun this script and
 commit the refreshed golden together with the exporter change:
 
     PYTHONPATH=src python tools/make_perfetto_golden.py
-
-The run must stay identical to ``recorded_run`` in the test module:
-the ``paged+tight`` scheduler from the equivalence grid on an
-8-request poisson trace (seed 3), so the golden covers prefills,
-coalesced decode runs, preemption/restore intervals, and every counter
-track.
 """
 
 import json
@@ -36,7 +31,14 @@ from repro.serving import (  # noqa: E402
 )
 
 
-def main() -> int:
+def golden_payload() -> dict:
+    """The golden run's trace-event payload.
+
+    The ``paged+tight`` scheduler from the equivalence grid on an
+    8-request poisson trace (seed 3), so the golden covers prefills,
+    coalesced decode runs, preemption/restore intervals, and every
+    counter track.
+    """
     spec = spec_for("Zamba2")
     system = build_system(SystemKind.PIMBA, "small")
     memory = MemoryModel.for_system(system, spec)
@@ -49,7 +51,11 @@ def main() -> int:
     trace = poisson_trace(10.0, 8, fixed_lengths(256, 32), seed=3)
     collector = TimelineCollector()
     ServingEngine(system, spec, scheduler).serve(trace, collector=collector)
-    payload = collector.timeline.to_trace_events()
+    return collector.timeline.to_trace_events()
+
+
+def main() -> int:
+    payload = golden_payload()
     errors = validate_trace_events(payload)
     if errors:
         print("refusing to write an invalid golden:", *errors, sep="\n  ")
