@@ -84,7 +84,6 @@ from repro.serving.metrics import (
 from repro.serving.slots import SlotView
 from repro.serving.telemetry import (
     Collector,
-    NullCollector,
     Timeline,
     TimelineCollector,
     Track,
@@ -92,6 +91,7 @@ from repro.serving.telemetry import (
     write_trace_file,
 )
 from repro.serving.schedulers import (
+    SCHEDULER_NAMES,
     ChunkedPrefillScheduler,
     FcfsContinuousScheduler,
     MemoryAwareScheduler,
@@ -139,7 +139,6 @@ __all__ = [
     "DEFAULT_SKETCH_CAPACITY",
     "DepthSketch",
     "Collector",
-    "NullCollector",
     "Timeline",
     "TimelineCollector",
     "Track",
@@ -164,6 +163,7 @@ __all__ = [
     "PrefixCachingScheduler",
     "SharedPrefixTier",
     "RunningRequest",
+    "SCHEDULER_NAMES",
     "Scheduler",
     "StaticBatchScheduler",
     "build_scheduler",

@@ -31,11 +31,7 @@ from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
 from repro.serving.costs import IterationCostModel
 from repro.serving.engine import EngineTrace, _PrefillCohort
-from repro.serving.metrics import (
-    DEFAULT_SKETCH_CAPACITY,
-    DepthSketch,
-    ServingReport,
-)
+from repro.serving.metrics import DepthSketch, ServingReport
 from repro.serving.schedulers import RunningRequest, Scheduler
 from repro.workloads.requests import Trace
 
@@ -88,7 +84,7 @@ class ReferenceEngine:
         # flush a weighted segment only when the depth changes, so both
         # engines consume identical RNG streams and their sketches
         # compare equal bit for bit.
-        depth_sketch = DepthSketch(DEFAULT_SKETCH_CAPACITY)
+        depth_sketch = DepthSketch()
         cur_depth = 0
         depth_acc = 0.0
 

@@ -31,7 +31,6 @@ from repro.serving.costs import DEFAULT_LINK_GBPS, IterationCostModel
 from repro.serving.engine import EngineTrace, ServingEngine
 from repro.serving.memory import MemoryModel, SharedPrefixTier
 from repro.serving.metrics import (
-    DEFAULT_SKETCH_CAPACITY,
     EngineStats,
     RequestTiming,
     ServingReport,
@@ -42,12 +41,11 @@ from repro.serving.metrics import (
 if TYPE_CHECKING:  # telemetry stays optional at runtime
     from repro.serving.telemetry import Collector
 from repro.serving.routing import (
-    PHASE_NAMES,
-    AffinityKey,
     DisaggregatedRouter,
     Router,
     build_router,
     load_imbalance,
+    validate_phases,
 )
 from repro.serving.schedulers import PrefixCachingScheduler, build_scheduler
 from repro.workloads.requests import Request, TimedRequest, Trace
@@ -260,14 +258,12 @@ class ClusterTrace:
             **merge_runs(active),
         )
 
-    def report(
-        self, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
-    ) -> ClusterReport:
+    def report(self) -> ClusterReport:
         return ClusterReport.assemble(
-            self.merged().stats(sketch_capacity),
+            self.merged().stats(),
             self.router,
             self.phases,
-            [None if t is None else t.stats(sketch_capacity) for t in self.replicas],
+            [None if t is None else t.stats() for t in self.replicas],
         )
 
 
@@ -284,14 +280,15 @@ class ClusterEngine:
     into a :class:`ClusterReport`.  Because replicas are independent,
     the merge is pure bookkeeping — and the 1-replica merge is the
     identity, which is what makes a 1-replica cluster bit-exact with
-    the bare engine under every router and scheduler (tested).
+    the bare engine under every router and scheduler (tested).  The
+    router owns the fleet's phases (:attr:`Router.phases`); a fleet with
+    any phase-restricted replica runs the two-stage orchestration.
     """
 
     def __init__(
         self,
         replicas: Sequence[ServingEngine],
         router: Router,
-        phases: Sequence[str] | None = None,
         link_gbps: float = DEFAULT_LINK_GBPS,
     ):
         replicas = tuple(replicas)
@@ -302,32 +299,10 @@ class ClusterEngine:
                 f"router expects {router.n_replicas} replicas, "
                 f"cluster has {len(replicas)}"
             )
-        if phases is None:
-            phases = ("both",) * len(replicas)
-        phases = tuple(phases)
-        if len(phases) != len(replicas):
-            raise ValueError(
-                f"got {len(phases)} phases for {len(replicas)} replicas"
-            )
-        unknown = sorted(set(phases) - set(PHASE_NAMES))
-        if unknown:
-            raise ValueError(
-                f"unknown phases {unknown}; pick from {PHASE_NAMES}"
-            )
-        self.split = any(phase != "both" for phase in phases)
-        if self.split and not isinstance(router, DisaggregatedRouter):
-            raise ValueError(
-                "a phase-split fleet needs the 'disaggregated' router "
-                "(classic routers pin one replica per request)"
-            )
-        if isinstance(router, DisaggregatedRouter) and router.phases != phases:
-            raise ValueError(
-                f"router phases {router.phases} disagree with "
-                f"cluster phases {phases}"
-            )
         self.replicas = replicas
         self.router = router
-        self.phases = phases
+        self.phases = router.phases
+        self.split = any(phase != "both" for phase in self.phases)
         self.link_gbps = link_gbps
         #: the shared prefix tier every replica's pool joined, if any
         self.tier: SharedPrefixTier | None = None
@@ -352,8 +327,8 @@ class ClusterEngine:
     def attach_tier(self) -> None:
         """Join every replica's prefix pool to one shared tier.
 
-        Every replica must run the ``prefix`` scheduler with its cache on
-        (nothing else publishes session prefixes), and all must share one
+        Every replica must run the ``prefix`` scheduler (nothing else
+        publishes session prefixes), and all must share one
         node system (a prefix computed in one KV layout cannot be reused
         in another).  The tier prices a pull like a handoff: the first
         replica's memory and cost models over the cluster's
@@ -361,12 +336,11 @@ class ClusterEngine:
         """
         if not all(
             isinstance(engine.scheduler, PrefixCachingScheduler)
-            and engine.scheduler.cache_enabled
             for engine in self.replicas
         ):
             raise ValueError(
-                "a shared prefix tier needs the prefix scheduler with "
-                "cache=True (nothing else publishes session prefixes)"
+                "a shared prefix tier needs the prefix scheduler "
+                "(nothing else publishes session prefixes)"
             )
         first = self.replicas[0]
         if any(engine.system is not first.system for engine in self.replicas):
@@ -532,10 +506,7 @@ class ClusterEngine:
         )
 
     def run(
-        self,
-        trace: Trace,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-        collector: "Collector | None" = None,
+        self, trace: Trace, collector: "Collector | None" = None
     ) -> ClusterReport:
         """Serve ``trace`` (streaming) and return the merged report.
 
@@ -553,17 +524,13 @@ class ClusterEngine:
             # Two-stage orchestration needs the raw per-request timings
             # to stitch split lifecycles, so split fleets run through
             # :meth:`serve` and fold afterwards.
-            return self._serve_split(trace, collector).report(
-                sketch_capacity
-            )
+            return self._serve_split(trace, collector).report()
         self._reset()
         assignments = self.router.assign(trace)
         parts = trace.partition(assignments)
         stats = tuple(
             engine.serve_stats(
-                parts[i],
-                sketch_capacity,
-                None if collector is None else collector.fork(i),
+                parts[i], None if collector is None else collector.fork(i)
             )
             if i in parts
             else None
@@ -572,11 +539,7 @@ class ClusterEngine:
         active = [s for s in stats if s is not None]
         # Empty trace: same NaN-percentile report the bare engine's
         # streaming path returns for an empty trace.
-        merged = (
-            EngineStats.merge(active)
-            if active
-            else EngineTrace.empty(sketch_capacity).stats(sketch_capacity)
-        )
+        merged = EngineStats.merge(active) if active else EngineTrace.empty().stats()
         return ClusterReport.assemble(
             merged, self.router.name, self.phases, stats
         )
@@ -648,7 +611,6 @@ def build_cluster(
     n_replicas: int,
     router: str = "round-robin",
     scheduler: str = "fcfs",
-    affinity_key: AffinityKey | None = None,
     shared_tier: bool = False,
     link_gbps: float = DEFAULT_LINK_GBPS,
     node_kinds: Sequence[ServingSystem] | None = None,
@@ -677,9 +639,10 @@ def build_cluster(
     ``both`` (the default).  Any restriction requires
     ``router="disaggregated"``, which scores (prefill, decode) replica
     pairs by estimated first-token time *including* the KV handoff over
-    the ``link_gbps`` wire; the cluster then runs the two-stage
-    orchestration.  ``router="disaggregated"`` with no ``phases`` is a
-    colocated fleet where pairs may still split when the wire is cheap.
+    the ``link_gbps`` wire and owns the phases; the cluster then runs
+    the two-stage orchestration.  ``router="disaggregated"`` with no
+    ``phases`` is a colocated fleet where pairs may still split when the
+    wire is cheap.
 
     ``shared_tier=True`` joins every replica's prefix pool to one
     :class:`~repro.serving.memory.SharedPrefixTier`, pricing cross-replica
@@ -696,11 +659,9 @@ def build_cluster(
             )
     else:
         systems = (system,) * n_replicas
-    if phases is not None:
-        phases = tuple(phases)
-        if any(phase != "both" for phase in phases) and (
-            router != DisaggregatedRouter.name
-        ):
+    if phases is not None and router != DisaggregatedRouter.name:
+        # The disaggregated router validates its own phases.
+        if any(phase != "both" for phase in validate_phases(phases, n_replicas)):
             raise ValueError(
                 "phase-restricted replicas need router='disaggregated' "
                 "(classic routers cannot pair prefill and decode nodes)"
@@ -736,14 +697,11 @@ def build_cluster(
             service_time=[
                 _service_time_estimate(engine.cost) for engine in replicas
             ],
-            affinity_key=affinity_key,
             prefix_savings=[
                 _prefix_savings_estimate(engine.cost) for engine in replicas
             ],
         )
-    cluster = ClusterEngine(
-        replicas, router_obj, phases=phases, link_gbps=link_gbps
-    )
+    cluster = ClusterEngine(replicas, router_obj, link_gbps=link_gbps)
     if shared_tier:
         cluster.attach_tier()
     return cluster

@@ -79,7 +79,6 @@ def trace_replay_slo(
     step_stride: int = 32,
     model: str = "Zamba2",
     scale: str = "small",
-    cache: bool = True,
     shared_tier: bool = False,
     link_gbps: float = DEFAULT_LINK_GBPS,
     slo_ttft_s: float = 2.0,
@@ -92,8 +91,8 @@ def trace_replay_slo(
     value — to its file.  When a hash is pinned it feeds the replay
     guard, so the cache can never serve metrics of an edited trace; a
     bare name (e.g. ``--set trace=bursty`` on the CLI) replays unguarded.
-    ``cache``/``shared_tier``/``link_gbps`` pass straight through to the
-    cluster builder (the ``cross_replica_prefix`` sweep sets them).
+    ``shared_tier``/``link_gbps`` pass straight through to the cluster
+    builder (the ``cross_replica_prefix`` sweep sets ``shared_tier``).
     """
     from repro.serving.experiments import cluster_slo
 
@@ -109,7 +108,6 @@ def trace_replay_slo(
         step_stride=step_stride,
         model=model,
         scale=scale,
-        cache=cache,
         shared_tier=shared_tier,
         link_gbps=link_gbps,
         slo_ttft_s=slo_ttft_s,

@@ -81,7 +81,6 @@ from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
 from repro.serving.costs import IterationCostModel
 from repro.serving.metrics import (
-    DEFAULT_SKETCH_CAPACITY,
     DepthSketch,
     EngineCounters,
     EngineStats,
@@ -116,9 +115,7 @@ class EngineTrace(EngineCounters):
     depth: DepthSketch | None = None
 
     @classmethod
-    def empty(
-        cls, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
-    ) -> "EngineTrace":
+    def empty(cls) -> "EngineTrace":
         """The record of a run that served nothing.
 
         Zero span, no events, a fresh depth sketch: what the engine
@@ -135,18 +132,16 @@ class EngineTrace(EngineCounters):
             end_s=0.0,
             mean_queue_depth=0.0,
             max_queue_depth=0,
-            depth=DepthSketch(sketch_capacity),
+            depth=DepthSketch(),
         )
 
     @property
     def makespan_s(self) -> float:
         return self.end_s - self.start_s
 
-    def stats(
-        self, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
-    ) -> EngineStats:
+    def stats(self) -> EngineStats:
         """Fold the per-event record into its streaming equivalent."""
-        requests = RequestStats(sketch_capacity)
+        requests = RequestStats()
         for timing in self.timings:
             requests.observe(timing)
         return EngineStats(
@@ -218,8 +213,8 @@ class _StatsRecorder:
 
     __slots__ = ("requests", "n_iterations", "n_prefills")
 
-    def __init__(self, sketch_capacity: int):
-        self.requests = RequestStats(sketch_capacity)
+    def __init__(self):
+        self.requests = RequestStats()
         self.n_iterations = 0
         self.n_prefills = 0
 
@@ -288,10 +283,7 @@ class ServingEngine:
         )
 
     def serve_stats(
-        self,
-        trace: Trace,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-        collector: "Collector | None" = None,
+        self, trace: Trace, collector: "Collector | None" = None
     ) -> EngineStats:
         """Serve ``trace`` keeping O(1) memory: stream, don't record.
 
@@ -299,12 +291,14 @@ class ServingEngine:
         timestamps — but per-request outcomes fold straight into a
         :class:`~repro.serving.metrics.RequestStats` reservoir instead
         of accumulating event lists, so memory does not grow with the
-        trace.  Below ``sketch_capacity`` completed requests the
-        resulting report is bit-identical to ``serve(trace).report()``;
-        above it, latency percentiles come from the seeded sample.
+        trace.  Below
+        :data:`~repro.serving.metrics.DEFAULT_SKETCH_CAPACITY` completed
+        requests the resulting report is bit-identical to
+        ``serve(trace).report()``; above it, latency percentiles come
+        from the seeded sample.
         """
-        recorder = _StatsRecorder(sketch_capacity)
-        run = self._serve(trace, recorder, collector, sketch_capacity)
+        recorder = _StatsRecorder()
+        run = self._serve(trace, recorder, collector)
         return EngineStats(
             requests=recorder.requests,
             n_iterations=recorder.n_iterations,
@@ -337,11 +331,7 @@ class ServingEngine:
         return seconds + sum(m.transfer_s_last for m in members), context - cached
 
     def _serve(
-        self,
-        trace: Trace,
-        rec,
-        col: "Collector | None" = None,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
+        self, trace: Trace, rec, col: "Collector | None" = None
     ) -> dict:
         """The event loop: emits events through ``rec`` and returns, by
         name, the run fields :class:`EngineTrace` and
@@ -373,7 +363,7 @@ class ServingEngine:
         # current depth and flush one weighted segment into the sketch
         # only when the depth *changes* — O(queue mutations) RNG cost,
         # never per iteration.
-        depth_sketch = DepthSketch(sketch_capacity)
+        depth_sketch = DepthSketch()
         cur_depth = 0
         depth_acc = 0.0
 

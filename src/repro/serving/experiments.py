@@ -256,8 +256,6 @@ def serving_slo(
     capacity_gib: float | None = None,
     chunk_budget: int = 256,
     block_size: int = 64,
-    preempt: bool = True,
-    cache: bool = True,
     slo_ttft_s: float = 2.0,
     slo_tpot_s: float = 0.018,
     trace_file: str | None = None,
@@ -364,18 +362,26 @@ def parse_fleet(
     command line.  A ``+`` inside a kind name (``GPU+Q``, ``GPU+PIM``)
     stays part of the name: ``"GPU+GPU+PIM"`` is a GPU node and a
     GPU+PIM node.  Nodes of one kind share one system, so a fleet of one
-    kind is homogeneous (a shared prefix tier needs that).
+    kind is homogeneous (a shared prefix tier needs that).  Spaces
+    around a kind or a phase are ignored.
     """
     systems = {}
     kinds = []
     phases = []
-    for item in _NODE_PLUS.sub(",", nodes).split(","):
-        name, _, phase = item.strip().partition(":")
-        kind = SystemKind(name)
+    for position, item in enumerate(_NODE_PLUS.sub(",", nodes).split(","), 1):
+        name, _, phase = item.partition(":")
+        try:
+            kind = SystemKind(name.strip())
+        except ValueError:
+            valid = ", ".join(k.value for k in SystemKind)
+            raise ValueError(
+                f"fleet entry {position} of {nodes!r} names no node kind "
+                f"({name.strip()!r}); valid kinds: {valid}"
+            ) from None
         if kind not in systems:
             systems[kind] = build_system(kind, scale)
         kinds.append(systems[kind])
-        phases.append(phase or "both")
+        phases.append(phase.strip() or "both")
     return tuple(kinds), tuple(phases)
 
 
@@ -402,8 +408,6 @@ def cluster_slo(
     capacity_gib: float | None = None,
     chunk_budget: int = 256,
     block_size: int = 64,
-    preempt: bool = True,
-    cache: bool = True,
     shared_tier: bool = False,
     link_gbps: float = DEFAULT_LINK_GBPS,
     slo_ttft_s: float = 2.0,
@@ -1024,8 +1028,6 @@ def serving_timeline(
     capacity_gib: float | None = None,
     chunk_budget: int = 256,
     block_size: int = 64,
-    preempt: bool = True,
-    cache: bool = True,
     slo_ttft_s: float = 2.0,
     slo_tpot_s: float = 0.018,
     n_windows: int = 8,

@@ -15,11 +15,12 @@ Two reservation models live here, in increasing fidelity:
   are claimed, never in claiming bytes no token will use.
 
 The conservative and paged models meet in a degenerate corner that the
-tests pin down: a :class:`~repro.serving.schedulers.PagedScheduler` with
-preemption disabled reserves every request's full-final-context
-footprint at admission through the *same* :meth:`MemoryModel.request_bytes`
-arithmetic as :class:`~repro.serving.schedulers.MemoryAwareScheduler`,
-so the two engines are bit-exact, event for event.
+tests pin down: a :class:`~repro.serving.schedulers.PagedScheduler`
+whose block size covers every request's final context claims one block
+at admission, trimmed to that context, so it reserves the full-context
+footprint through the *same* :meth:`MemoryModel.request_bytes`
+arithmetic as :class:`~repro.serving.schedulers.MemoryAwareScheduler`
+and never claims again: the two engines are bit-exact, event for event.
 """
 
 from __future__ import annotations

@@ -423,7 +423,7 @@ class EngineCounters:
 COUNTER_NAMES = tuple(f.name for f in dataclasses.fields(EngineCounters))
 
 
-def merge_runs(parts: Sequence, capacity: int | None = None) -> dict:
+def merge_runs(parts: Sequence) -> dict:
     """The run-level fields of several replica records, merged by name.
 
     ``parts`` are :class:`~repro.serving.engine.EngineTrace` or
@@ -444,7 +444,7 @@ def merge_runs(parts: Sequence, capacity: int | None = None) -> dict:
         mean_queue_depth=depth_area / span,
         max_queue_depth=max(p.max_queue_depth for p in parts),
         preemptions=sum(p.preemptions for p in parts),
-        depth=DepthSketch.merge(depths, capacity) if depths else None,
+        depth=DepthSketch.merge(depths) if depths else None,
         **{name: sum(getattr(p, name) for p in parts) for name in COUNTER_NAMES},
     )
 
@@ -490,11 +490,10 @@ class ServingReport(EngineCounters):
         n_prefills: int,
         *,
         n_preemptions: int = 0,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
         depth: DepthSketch | None = None,
     ) -> "ServingReport":
         """Build a report by streaming ``timings`` through the accumulator."""
-        stats = RequestStats(sketch_capacity)
+        stats = RequestStats()
         for timing in timings:
             stats.observe(timing)
         return cls(
@@ -670,11 +669,7 @@ class EngineStats(EngineCounters):
         )
 
     @classmethod
-    def merge(
-        cls,
-        parts: Sequence["EngineStats"],
-        capacity: int | None = None,
-    ) -> "EngineStats":
+    def merge(cls, parts: Sequence["EngineStats"]) -> "EngineStats":
         """Fold replica stats into one, mirroring ``ClusterTrace.merged``:
         identity for a single part, :func:`merge_runs` for many."""
         if not parts:
@@ -682,10 +677,8 @@ class EngineStats(EngineCounters):
         if len(parts) == 1:
             return parts[0]
         return cls(
-            requests=RequestStats.merge(
-                (p.requests for p in parts), capacity
-            ),
+            requests=RequestStats.merge(p.requests for p in parts),
             n_iterations=sum(p.n_iterations for p in parts),
             n_prefills=sum(p.n_prefills for p in parts),
-            **merge_runs(parts, capacity),
+            **merge_runs(parts),
         )

@@ -13,11 +13,10 @@ choice shapes queueing on every node downstream.  Four policies:
   same :class:`~repro.serving.costs.IterationCostModel` that prices the
   engines, so the router never re-derives costs) applied to a virtual
   single-server queue per replica.
-* :class:`AffinityRouter` — consistent hashing of a per-request key.  The
-  default key is the *session id when the request has one* (falling back
-  to the request id for sessionless traffic), so a session's turns all
-  land on the replica that holds its prefix/KV state; a custom key (e.g.
-  ``input_len``) instead groups identically-shaped prompts.
+* :class:`AffinityRouter` — consistent hashing of the *session id when
+  the request has one* (falling back to the request id for sessionless
+  traffic), so a session's turns all land on the replica that holds its
+  prefix/KV state.
 * :class:`CacheAwareRouter` — least-outstanding backlog in *seconds*,
   minus a cache-warmth credit (estimated prefix-hit tokens times the
   per-token prefill savings) on the replica that last served the
@@ -44,9 +43,6 @@ ServiceTimeEstimate = Callable[[TimedRequest], float]
 #: either one estimate shared by every replica (a homogeneous fleet) or
 #: one per replica (heterogeneous node kinds price differently)
 ServiceTimeEstimates = ServiceTimeEstimate | Sequence[ServiceTimeEstimate]
-
-#: extracts the affinity key of a request (hashed to pick a replica)
-AffinityKey = Callable[[TimedRequest], object]
 
 #: seconds of prefill a replica saves by reusing ``hit_tokens`` of
 #: cached prefix (the cluster wires in the engines' own cost model)
@@ -89,6 +85,11 @@ class Router(abc.ABC):
     every choice.  Routers never see engine internals — they decide
     *before* any scheduler runs, which is exactly the information
     asymmetry a real fleet front end has.
+
+    :attr:`phases` is the phase each replica serves; the cluster engine
+    reads it to decide how to run the fleet.  Every classic router
+    serves ``both`` phases everywhere; only :class:`DisaggregatedRouter`
+    restricts replicas.
     """
 
     #: registry name (``--set router=...`` on the CLI)
@@ -98,6 +99,7 @@ class Router(abc.ABC):
         if n_replicas < 1:
             raise ValueError("a cluster needs at least one replica")
         self.n_replicas = n_replicas
+        self.phases: tuple[str, ...] = ("both",) * n_replicas
 
     @abc.abstractmethod
     def choose(self, request: TimedRequest) -> int:
@@ -224,58 +226,24 @@ class LeastOutstandingRouter(_VirtualQueueRouter):
         return replica
 
 
-def _canonical_key_bytes(value: object) -> bytes:
-    """A byte encoding of an affinity key that is stable across processes.
-
-    Only scalars (and tuples/lists of scalars) are accepted: hashing an
-    arbitrary object's ``repr`` would silently fold its memory address
-    into the digest and break the router's cross-process determinism.
-    """
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return f"{type(value).__name__}:{value!r}".encode()
-    if isinstance(value, (tuple, list)):
-        return b"seq:" + b"|".join(_canonical_key_bytes(v) for v in value)
-    raise TypeError(
-        "affinity keys must be scalars (or tuples of scalars) so hashing "
-        f"is deterministic across processes; got {type(value).__name__}"
-    )
-
-
-def _default_affinity_key(request: TimedRequest) -> object:
-    """Session id when present, request id otherwise.
-
-    A plain module-level function (not a lambda) so routers stay
-    picklable for process-pool experiment runners.
-    """
-    session = request.session_id
-    return session if session is not None else request.request_id
-
-
 class AffinityRouter(Router):
-    """Consistent hashing of a per-request key onto the replica ring.
+    """Consistent hashing of a request's session onto the replica ring.
 
-    The same key always lands on the same replica — the property a
-    prefix/session cache needs — and the hash is SHA-256 over a
-    canonical scalar encoding of the key, so assignments are stable
-    across processes and Python versions (unlike the builtin,
-    seed-randomized ``hash``).
+    The key is the session id, or the request id for sessionless
+    traffic, so a session's turns always land on the same replica — the
+    property a prefix/session cache needs.  The hash is SHA-256 over the
+    key's type name and ``repr``, so assignments are stable across
+    processes and Python versions (unlike the builtin, seed-randomized
+    ``hash``).
     """
 
     name = "affinity"
 
-    def __init__(self, n_replicas: int, key: AffinityKey | None = None):
-        super().__init__(n_replicas)
-        # Session id first, request id as the sessionless fallback: the
-        # old request-id-only default hashed every *turn* of a session to
-        # a different replica, which silently destroyed cluster-level
-        # prefix locality (sessionless traces hash identically either
-        # way, so fixing it cost no existing assignment).
-        self.key = key if key is not None else _default_affinity_key
-
     def choose(self, request: TimedRequest) -> int:
-        digest = hashlib.sha256(
-            _canonical_key_bytes(self.key(request))
-        ).digest()
+        key = request.session_id
+        if key is None:
+            key = request.request_id
+        digest = hashlib.sha256(f"{type(key).__name__}:{key!r}".encode()).digest()
         return int.from_bytes(digest[:8], "big") % self.n_replicas
 
 
@@ -366,6 +334,23 @@ class CacheAwareRouter(_VirtualQueueRouter):
 PHASE_NAMES: tuple[str, ...] = ("prefill", "decode", "both")
 
 
+def validate_phases(phases: Sequence[str], n_replicas: int) -> tuple[str, ...]:
+    """``phases`` as a tuple, one known phase name per replica.
+
+    Names are checked first, so a misspelled phase is reported as such
+    whatever else is wrong with the fleet.
+    """
+    phases = tuple(phases)
+    unknown = sorted(set(phases) - set(PHASE_NAMES))
+    if unknown:
+        raise ValueError(
+            f"unknown phase(s) {unknown}; available: {', '.join(PHASE_NAMES)}"
+        )
+    if len(phases) != n_replicas:
+        raise ValueError(f"got {len(phases)} phases for {n_replicas} replicas")
+    return phases
+
+
 class DisaggregatedRouter(Router):
     """Phase-pair routing for a prefill/decode-disaggregated fleet.
 
@@ -409,18 +394,7 @@ class DisaggregatedRouter(Router):
         handoff_time: ServiceTimeEstimates,
     ):
         super().__init__(n_replicas)
-        phases = tuple(phases)
-        if len(phases) != n_replicas:
-            raise ValueError(
-                f"got {len(phases)} phases for {n_replicas} replicas"
-            )
-        unknown = sorted(set(phases) - set(PHASE_NAMES))
-        if unknown:
-            raise ValueError(
-                f"unknown phase(s) {unknown}; "
-                f"available: {', '.join(PHASE_NAMES)}"
-            )
-        self.phases = phases
+        self.phases = phases = validate_phases(phases, n_replicas)
         self._prefill_side = [
             i for i, ph in enumerate(phases) if ph != "decode"
         ]
@@ -517,7 +491,6 @@ def build_router(
     name: str,
     n_replicas: int,
     service_time: ServiceTimeEstimates | None = None,
-    affinity_key: AffinityKey | None = None,
     prefix_savings: (
         PrefixSavingsEstimate | Sequence[PrefixSavingsEstimate] | None
     ) = None,
@@ -544,7 +517,7 @@ def build_router(
             )
         return LeastOutstandingRouter(n_replicas, service_time)
     if name == AffinityRouter.name:
-        return AffinityRouter(n_replicas, key=affinity_key)
+        return AffinityRouter(n_replicas)
     if name == CacheAwareRouter.name:
         if service_time is None:
             raise ValueError(

@@ -498,6 +498,8 @@ class MemoryAwareScheduler(Scheduler):
         step_stride: int = 32,
     ):
         super().__init__(step_stride)
+        if max_batch < 1:
+            raise ValueError("max_batch must be positive")
         validate_capacity(memory, capacity_bytes)
         self.memory = memory
         self.capacity_bytes = capacity_bytes
@@ -603,11 +605,13 @@ class PagedScheduler(Scheduler):
     as one run, and only the claiming iteration — the one that can
     preempt — goes through :meth:`prepare_iteration` on its own.
 
-    ``preempt=False`` is the degenerate, thrash-free configuration: with
-    nothing to evict on exhaustion, admission must reserve the full
-    final context up front — the same :meth:`MemoryModel.request_bytes`
-    arithmetic as :class:`MemoryAwareScheduler`, so the two engines are
-    bit-exact, event for event (tested, bare and clustered).
+    A ``block_size`` at least every request's final context is the
+    degenerate, thrash-free configuration: the prompt's one block,
+    trimmed to the final context, already holds the full
+    :meth:`MemoryModel.request_bytes` footprint that
+    :class:`MemoryAwareScheduler` reserves, so nothing ever claims or
+    preempts and the two engines are bit-exact, event for event
+    (tested, bare and clustered).
     """
 
     name = "paged"
@@ -617,7 +621,6 @@ class PagedScheduler(Scheduler):
         memory: MemoryModel,
         capacity_bytes: float,
         block_size: int = 64,
-        preempt: bool = True,
         max_batch: int = 512,
         step_stride: int = 32,
     ):
@@ -628,19 +631,7 @@ class PagedScheduler(Scheduler):
         self.capacity_bytes = capacity_bytes
         self.pool = BlockPool(memory, capacity_bytes, block_size)
         self.block_size = block_size
-        self.preempt = preempt
         self.max_batch = max_batch
-
-    def _admission_context(self, input_len: int, output_len: int) -> int:
-        """KV tokens claimed at admission (or restore-from-``generated``).
-
-        Paged mode claims the prompt only; with preemption disabled the
-        full final context must be reserved up front, because exhaustion
-        would otherwise leave nothing legal to evict.
-        """
-        if self.preempt:
-            return input_len
-        return input_len + output_len
 
     def admit(
         self,
@@ -653,12 +644,7 @@ class PagedScheduler(Scheduler):
         for request in queue[:max(0, self.max_batch - len(running))]:
             final = request.input_len + request.output_len
             need = self.memory.reserved_bytes(
-                self.pool.covered_tokens(
-                    self._admission_context(
-                        request.input_len, request.output_len
-                    ),
-                    final,
-                )
+                self.pool.covered_tokens(request.input_len, final)
             )
             if need > free or not self.pool.feasible(
                 request.input_len, request.output_len
@@ -671,9 +657,7 @@ class PagedScheduler(Scheduler):
     def on_admit(self, admitted: Sequence[RunningRequest]) -> None:
         for r in admitted:
             self.pool.allocate(
-                r.timed.request_id,
-                self._admission_context(r.input_len, r.output_len),
-                r.input_len + r.output_len,
+                r.timed.request_id, r.input_len, r.input_len + r.output_len
             )
 
     def prepare_iteration(
@@ -687,8 +671,6 @@ class PagedScheduler(Scheduler):
         evict itself when it is the youngest; the head resident never
         can, because admission feasibility guarantees it fits alone.
         """
-        if not self.preempt:
-            return []  # full context reserved at admission; nothing to grow
         victims: list[RunningRequest] = []
         # Age order by *original* admission (restores keep their first
         # admission stamp), not list position: a restored request is the
@@ -732,8 +714,6 @@ class PagedScheduler(Scheduler):
         tokens, which claims only past that coverage.  A holding that
         already covers the final context never claims again.
         """
-        if not self.preempt:
-            return math.inf  # full context reserved at admission
         horizon = math.inf
         for r in running:
             covered = self.pool.covered(r.timed.request_id)
@@ -752,17 +732,14 @@ class PagedScheduler(Scheduler):
         # so a restored request always makes progress before any further
         # exhaustion can evict anything (it grows first — it is oldest).
         return self.pool.fits(
-            self._admission_context(request.input_len, request.output_len)
-            + request.generated
-            + 1,
+            request.input_len + request.generated + 1,
             request.input_len + request.output_len,
         )
 
     def on_restore(self, request: RunningRequest) -> None:
         self.pool.allocate(
             request.timed.request_id,
-            self._admission_context(request.input_len, request.output_len)
-            + request.generated,
+            request.input_len + request.generated,
             request.input_len + request.output_len,
         )
 
@@ -798,9 +775,9 @@ class PrefixCachingScheduler(PagedScheduler):
       usually prevents nothing about) preemption — shared pinned blocks
       are never evicted at all.
 
-    ``cache=False`` — or any trace without session ids — makes every
-    decision, every float, and every counter identical to
-    :class:`PagedScheduler`: the equivalence tests pin this bit for bit.
+    A trace without session ids makes every decision, every float, and
+    every counter identical to :class:`PagedScheduler`: the equivalence
+    tests pin this bit for bit.
     """
 
     name = "prefix"
@@ -810,20 +787,11 @@ class PrefixCachingScheduler(PagedScheduler):
         memory: MemoryModel,
         capacity_bytes: float,
         block_size: int = 64,
-        preempt: bool = True,
         max_batch: int = 512,
         step_stride: int = 32,
-        cache: bool = True,
     ):
-        super().__init__(
-            memory, capacity_bytes, block_size, preempt, max_batch,
-            step_stride,
-        )
+        super().__init__(memory, capacity_bytes, block_size, max_batch, step_stride)
         self.pool = PrefixBlockPool(memory, capacity_bytes, block_size)
-        self.cache_enabled = cache
-
-    def _reusable(self, r: RunningRequest) -> bool:
-        return self.cache_enabled and r.timed.session_id is not None
 
     def _allocate(self, r: RunningRequest, prefill_tokens: int) -> None:
         """Allocate for an admission/restore, reusing cached blocks.
@@ -832,11 +800,9 @@ class PrefixCachingScheduler(PagedScheduler):
         prompt at admission, prompt + generated at restore); the
         recorded hit shortens exactly that prefill.
         """
-        context = (
-            self._admission_context(r.input_len, r.output_len) + r.generated
-        )
+        context = r.input_len + r.generated
         final = r.input_len + r.output_len
-        if self._reusable(r):
+        if r.timed.session_id is not None:
             # The admission clock doubles as the tier-lookup clock: a
             # restore reuses the original admission time, which can only
             # hide (never invent) remote publishes — deterministic and
@@ -865,7 +831,7 @@ class PrefixCachingScheduler(PagedScheduler):
         self._allocate(request, request.input_len + request.generated)
 
     def release(self, request: RunningRequest) -> None:
-        if self._reusable(request) and request.done:
+        if request.timed.session_id is not None and request.done:
             self.pool.publish(
                 request.timed.session_id,
                 request.input_len + request.generated,
@@ -903,6 +869,11 @@ class OverlapScheduler(ChunkedPrefillScheduler):
     overlap_decode = True
 
 
+#: scheduler names :func:`build_scheduler` builds, in increasing order of
+#: sophistication (``--set scheduler=...`` on the CLI)
+SCHEDULER_NAMES = ("static", "fcfs", "memory", "chunked", "overlap", "paged", "prefix")
+
+
 def build_scheduler(
     name: str,
     system: ServingSystem,
@@ -912,22 +883,17 @@ def build_scheduler(
     capacity_bytes: float | None = None,
     chunk_budget: int = 256,
     block_size: int = 64,
-    preempt: bool = True,
-    cache: bool = True,
 ) -> Scheduler:
     """Construct a scheduler by registry name.
 
-    ``static`` uses ``max_batch`` as its fixed batch size; ``memory``
-    and ``paged`` default ``capacity_bytes`` to the system's aggregate
-    HBM capacity.  ``chunked``/``overlap`` split prefills into
+    ``static`` uses ``max_batch`` as its fixed batch size; ``memory``,
+    ``paged`` and ``prefix`` default ``capacity_bytes`` to the system's
+    aggregate HBM capacity.  ``chunked``/``overlap`` split prefills into
     ``chunk_budget``-token chunks and become capacity-bounded (instead
-    of slot-only) when ``capacity_bytes`` is given.  ``paged`` reserves
-    KV in ``block_size``-token blocks as decode progresses and preempts
-    on exhaustion unless ``preempt=False`` (which reserves the full
-    final context up front, the :class:`MemoryAwareScheduler`-bit-exact
-    degenerate mode).  ``cache=False`` builds ``prefix`` with its cache
-    off — the :class:`PagedScheduler`-bit-exact degenerate mode — and is
-    ignored by every other policy.
+    of slot-only) when ``capacity_bytes`` is given.  ``paged`` and
+    ``prefix`` reserve KV in ``block_size``-token blocks as decode
+    progresses and preempt on exhaustion; ``prefix`` also reuses the
+    blocks a session's earlier turns published.
 
     This signature is the one declaration of the scheduler knobs:
     :func:`~repro.serving.cluster.build_cluster` and the serving trials
@@ -953,17 +919,15 @@ def build_scheduler(
         return MemoryAwareScheduler(
             memory, capacity_bytes, max_batch=max_batch, step_stride=step_stride
         )
-    paged = dict(
-        block_size=block_size,
-        preempt=preempt,
-        max_batch=max_batch,
-        step_stride=step_stride,
-    )
-    if name == "paged":
-        return PagedScheduler(memory, capacity_bytes, **paged)
-    if name == "prefix":
-        return PrefixCachingScheduler(memory, capacity_bytes, cache=cache, **paged)
+    if name in ("paged", "prefix"):
+        cls = PagedScheduler if name == "paged" else PrefixCachingScheduler
+        return cls(
+            memory,
+            capacity_bytes,
+            block_size=block_size,
+            max_batch=max_batch,
+            step_stride=step_stride,
+        )
     raise KeyError(
-        f"unknown scheduler {name!r}; "
-        "available: static, fcfs, memory, chunked, overlap, paged, prefix"
+        f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}"
     )

@@ -22,8 +22,9 @@ never *when* or *why*.  This module adds the time axis back: a
 
 **Overhead contract.**  The engine guards every telemetry touch behind a
 single ``tel`` bool (``collector is not None and collector.enabled``), so
-the default :class:`NullCollector`/``None`` path costs one falsy check
-per event and the simulation stays bit-exact — asserted by
+serving without telemetry (``None``, or a disabled base
+:class:`Collector`) costs one falsy check per event and the simulation
+stays bit-exact — asserted by
 ``tests/serving/test_telemetry.py`` across every scheduler configuration
 and enforced by the CI ``perf-wallclock`` job, which also bounds the
 telemetry-*on* wall-clock overhead (≤ 15% over the bare engine on the
@@ -78,7 +79,8 @@ class Collector:
 
     The engine calls these at every batch-composition event; with
     :attr:`enabled` False it never gets past its one guard bool, so this
-    base class (and :class:`NullCollector`) is free on the hot path.
+    base class is free on the hot path: ``Collector()`` and ``None``
+    serve identically.
     Subclasses that record set ``enabled = True`` and override the hooks
     they care about.  ``t``/``t0``/``t1`` are simulated-clock seconds.
     """
@@ -137,10 +139,6 @@ class Collector:
         empty for a policy without a prefix cache (a missing counter
         reads as zero).
         """
-
-
-class NullCollector(Collector):
-    """The explicit do-nothing collector (identical to passing ``None``)."""
 
 
 class Track:

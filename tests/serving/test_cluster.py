@@ -109,9 +109,9 @@ class TestPagedCluster:
         self, pimba_system, zamba_spec
     ):
         """The PagedScheduler==MemoryAwareScheduler degeneration (block
-        size >= max context, preemption disabled) survives the cluster
-        layer: 1-replica clusters of the two policies are identical
-        under a binding capacity bound."""
+        size >= every final context) survives the cluster layer:
+        1-replica clusters of the two policies are identical under a
+        binding capacity bound."""
         from repro.serving import MemoryModel
 
         memory = MemoryModel.for_system(pimba_system, zamba_spec)
@@ -126,7 +126,7 @@ class TestPagedCluster:
         paged = build_cluster(
             pimba_system, zamba_spec, 1,
             scheduler="paged", max_batch=8, capacity_bytes=capacity,
-            block_size=10**6, preempt=False,
+            block_size=max(r.input_len + r.output_len for r in trace.requests),
         ).serve(trace)
         assert paged.merged() == conservative.merged()
 

@@ -1,5 +1,5 @@
 """Cluster-level prefix reuse: session affinity, the shared KV tier,
-the cache knob, and the empty-trace equivalence.
+the sessionless degeneration, and the empty-trace equivalence.
 
 The single-pool cache corners live in ``test_prefix_cache.py``; this
 file pins what the cluster layer adds on top — the affinity router
@@ -8,11 +8,12 @@ regresses), the cross-replica tier's transfer-vs-recompute boundary and
 its visibility rules, bit-exactness of the vectorized engine against
 the scalar reference on the transfer-priced paths, refcount
 conservation when a prefix crosses replicas, and the degenerate inputs
-(cache off, empty trace) folding onto their baselines.
+(no sessions, empty trace) folding onto their baselines.
 """
 
 import collections
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -69,6 +70,19 @@ def session_trace(seed=0):
     )
 
 
+def sessionless_trace():
+    """:func:`session_trace` with every session id dropped: the same
+    arrivals and growing prompts, but nothing a prefix cache may reuse."""
+    return Trace(
+        tuple(
+            dataclasses.replace(
+                t, request=dataclasses.replace(t.request, session_id=None)
+            )
+            for t in session_trace().requests
+        )
+    )
+
+
 class TestAffinitySessionPinning:
     """The affinity router's default key is the session, not the request.
 
@@ -110,72 +124,74 @@ class TestAffinitySessionPinning:
             )
 
     def test_sessionless_requests_hash_like_before(self):
-        """The fallback key encodes the request id identically to the
-        old default, so sessionless traces route exactly as they always
-        did (no perf-gate cell moves)."""
+        """A sessionless request hashes its request id with the key
+        encoding routing has always used (``int:<id>``), so sessionless
+        traces route exactly as they always did (no perf-gate cell
+        moves)."""
         from repro.serving import poisson_trace
 
         trace = poisson_trace(10.0, 32, seed=3)
-        fixed = AffinityRouter(4).assign(trace)
-        explicit = AffinityRouter(4, key=lambda r: r.request_id).assign(trace)
-        assert fixed == explicit
+        assert all(r.session_id is None for r in trace.requests)
+        expected = tuple(
+            int.from_bytes(
+                hashlib.sha256(f"int:{r.request_id}".encode()).digest()[:8],
+                "big",
+            )
+            % 4
+            for r in trace.requests
+        )
+        assert AffinityRouter(4).assign(trace) == expected
+        assert len(set(expected)) == 4
 
 
-class TestCacheKnob:
-    """``cache=False`` reaches the prefix scheduler through the builder."""
+class TestSessionlessPrefix:
+    """Without session ids the prefix scheduler IS the paged one, at
+    every layer that builds it: builder, cluster and trial."""
 
-    def test_builder_cache_off_is_paged_bit_exact(
+    def test_builder_sessionless_prefix_is_paged_bit_exact(
         self, pimba_system, zamba_spec
     ):
-        trace = session_trace()
-        off = ServingEngine(
+        trace = sessionless_trace()
+        prefix = ServingEngine(
             pimba_system, zamba_spec,
-            build_scheduler(
-                "prefix", pimba_system, zamba_spec, max_batch=8, cache=False
-            ),
+            build_scheduler("prefix", pimba_system, zamba_spec, max_batch=8),
         ).serve(trace)
         paged = ServingEngine(
             pimba_system, zamba_spec,
             build_scheduler("paged", pimba_system, zamba_spec, max_batch=8),
         ).serve(trace)
-        assert off == paged
+        assert prefix == paged
 
-    def test_cluster_cache_off_is_paged_bit_exact(
+    def test_cluster_sessionless_prefix_is_paged_bit_exact(
         self, pimba_system, zamba_spec
     ):
-        trace = session_trace()
-        off = build_cluster(
+        trace = sessionless_trace()
+        prefix = build_cluster(
             pimba_system, zamba_spec, 2,
-            scheduler="prefix", cache=False, max_batch=8,
+            scheduler="prefix", max_batch=8,
         ).serve(trace)
         paged = build_cluster(
             pimba_system, zamba_spec, 2,
             scheduler="paged", max_batch=8,
         ).serve(trace)
-        assert off.merged() == paged.merged()
+        assert prefix.merged() == paged.merged()
 
-    def test_trial_cache_off_is_paged(self):
-        """The knob survives the trial layer (``--set cache=false``)."""
+    def test_trial_sessionless_prefix_is_paged(self):
         from repro.serving.experiments import cluster_slo
 
         common = dict(
-            system="Pimba", qps=1.0, replicas=2, arrival="multiturn",
-            n_requests=16, input_len=256, output_len=32, max_batch=8,
+            system="Pimba", qps=4.0, replicas=2, n_requests=16,
+            input_len=256, output_len=32, max_batch=8,
         )
-        off = cluster_slo(scheduler="prefix", cache=False, **common)
+        prefix = cluster_slo(scheduler="prefix", **common)
         paged = cluster_slo(scheduler="paged", **common)
-        assert off == paged
+        assert prefix == paged
 
     def test_shared_tier_requires_prefix_cache(self, pimba_system, zamba_spec):
         with pytest.raises(ValueError, match="shared prefix tier"):
             build_cluster(
                 pimba_system, zamba_spec, 2,
                 scheduler="paged", shared_tier=True,
-            )
-        with pytest.raises(ValueError, match="shared prefix tier"):
-            build_cluster(
-                pimba_system, zamba_spec, 2,
-                scheduler="prefix", cache=False, shared_tier=True,
             )
 
 
@@ -267,10 +283,6 @@ class TestEmptyTraceEquivalence:
         assert report.n_replicas == replicas
         assert math.isnan(report.ttft_percentile(99))
         assert all(r.stats is None for r in report.per_replica)
-        # The caller's sketch capacity survives the empty fold.
-        small = cluster.run(empty, sketch_capacity=16).stats
-        assert small.capacity == 16
-        assert small == engine.serve_stats(empty, 16).report().stats
 
 
 def paired_pools(memory, cost, n=2):

@@ -116,6 +116,44 @@ class TestHomogeneousDegeneracy:
         assert cluster.merged() == bare
 
 
+class TestFleetPhases:
+    """The router owns a fleet's phases; ``build_cluster`` checks them."""
+
+    def test_cluster_reads_the_router_phases(
+        self, gpu_system, pimba_system, zamba_spec
+    ):
+        split = split_cluster(gpu_system, pimba_system, zamba_spec, 400.0)
+        assert split.phases == split.router.phases
+        assert split.phases == ("prefill", "prefill", "decode", "decode")
+        assert split.split
+        plain = build_cluster(pimba_system, zamba_spec, 2, phases=("both",) * 2)
+        assert plain.phases == plain.router.phases == ("both", "both")
+        assert not plain.split
+
+    @pytest.mark.parametrize("router", [*ROUTER_NAMES, "disaggregated"])
+    def test_a_misspelled_phase_is_named(self, router, pimba_system, zamba_spec):
+        with pytest.raises(ValueError, match=r"unknown phase\(s\) \['prefil'\]"):
+            build_cluster(
+                pimba_system, zamba_spec, 2,
+                router=router, phases=("prefil", "decode"),
+            )
+
+    @pytest.mark.parametrize("router", [*ROUTER_NAMES, "disaggregated"])
+    def test_one_phase_per_replica(self, router, pimba_system, zamba_spec):
+        with pytest.raises(ValueError, match="got 3 phases for 2 replicas"):
+            build_cluster(
+                pimba_system, zamba_spec, 2, router=router, phases=("both",) * 3
+            )
+
+    @pytest.mark.parametrize("router", ROUTER_NAMES)
+    def test_classic_routers_refuse_a_split(self, router, pimba_system, zamba_spec):
+        with pytest.raises(ValueError, match="need router='disaggregated'"):
+            build_cluster(
+                pimba_system, zamba_spec, 2,
+                router=router, phases=("prefill", "decode"),
+            )
+
+
 class TestZeroCostLink:
     """``link_gbps=inf`` prices the handoff at exactly zero."""
 

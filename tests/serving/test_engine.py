@@ -6,6 +6,7 @@ import pytest
 from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
 from repro.serving import (
+    SCHEDULER_NAMES,
     ChunkedPrefillScheduler,
     EngineTrace,
     FcfsContinuousScheduler,
@@ -13,6 +14,7 @@ from repro.serving import (
     MemoryModel,
     OverlapScheduler,
     PagedScheduler,
+    PrefixCachingScheduler,
     ServingEngine,
     StaticBatchScheduler,
     build_scheduler,
@@ -324,18 +326,19 @@ class TestChunkedPrefill:
 class TestPagedScheduling:
     """Block-granular KV reservation: degeneration, packing, preemption."""
 
-    @pytest.mark.parametrize("block_size", [1024 + 256, 10**6])
+    @pytest.mark.parametrize("spare", [0, 10**6], ids=["exact", "huge"])
     @pytest.mark.parametrize(
         "lengths",
         [fixed_lengths(1024, 256), lognormal_lengths(512, 128, 0.6)],
         ids=["fixed", "ragged"],
     )
     def test_degenerate_is_memory_aware_bit_exact(
-        self, block_size, lengths, zamba_spec
+        self, spare, lengths, zamba_spec
     ):
-        """Preemption disabled + block size >= any context: the paged
-        scheduler reserves every request's full final footprint through
-        the same arithmetic as MemoryAwareScheduler, so the EngineTraces
+        """Block size >= every final context: the paged scheduler's one
+        block per request, trimmed to its final context, reserves the
+        full footprint through the same arithmetic as
+        MemoryAwareScheduler and never claims again, so the EngineTraces
         are *identical* under a deliberately binding capacity bound."""
         system = build_system(SystemKind.GPU, "small")
         memory = MemoryModel.for_system(system, zamba_spec)
@@ -343,6 +346,7 @@ class TestPagedScheduling:
             1024, 256
         )
         trace = poisson_trace(20.0, 24, lengths, seed=0)
+        block_size = spare + max(r.input_len + r.output_len for r in trace.requests)
         conservative = ServingEngine(
             system,
             zamba_spec,
@@ -352,11 +356,7 @@ class TestPagedScheduling:
             system,
             zamba_spec,
             PagedScheduler(
-                memory,
-                capacity,
-                block_size=block_size,
-                preempt=False,
-                max_batch=8,
+                memory, capacity, block_size=block_size, max_batch=8
             ),
         ).serve(trace)
         assert paged == conservative
@@ -440,13 +440,10 @@ class TestPagedScheduling:
 
     def test_build_scheduler_knobs(self, zamba_spec):
         system = build_system(SystemKind.PIMBA, "small")
-        scheduler = build_scheduler(
-            "paged", system, zamba_spec, block_size=32, preempt=False
-        )
+        scheduler = build_scheduler("paged", system, zamba_spec, block_size=32)
         assert isinstance(scheduler, PagedScheduler)
         assert scheduler.block_size == 32
         assert scheduler.pool.block_size == 32
-        assert not scheduler.preempt
         assert scheduler.capacity_bytes == system.capacity_bytes
 
 
@@ -477,19 +474,29 @@ class TestEmptyEngineTrace:
 class TestBuildScheduler:
     def test_names(self, zamba_spec):
         system = build_system(SystemKind.PIMBA, "small")
-        for name, cls in [
-            ("static", StaticBatchScheduler),
-            ("fcfs", FcfsContinuousScheduler),
-            ("memory", MemoryAwareScheduler),
-            ("chunked", ChunkedPrefillScheduler),
-            ("overlap", OverlapScheduler),
-            ("paged", PagedScheduler),
-        ]:
-            assert isinstance(
-                build_scheduler(name, system, zamba_spec), cls
-            )
+        classes = {
+            "static": StaticBatchScheduler,
+            "fcfs": FcfsContinuousScheduler,
+            "memory": MemoryAwareScheduler,
+            "chunked": ChunkedPrefillScheduler,
+            "overlap": OverlapScheduler,
+            "paged": PagedScheduler,
+            "prefix": PrefixCachingScheduler,
+        }
+        assert SCHEDULER_NAMES == tuple(classes)
+        for name, cls in classes.items():
+            scheduler = build_scheduler(name, system, zamba_spec)
+            assert type(scheduler) is cls and scheduler.name == name
         with pytest.raises(KeyError, match="unknown scheduler"):
             build_scheduler("lifo", system, zamba_spec)
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_empty_batch_refused_at_build(self, name, zamba_spec):
+        """No policy builds with zero slots; serving one would fail
+        later, blaming the head request for the idle engine."""
+        system = build_system(SystemKind.PIMBA, "small")
+        with pytest.raises(ValueError, match="positive"):
+            build_scheduler(name, system, zamba_spec, max_batch=0)
 
     def test_chunked_capacity_opt_in(self, zamba_spec):
         system = build_system(SystemKind.PIMBA, "small")

@@ -189,7 +189,7 @@ class TestBitExactness:
 
 
 class TestPrefixDegeneracy:
-    """Prefix caching off — or starved of sessions — IS the paged policy.
+    """Prefix caching starved of sessions IS the paged policy.
 
     Not approximately: every decision float, every priced iteration, and
     every counter of :class:`PrefixCachingScheduler` must be bit-equal to
@@ -197,7 +197,7 @@ class TestPrefixDegeneracy:
     the feature on can never perturb a cacheless workload.
     """
 
-    def pair(self, system, spec, cache):
+    def pair(self, system, spec):
         memory = MemoryModel.for_system(system, spec)
         # Tight enough to preempt, so the evict/restore path is part of
         # the equivalence too, not just steady-state admission.
@@ -206,28 +206,16 @@ class TestPrefixDegeneracy:
         )
         paged = PagedScheduler(memory, capacity, block_size=16, max_batch=8)
         prefix = PrefixCachingScheduler(
-            memory, capacity, block_size=16, max_batch=8, cache=cache
+            memory, capacity, block_size=16, max_batch=8
         )
         return paged, prefix
-
-    def test_cache_disabled_is_paged_bit_for_bit(
-        self, pimba_system, zamba_spec
-    ):
-        """Session ids present, cache off: identical EngineTrace."""
-        trace = TRACES["chat"]()
-        paged, prefix = self.pair(pimba_system, zamba_spec, cache=False)
-        baseline = ServingEngine(pimba_system, zamba_spec, paged).serve(trace)
-        run = ServingEngine(pimba_system, zamba_spec, prefix).serve(trace)
-        assert dataclasses.asdict(run) == dataclasses.asdict(baseline)
-        assert run.cache_hit_tokens == 0
-        assert run.cache_miss_tokens == 0
 
     def test_sessionless_trace_is_paged_bit_for_bit(
         self, pimba_system, zamba_spec
     ):
-        """Cache on, but no request carries a session id: identical."""
+        """No request carries a session id: identical EngineTrace."""
         trace = TRACES["poisson"]()
-        paged, prefix = self.pair(pimba_system, zamba_spec, cache=True)
+        paged, prefix = self.pair(pimba_system, zamba_spec)
         baseline = ServingEngine(pimba_system, zamba_spec, paged).serve(trace)
         run = ServingEngine(pimba_system, zamba_spec, prefix).serve(trace)
         assert dataclasses.asdict(run) == dataclasses.asdict(baseline)
@@ -237,10 +225,10 @@ class TestPrefixDegeneracy:
     def test_cache_on_actually_diverges_on_sessions(
         self, pimba_system, zamba_spec
     ):
-        """The harness is not vacuous: with sessions and the cache on,
+        """The harness is not vacuous: with sessions to reuse,
         the prefix policy really does skip recomputation."""
         trace = TRACES["chat"]()
-        paged, prefix = self.pair(pimba_system, zamba_spec, cache=True)
+        paged, prefix = self.pair(pimba_system, zamba_spec)
         baseline = ServingEngine(pimba_system, zamba_spec, paged).serve(trace)
         run = ServingEngine(pimba_system, zamba_spec, prefix).serve(trace)
         assert run.cache_hit_tokens > 0
@@ -363,12 +351,15 @@ def test_steps_before_claim_is_the_scalar_claim_horizon(case, pimba_system, zamb
     assert horizon == _scalar_steps_before_claim(scheduler, running)
 
 
-def test_steps_before_claim_is_unbounded_without_preemption(pimba_system, zamba_spec):
-    """``preempt=False`` reserves the final context at admission, so no
-    iteration ever claims — the runs ``paged == memory`` rests on."""
+def test_steps_before_claim_is_unbounded_once_a_block_covers_the_final_context(
+    pimba_system, zamba_spec
+):
+    """A block at least the final context holds the whole footprint from
+    admission on, so no iteration ever claims — the runs
+    ``paged == memory`` rests on."""
     memory = MemoryModel.for_system(pimba_system, zamba_spec)
     scheduler = PagedScheduler(
-        memory, pimba_system.capacity_bytes, block_size=16, preempt=False
+        memory, pimba_system.capacity_bytes, block_size=64 + 40
     )
     r = RunningRequest(
         timed=TimedRequest(
@@ -379,6 +370,7 @@ def test_steps_before_claim_is_unbounded_without_preemption(pimba_system, zamba_
         stride=scheduler.request_stride(40),
     )
     scheduler.on_admit([r])
+    assert scheduler.pool.covered(0) == 64 + 40
     assert scheduler.steps_before_claim([r]) == math.inf
     assert _scalar_steps_before_claim(scheduler, [r]) == math.inf
 

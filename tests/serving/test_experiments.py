@@ -14,6 +14,8 @@ from repro.serving.corpus import trace_replay_slo
 from repro.serving.experiments import (
     CHUNK_BUDGET_GRID,
     PAGED_LOAD,
+    _serve_trial,
+    _trial_defaults,
     chunking_spec,
     cluster_slo,
     collect_timeline,
@@ -153,8 +155,42 @@ class TestTraceReplayCaching:
         assert by_system["Pimba"]["n_requests"] == 5
 
 
+class _ReadRecorder(dict):
+    """A parameter dict that remembers which keys were read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 class TestOneServingPath:
     """Every serving trial and the trace export build the same fleet."""
+
+    @pytest.mark.parametrize(
+        "fn, own",
+        [
+            (serving_slo, set()),
+            (cluster_slo, set()),
+            (serving_timeline, {"n_windows"}),
+        ],
+        ids=["serving_slo", "cluster_slo", "serving_timeline"],
+    )
+    def test_every_trial_parameter_is_read(self, fn, own):
+        """Parameters reach the builders by name, so a trial parameter
+        left behind when its builder knob goes would be ignored silently
+        under ``--set``.  Only ``own`` is read by the trial itself."""
+        params = _ReadRecorder(system="Pimba", qps=8.0, **_trial_defaults(fn))
+        assert set(params) == set(inspect.signature(fn).parameters)
+        _serve_trial(params)
+        assert set(params) - params.read == own
 
     def test_timeline_trial_payload_is_the_slo_payload(self):
         params = {**PAGED_LOAD, "scheduler": "paged", "qps": 4.0}
@@ -230,6 +266,21 @@ class TestOneServingPath:
                     assert got == phases, nodes
         (system,), phases = parse_fleet(kind.value)
         assert (system.kind, phases) == (kind, ("both",))
+
+    def test_spaces_around_kinds_and_phases_are_ignored(self):
+        spaced, phases = parse_fleet("GPU : prefill + Pimba : decode")
+        plain, want = parse_fleet("GPU:prefill,Pimba:decode")
+        assert [s.kind for s in spaced] == [s.kind for s in plain]
+        assert phases == want == ("prefill", "decode")
+
+    @pytest.mark.parametrize(
+        "nodes, position",
+        [("GPU,,Pimba", 2), ("GPU,Pimba,", 3), ("GPU,Pimb", 2)],
+    )
+    def test_a_bad_entry_is_named_by_position(self, nodes, position):
+        with pytest.raises(ValueError, match=f"fleet entry {position} ") as err:
+            parse_fleet(nodes)
+        assert all(kind.value in str(err.value) for kind in SystemKind)
 
     def test_a_plus_fleet_is_one_sweep_cell(self, tmp_path):
         out = tmp_path / "disagg.json"

@@ -236,26 +236,10 @@ class TestAffinity:
         trace = poisson_trace(10.0, 32, seed=3)
         assert AffinityRouter(4).assign(trace) == AffinityRouter(4).assign(trace)
 
-    def test_custom_key_groups_prefixes(self):
-        router = AffinityRouter(8, key=lambda r: r.input_len)
-        same = [router.choose(timed(i, 0.0, input_len=777)) for i in range(6)]
-        assert len(set(same)) == 1
-
     def test_spreads_distinct_keys(self):
         router = AffinityRouter(4)
         trace = poisson_trace(10.0, 64, seed=0)
         assert len(set(router.assign(trace))) > 1
-
-    def test_tuple_keys_allowed(self):
-        router = AffinityRouter(4, key=lambda r: (r.input_len, r.output_len))
-        assert router.choose(timed(0, 0.0)) == router.choose(timed(1, 3.0))
-
-    def test_unstable_key_objects_rejected(self):
-        """Hashing an arbitrary object would fold its memory address into
-        the digest and break cross-process determinism — refuse it."""
-        router = AffinityRouter(4, key=lambda r: object())
-        with pytest.raises(TypeError, match="deterministic across processes"):
-            router.choose(timed(0, 0.0))
 
 
 class TestCacheAware:

@@ -1,7 +1,7 @@
 """The flight recorder: zero-cost seam, conservation laws, exporters.
 
 Three contracts keep the telemetry honest.  First, *observation must not
-perturb*: serving with ``None``, a :class:`NullCollector`, or a full
+perturb*: serving with ``None``, a disabled :class:`Collector`, or a full
 :class:`TimelineCollector` attached must produce the bit-identical
 :class:`~repro.serving.engine.EngineTrace` across every scheduler
 configuration — the collector reads the simulation, it never steers it.
@@ -27,8 +27,8 @@ from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
 from repro.serving import (
     ChunkedPrefillScheduler,
+    Collector,
     MemoryModel,
-    NullCollector,
     PagedScheduler,
     PrefixCachingScheduler,
     ServingEngine,
@@ -131,7 +131,7 @@ class TestObservationDoesNotPerturb:
             pimba_system,
             zamba_spec,
             make_scheduler(scheduler_name, pimba_system, zamba_spec),
-        ).serve(trace, collector=NullCollector())
+        ).serve(trace, collector=Collector())
         assert dataclasses.asdict(nulled) == dataclasses.asdict(bare)
 
     def test_recording_collector_is_absent_collector(

@@ -1,4 +1,5 @@
-"""Docs stay true: links resolve, the README catalog matches the registry.
+"""Docs stay true: links resolve, the README catalog matches the registry,
+and the architecture doc's scheduler table matches ``build_scheduler``.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``), so
 a renamed sweep or a broken relative link fails `pytest` locally before
@@ -24,6 +25,10 @@ class TestRepositoryDocs:
 
     def test_readme_catalog_matches_registry(self):
         assert check_docs.check_registry_sync(ROOT) == []
+
+    def test_scheduler_table_matches_build_scheduler(self):
+        doc = (ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+        assert check_docs.check_scheduler_table(doc) == []
 
     def test_architecture_doc_exists_and_is_linked(self):
         """The acceptance criterion in one place: docs/ARCHITECTURE.md
@@ -109,6 +114,34 @@ class TestCheckerDetectsBreakage:
         assert drivers["trace_replay_slo"] == {
             "trace-replay", "cross_replica_prefix",
         }
+
+    def test_scheduler_table_rows_and_knobs_are_checked(self):
+        """An unknown knob, an unknown scheduler and every scheduler
+        without a row are each reported; a correct row is not."""
+        doc = (
+            "## Choosing a scheduler\n\n"
+            "| scheduler | admission | knobs | when |\n"
+            "| --- | --- | --- | --- |\n"
+            "| `fcfs` | slots | `max_batch`, `step_stride` | always |\n"
+            "| `paged` | blocks | `block_size`, `preempt` | long outputs |\n"
+            "| `lifo` | backwards | `max_batch` | never |\n\n"
+            "## Next section\n| `static` | x | `cache` | y |\n"
+        )
+        assert check_docs.scheduler_table(doc) == {
+            "fcfs": {"max_batch", "step_stride"},
+            "paged": {"block_size", "preempt"},
+            "lifo": {"max_batch"},
+        }
+        errors = check_docs.check_scheduler_table(doc)
+        assert sum("'preempt'" in error for error in errors) == 1
+        assert sum("'lifo'" in error for error in errors) == 1
+        missing = [e for e in errors if "has no row" in e]
+        assert len(missing) == 5 and not any("'fcfs'" in e for e in missing)
+        assert len(errors) == 7
+
+    def test_a_missing_scheduler_table_is_reported(self):
+        errors = check_docs.check_scheduler_table("# Architecture\n")
+        assert len(errors) == 1 and "no scheduler table" in errors[0]
 
     def test_registry_names_cover_all_kinds(self):
         names = check_docs.registry_names()

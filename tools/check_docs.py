@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checks: markdown links resolve, README matches the registry.
+"""Documentation checks: links resolve, catalogs match the code.
 
-Two families of checks, both run by the CI ``docs`` job and by
+Three families of checks, all run by the CI ``docs`` job and by
 ``tests/test_docs.py`` (so `pytest` catches drift before CI does):
 
 * **Links** — every relative markdown link in every ``*.md`` file of the
@@ -14,6 +14,10 @@ Two families of checks, both run by the CI ``docs`` job and by
   a README row whose sweep was renamed or removed.  Each trial row's
   "driven by" column must list exactly the built-in sweeps whose full or
   smoke grid runs that trial.
+* **Scheduler table** — ``docs/ARCHITECTURE.md``'s "Choosing a
+  scheduler" table must have one row per scheduler ``build_scheduler``
+  builds, and its "knobs" column may name only ``build_scheduler``
+  parameters.
 
 Run from the repository root (or pass it as ``argv[1]``):
 
@@ -22,6 +26,7 @@ Run from the repository root (or pass it as ``argv[1]``):
 
 from __future__ import annotations
 
+import inspect
 import pathlib
 import re
 import sys
@@ -40,6 +45,9 @@ _SECTIONS = {
     "sweeps": "### Sweeps",
     "trials": "### Trial functions",
 }
+
+#: the architecture doc's scheduler-selection table
+_SCHEDULER_TABLE = "## Choosing a scheduler"
 
 
 def markdown_files(root: pathlib.Path) -> list[pathlib.Path]:
@@ -193,14 +201,67 @@ def check_registry_sync(root: pathlib.Path) -> list[str]:
     return errors + check_trial_drivers(readme)
 
 
+def scheduler_table(doc: str) -> dict[str, set[str]]:
+    """Scheduler name -> backquoted names of its row's "knobs" cell."""
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in _section(doc, _SCHEDULER_TABLE).splitlines()
+        if line.startswith("|")
+    ]
+    if not rows or "knobs" not in rows[0]:
+        return {}
+    knobs = rows[0].index("knobs")
+    return {
+        row[0].strip("`"): set(re.findall(r"`([^`]+)`", row[knobs]))
+        for row in rows[2:]
+    }
+
+
+def check_scheduler_table(doc: str) -> list[str]:
+    """The table has a row per built scheduler and names only real knobs."""
+    from repro.serving.schedulers import SCHEDULER_NAMES, build_scheduler
+
+    where = "docs/ARCHITECTURE.md"
+    table = scheduler_table(doc)
+    if not table:
+        return [f"{where}: no scheduler table found under {_SCHEDULER_TABLE!r}"]
+    knobs = set(list(inspect.signature(build_scheduler).parameters)[3:])
+    errors = [
+        f"{where}: build_scheduler builds {name!r}, but the scheduler "
+        "table has no row for it"
+        for name in SCHEDULER_NAMES
+        if name not in table
+    ]
+    for name, listed in table.items():
+        if name not in SCHEDULER_NAMES:
+            errors.append(
+                f"{where}: scheduler table row {name!r} is not a scheduler "
+                "build_scheduler builds"
+            )
+        errors.extend(
+            f"{where}: scheduler {name!r} lists knob {knob!r}, which is "
+            "not a build_scheduler parameter"
+            for knob in sorted(listed - knobs)
+        )
+    return errors
+
+
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[1] if len(argv) > 1 else ".").resolve()
-    errors = check_links(root) + check_registry_sync(root)
+    architecture = (root / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    errors = (
+        check_links(root)
+        + check_registry_sync(root)
+        + check_scheduler_table(architecture)
+    )
     for error in errors:
         print(f"docs check: {error}", file=sys.stderr)
     if not errors:
         n = len(markdown_files(root))
-        print(f"docs check: {n} markdown files ok, catalog in sync")
+        print(
+            f"docs check: {n} markdown files ok, catalog and scheduler "
+            "table in sync"
+        )
     return 1 if errors else 0
 
 
