@@ -48,7 +48,7 @@ from repro.serving.cluster import (
     build_cluster,
 )
 from repro.serving._reference import ReferenceEngine
-from repro.serving.costs import DEFAULT_LINK_GBPS, IterationCostModel
+from repro.serving.costs import DEFAULT_LINK_GBPS, IterationCostModel, ReplicaPrices
 from repro.serving.engine import EngineTrace, ServingEngine
 from repro.serving.memory import (
     BlockPool,
@@ -117,6 +117,7 @@ __all__ = [
     "static_trace",
     "DEFAULT_LINK_GBPS",
     "IterationCostModel",
+    "ReplicaPrices",
     "EngineTrace",
     "ReferenceEngine",
     "ServingEngine",

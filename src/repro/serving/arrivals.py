@@ -204,4 +204,6 @@ def save_trace(trace: Trace, path: pathlib.Path | str) -> pathlib.Path:
 def load_trace(path: pathlib.Path | str) -> Trace:
     """Reload a trace written by :func:`save_trace` (or hand-authored)."""
     payload = json.loads(pathlib.Path(path).read_text())
+    if not isinstance(payload, dict) or "requests" not in payload:
+        raise ValueError(f"{path}: a trace file is an object with a 'requests' list")
     return Trace.from_payload(payload["requests"])

@@ -17,6 +17,10 @@ breakdowns and a load-imbalance figure — and a single-replica cluster is
 *bit-exact* with the bare engine (any router is the identity on one
 replica; the merge returns the lone replica's record untouched, which the
 equivalence tests pin down).
+
+The routers score, and the cluster charges KV handoffs and prices the
+shared tier, from one :class:`~repro.serving.costs.ReplicaPrices` per
+replica, so a router predicts what the cluster charges.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from typing import TYPE_CHECKING
 
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
-from repro.serving.costs import DEFAULT_LINK_GBPS, IterationCostModel
+from repro.serving.costs import DEFAULT_LINK_GBPS, ReplicaPrices
 from repro.serving.engine import EngineTrace, ServingEngine
-from repro.serving.memory import MemoryModel, SharedPrefixTier
+from repro.serving.memory import SharedPrefixTier
 from repro.serving.metrics import (
     EngineStats,
     RequestTiming,
@@ -101,11 +105,8 @@ class ClusterReport(ServingReport):
 
     router: str
     per_replica: tuple[ReplicaStats, ...]
-    #: phase per replica; ``None`` marks a pre-disaggregation report and
-    #: keeps its payload byte-identical to earlier runs
-    phases: tuple[str, ...] | None = dataclasses.field(
-        default=None, kw_only=True
-    )
+    #: phase per replica (the router's, all ``both`` unless disaggregated)
+    phases: tuple[str, ...] = dataclasses.field(kw_only=True)
 
     @property
     def n_replicas(self) -> int:
@@ -119,9 +120,7 @@ class ClusterReport(ServingReport):
     @property
     def disaggregated(self) -> bool:
         """Whether any replica was phase-restricted this run."""
-        return self.phases is not None and any(
-            phase != "both" for phase in self.phases
-        )
+        return any(phase != "both" for phase in self.phases)
 
     def _side_utilization(self, want_decode: bool) -> float:
         """Mean busy fraction over one side of a phase-split fleet.
@@ -132,8 +131,6 @@ class ClusterReport(ServingReport):
         (an idle node is utilization the fleet paid for); an empty side
         is NaN rather than a misleading zero.
         """
-        if self.phases is None:
-            return float("nan")
         fractions: list[float] = []
         for entry, phase in zip(self.per_replica, self.phases):
             if (phase == "decode") != want_decode:
@@ -165,7 +162,7 @@ class ClusterReport(ServingReport):
         if self.disaggregated:
             # Emitted only for phase-split fleets so colocated payloads
             # stay byte-identical to pre-disaggregation runs.
-            payload["phases"] = list(self.phases or ())
+            payload["phases"] = list(self.phases)
             payload["prefill_utilization"] = self.prefill_utilization
             payload["decode_utilization"] = self.decode_utilization
         payload["per_replica"] = [
@@ -178,7 +175,7 @@ class ClusterReport(ServingReport):
         cls,
         merged: EngineStats,
         router: str,
-        phases: tuple[str, ...] | None,
+        phases: tuple[str, ...],
         per_replica: Sequence[EngineStats | None],
     ) -> "ClusterReport":
         """The cluster report of ``merged`` plus each replica's stats."""
@@ -206,8 +203,8 @@ class ClusterTrace:
     assignments: tuple[int, ...]  #: replica index per trace request
     replicas: tuple[EngineTrace | None, ...]  #: ``None`` = never dispatched
     router: str
-    #: phase per replica; ``None`` for a colocated (pre-phase) run
-    phases: tuple[str, ...] | None = None
+    #: phase per replica (the router's, all ``both`` unless disaggregated)
+    phases: tuple[str, ...]
     #: whole-lifecycle timings of split requests; their per-replica
     #: half-timings are dropped by :meth:`merged` in favour of these
     stitched: tuple[RequestTiming, ...] = ()
@@ -283,6 +280,8 @@ class ClusterEngine:
     the bare engine under every router and scheduler (tested).  The
     router owns the fleet's phases (:attr:`Router.phases`); a fleet with
     any phase-restricted replica runs the two-stage orchestration.
+    :attr:`prices` (one :class:`~repro.serving.costs.ReplicaPrices` per
+    replica) charges split-request handoffs and prices the shared tier.
     """
 
     def __init__(
@@ -303,22 +302,11 @@ class ClusterEngine:
         self.router = router
         self.phases = router.phases
         self.split = any(phase != "both" for phase in self.phases)
-        self.link_gbps = link_gbps
+        self.prices = tuple(
+            ReplicaPrices(engine.system, engine.spec, link_gbps) for engine in replicas
+        )
         #: the shared prefix tier every replica's pool joined, if any
         self.tier: SharedPrefixTier | None = None
-        # Handoff pricing is fixed per *destination* replica: the wire
-        # moves the destination's KV layout, so bytes and seconds come
-        # from its memory and cost models — the same formula the
-        # disaggregated router uses to score candidate pairs.
-        self._handoff = tuple(
-            (
-                MemoryModel.for_system(engine.system, engine.spec),
-                IterationCostModel(
-                    engine.system, engine.spec, link_gbps=link_gbps
-                ),
-            )
-            for engine in replicas
-        )
 
     @property
     def n_replicas(self) -> int:
@@ -331,8 +319,8 @@ class ClusterEngine:
         publishes session prefixes), and all must share one
         node system (a prefix computed in one KV layout cannot be reused
         in another).  The tier prices a pull like a handoff: the first
-        replica's memory and cost models over the cluster's
-        ``link_gbps`` wire, at its pool's block size.
+        replica's :attr:`prices` (its memory and cost models over the
+        cluster's ``link_gbps`` wire), at its pool's block size.
         """
         if not all(
             isinstance(engine.scheduler, PrefixCachingScheduler)
@@ -349,8 +337,10 @@ class ClusterEngine:
                 "computed in one node kind's KV layout cannot be reused in "
                 "another's)"
             )
-        memory, cost = self._handoff[0]
-        tier = SharedPrefixTier(memory, first.scheduler.pool.block_size, cost)
+        prices = self.prices[0]
+        tier = SharedPrefixTier(
+            prices.memory, first.scheduler.pool.block_size, prices.cost
+        )
         for i, engine in enumerate(self.replicas):
             engine.scheduler.pool.attach_tier(tier, i)
         self.tier = tier
@@ -403,10 +393,11 @@ class ClusterEngine:
         picks, its whole lifetime) on its prefill replica.  Each split
         request then re-arrives at its decode replica the instant its
         first token left the prefill node, carrying its whole prompt KV
-        (plus that first token) as precomputed state priced over the
-        ``link_gbps`` wire into the destination clock.  Stage 2 runs the
-        decode-only replicas on those continuations.  Stage sets are
-        disjoint, so every replica still runs exactly once.
+        (plus that first token) as precomputed state, charged to the
+        destination clock at the decode replica's ``handoff_seconds`` —
+        the price the router scored.  Stage 2 runs the decode-only
+        replicas on those continuations.  Stage sets are disjoint, so
+        every replica still runs exactly once.
         """
         assert isinstance(self.router, DisaggregatedRouter)
         self._reset()
@@ -447,8 +438,7 @@ class ClusterEngine:
         for request_id, (prefill, decode) in split_pair.items():
             first = by_request[prefill][request_id]
             original = originals[request_id]
-            memory, cost = self._handoff[decode]
-            moved = memory.reserved_bytes(original.input_len + 1)
+            prices = self.prices[decode]
             stage2.setdefault(decode, []).append(
                 TimedRequest(
                     # session_id=None: the decode node holds the KV
@@ -461,8 +451,8 @@ class ClusterEngine:
                     ),
                     arrival_s=first.first_token_s,
                     prefilled_tokens=original.input_len + 1,
-                    handoff_s=cost.transfer_seconds(moved),
-                    handoff_bytes=moved,
+                    handoff_s=prices.handoff_seconds(original),
+                    handoff_bytes=prices.handoff_bytes(original),
                 )
             )
         for decode, requests in sorted(stage2.items()):
@@ -545,66 +535,6 @@ class ClusterEngine:
         )
 
 
-def _service_time_estimate(cost: IterationCostModel):
-    """One replica's whole-lifetime service-time estimate for routing."""
-
-    def service_time(request: TimedRequest) -> float:
-        mid_context = request.input_len + request.output_len // 2
-        return cost.prefill_seconds(
-            1, request.input_len
-        ) + request.output_len * cost.decode_seconds(1, mid_context)
-
-    return service_time
-
-
-def _prefix_savings_estimate(cost: IterationCostModel):
-    """One replica's warm-prefix savings estimate for routing."""
-
-    def prefix_savings(hit_tokens: int) -> float:
-        # Prefill chunk costs telescope, so skipping a cached prefix of
-        # hit_tokens saves roughly its own solo-prefill time.
-        return cost.prefill_seconds(1, hit_tokens)
-
-    return prefix_savings
-
-
-def _prefill_time_estimate(cost: IterationCostModel):
-    """Time-to-first-token on one replica: solo prefill + first step."""
-
-    def prefill_time(request: TimedRequest) -> float:
-        return cost.prefill_seconds(
-            1, request.input_len
-        ) + cost.decode_seconds(1, request.input_len)
-
-    return prefill_time
-
-
-def _decode_time_estimate(cost: IterationCostModel):
-    """Decode-tail estimate on one replica, priced at mid-generation."""
-
-    def decode_time(request: TimedRequest) -> float:
-        mid_context = request.input_len + request.output_len // 2
-        return request.output_len * cost.decode_seconds(1, mid_context)
-
-    return decode_time
-
-
-def _handoff_time_estimate(memory: MemoryModel, cost: IterationCostModel):
-    """Wire seconds to land a request's prefilled KV on one replica.
-
-    Exactly the pricing :class:`ClusterEngine` charges the destination
-    clock — ``reserved_bytes(input_len + 1)`` over the fleet link — so
-    the disaggregated router's scores match execution.
-    """
-
-    def handoff_time(request: TimedRequest) -> float:
-        return cost.transfer_seconds(
-            memory.reserved_bytes(request.input_len + 1)
-        )
-
-    return handoff_time
-
-
 def build_cluster(
     system: ServingSystem,
     spec: ModelSpec,
@@ -627,22 +557,19 @@ def build_cluster(
     for every replica, which declares them and their defaults.  By
     default all replicas share one node design; ``node_kinds`` (one
     :class:`~repro.perf.system.ServingSystem` per replica) builds a mixed
-    fleet instead — e.g. GPU nodes next to PIM nodes.  Router estimates
-    are *per replica*: each node's own
-    :class:`~repro.serving.costs.IterationCostModel` prices one solo
-    prefill plus ``output_len`` decode steps at the request's
-    mid-generation context, so routing and execution can never disagree
-    about costs on any node kind (and a homogeneous fleet routes
-    bit-identically to the single-estimate era).
+    fleet instead — e.g. GPU nodes next to PIM nodes.  The router reads
+    one :class:`~repro.serving.costs.ReplicaPrices` per replica, built
+    from that node's system, so routing and execution price every node
+    kind with the same cost model.
 
     ``phases`` restricts replicas to ``prefill``, ``decode``, or
     ``both`` (the default).  Any restriction requires
     ``router="disaggregated"``, which scores (prefill, decode) replica
-    pairs by estimated first-token time *including* the KV handoff over
-    the ``link_gbps`` wire and owns the phases; the cluster then runs
-    the two-stage orchestration.  ``router="disaggregated"`` with no
-    ``phases`` is a colocated fleet where pairs may still split when the
-    wire is cheap.
+    pairs by estimated first-token time *including* the KV handoff the
+    cluster charges over the ``link_gbps`` wire and owns the phases; the
+    cluster then runs the two-stage orchestration.
+    ``router="disaggregated"`` with no ``phases`` is a colocated fleet
+    where pairs may still split when the wire is cheap.
 
     ``shared_tier=True`` joins every replica's prefix pool to one
     :class:`~repro.serving.memory.SharedPrefixTier`, pricing cross-replica
@@ -670,37 +597,13 @@ def build_cluster(
         ServingEngine(kind, spec, build_scheduler(scheduler, kind, spec, **knobs))
         for kind in systems
     )
+    prices = [ReplicaPrices(kind, spec, link_gbps) for kind in systems]
     if router == DisaggregatedRouter.name:
         router_obj: Router = DisaggregatedRouter(
-            n_replicas,
-            phases if phases is not None else ("both",) * n_replicas,
-            prefill_time=[
-                _prefill_time_estimate(engine.cost) for engine in replicas
-            ],
-            decode_time=[
-                _decode_time_estimate(engine.cost) for engine in replicas
-            ],
-            handoff_time=[
-                _handoff_time_estimate(
-                    MemoryModel.for_system(engine.system, engine.spec),
-                    IterationCostModel(
-                        engine.system, engine.spec, link_gbps=link_gbps
-                    ),
-                )
-                for engine in replicas
-            ],
+            prices, phases if phases is not None else ("both",) * n_replicas
         )
     else:
-        router_obj = build_router(
-            router,
-            n_replicas,
-            service_time=[
-                _service_time_estimate(engine.cost) for engine in replicas
-            ],
-            prefix_savings=[
-                _prefix_savings_estimate(engine.cost) for engine in replicas
-            ],
-        )
+        router_obj = build_router(router, prices)
     cluster = ClusterEngine(replicas, router_obj, link_gbps=link_gbps)
     if shared_tier:
         cluster.attach_tier()

@@ -12,21 +12,26 @@ properties matter:
 * **Speed** — each distinct ``(batch, seq)`` point is priced once per
   fleet, and cheaply.  The decode and prefill tables live on the
   ``ServingSystem`` (one pair per ``ModelSpec``) and every cost model
-  built on that system binds them, so all replicas of a fleet, the
-  router's estimates and the handoff and tier cost models share one
-  table; a hit is one dict lookup.  A miss prices the decode step
-  through ``ServingSystem.step_seconds``, which keeps the
-  context-free operator terms per batch size and prices only attention
-  per context (PIM attention timings are kept per DRAM row count), and
-  sums the same terms in the same order as ``step_latency(...).total``,
-  so the float is the same.
+  built on that system binds them, so all replicas of a fleet and every
+  :class:`ReplicaPrices` share one table; a hit is one dict lookup.  A
+  miss prices the decode step through ``ServingSystem.step_seconds``,
+  which keeps the context-free operator terms per batch size and prices
+  only attention per context (PIM attention timings are kept per DRAM
+  row count), and sums the same terms in the same order as
+  ``step_latency(...).total``, so the float is the same.
   Nothing is cached at module level: a freshly built system starts cold.
+
+:class:`ReplicaPrices` declares once every estimate a cluster makes of
+one replica, including the KV handoff the routers score and the
+cluster charges.
 """
 
 from __future__ import annotations
 
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
+from repro.serving.memory import MemoryModel
+from repro.workloads.requests import TimedRequest
 
 #: default inter-replica link bandwidth in gigabits per second — a single
 #: commodity 100 GbE NIC, deliberately far below NVLink-class fabrics so
@@ -109,3 +114,58 @@ class IterationCostModel:
         if n_bytes < 0:
             raise ValueError("cannot transfer a negative byte count")
         return n_bytes * 8.0 / (self.link_gbps * 1e9)
+
+
+class ReplicaPrices:
+    """One replica's prices: the one source every cluster estimate reads.
+
+    Built from the replica's system, its spec and the fleet's
+    ``link_gbps``.  The load-aware routers score candidates with it, and
+    :class:`~repro.serving.cluster.ClusterEngine` charges KV handoffs and
+    prices the shared prefix tier with it, so a router's prediction of a
+    replica always comes from that replica's own cost and memory models.
+    Each estimate prices a request as if it ran alone (batch 1).
+    """
+
+    def __init__(self, system: ServingSystem, spec: ModelSpec, link_gbps: float):
+        self.cost = IterationCostModel(system, spec, link_gbps)
+        self.memory = MemoryModel.for_system(system, spec)
+
+    # The methods below spell their formulas out instead of calling one
+    # another, so a routing pass makes one Python call per estimate.
+
+    def service(self, request: TimedRequest) -> float:
+        """Whole-lifetime seconds: solo prefill plus the decode tail."""
+        mid_context = request.input_len + request.output_len // 2
+        return self.cost.prefill_seconds(
+            1, request.input_len
+        ) + request.output_len * self.cost.decode_seconds(1, mid_context)
+
+    def first_token(self, request: TimedRequest) -> float:
+        """Time to first token: solo prefill plus the first decode step."""
+        return self.cost.prefill_seconds(
+            1, request.input_len
+        ) + self.cost.decode_seconds(1, request.input_len)
+
+    def decode(self, request: TimedRequest) -> float:
+        """Decode-tail seconds, priced at the mid-generation context."""
+        mid_context = request.input_len + request.output_len // 2
+        return request.output_len * self.cost.decode_seconds(1, mid_context)
+
+    def prefix_savings(self, hit_tokens: int) -> float:
+        """Prefill seconds a warm prefix of ``hit_tokens`` saves.
+
+        Prefill chunk costs telescope, so skipping a cached prefix saves
+        roughly its own solo-prefill time.
+        """
+        return self.cost.prefill_seconds(1, hit_tokens)
+
+    def handoff_bytes(self, request: TimedRequest) -> float:
+        """KV and state bytes a split request moves to this replica."""
+        return self.memory.reserved_bytes(request.input_len + 1)
+
+    def handoff_seconds(self, request: TimedRequest) -> float:
+        """Wire seconds to land :meth:`handoff_bytes` over the link."""
+        return self.cost.transfer_seconds(
+            self.memory.reserved_bytes(request.input_len + 1)
+        )

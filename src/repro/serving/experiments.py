@@ -115,6 +115,12 @@ CHUNKING_LOAD = dict(
 )
 
 
+#: turns per session and mean think time between them (seconds) of the
+#: ``multiturn`` arrival process
+MULTITURN_TURNS = 4
+MULTITURN_THINK_S = 4.0
+
+
 def build_arrival_trace(
     qps: float,
     n_requests: int,
@@ -127,9 +133,6 @@ def build_arrival_trace(
     sigma: float,
     trace_file: str | None = None,
     trace_sha: str | None = None,
-    *,
-    turns: int = 4,
-    think_s: float = 4.0,
 ) -> Trace:
     """The seeded (or replayed) request stream every serving trial uses.
 
@@ -140,10 +143,11 @@ def build_arrival_trace(
 
     ``arrival="multiturn"`` builds chat sessions instead of independent
     requests: ``qps`` becomes the session-opening rate, ``n_requests``
-    must be a multiple of ``turns`` (sessions × turns), ``input_len`` is
-    the first turn's prompt (later turns re-send the whole conversation,
-    growing the shared prefix), and ``length_dist`` is ignored — turn
-    lengths come from the session chain itself.
+    must be a multiple of :data:`MULTITURN_TURNS` (sessions × turns, with
+    :data:`MULTITURN_THINK_S` seconds of mean think time between turns),
+    ``input_len`` is the first turn's prompt (later turns re-send the
+    whole conversation, growing the shared prefix), and ``length_dist``
+    is ignored — turn lengths come from the session chain itself.
     """
     if trace_file is not None:
         if trace_sha is not None and trace_fingerprint(trace_file) != trace_sha:
@@ -153,19 +157,19 @@ def build_arrival_trace(
             )
         return load_trace(trace_file)
     if arrival == "multiturn":
-        if n_requests % turns:
+        if n_requests % MULTITURN_TURNS:
             raise ValueError(
                 f"n_requests={n_requests} is not a whole number of "
-                f"{turns}-turn sessions"
+                f"{MULTITURN_TURNS}-turn sessions"
             )
         return multiturn_chat_trace(
             qps,
-            n_requests // turns,
-            turns,
+            n_requests // MULTITURN_TURNS,
+            MULTITURN_TURNS,
             first_input=input_len,
             user_tokens=max(1, input_len // 4),
             output_len=output_len,
-            think_s=think_s,
+            think_s=MULTITURN_THINK_S,
             seed=seed,
         )
     if length_dist == "fixed":

@@ -21,7 +21,7 @@ goodput figure is exact — which is what keeps small-trace reports
 bit-identical to the pre-streaming implementation.  Above capacity the
 reservoir is a uniform sample (Algorithm R, fixed seed, so results are
 reproducible) and a percentile estimate at rank ``p`` carries standard
-error ``sqrt(p * (1 - p) / K)`` in rank space — about ±0.7 rank points at
+error ``sqrt(p * (1 - p) / K)`` in rank space — about ±0.8 rank points at
 the median for the default K = 4096, tighter in the tails.
 """
 

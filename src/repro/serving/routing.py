@@ -9,19 +9,25 @@ choice shapes queueing on every node downstream.  Four policies:
   request count, blind to request size and replica backlog.
 * :class:`LeastOutstandingRouter` — send each request to the replica with
   the fewest requests still predicted to be in flight.  Predictions come
-  from a caller-supplied service-time estimate (the cluster wires in the
-  same :class:`~repro.serving.costs.IterationCostModel` that prices the
-  engines, so the router never re-derives costs) applied to a virtual
+  from each replica's own prices (``service``) applied to a virtual
   single-server queue per replica.
 * :class:`AffinityRouter` — consistent hashing of the *session id when
   the request has one* (falling back to the request id for sessionless
   traffic), so a session's turns all land on the replica that holds its
   prefix/KV state.
 * :class:`CacheAwareRouter` — least-outstanding backlog in *seconds*,
-  minus a cache-warmth credit (estimated prefix-hit tokens times the
-  per-token prefill savings) on the replica that last served the
-  session — so load balancing and prefix locality are traded off in one
-  unit instead of fighting each other.
+  minus a cache-warmth credit (the prefill time of the estimated
+  prefix-hit tokens, ``prefix_savings``) on the replica that last served
+  the session — so load balancing and prefix locality are traded off in
+  one unit instead of fighting each other.
+
+The load-aware routers (and :class:`DisaggregatedRouter`) take one
+price object per replica: the cluster passes a
+:class:`~repro.serving.costs.ReplicaPrices` built from each replica's
+own cost and memory models, so the router never re-derives a cost.
+Routers only call its methods (``service``, ``first_token``,
+``decode``, ``prefix_savings``, ``handoff_seconds``), so any object
+that has them will do.
 
 Routers are deliberately *stateful but seed-free*: given the same trace,
 any router produces the same assignment on every run and in every worker
@@ -33,44 +39,9 @@ from __future__ import annotations
 import abc
 import collections
 import hashlib
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.workloads.requests import TimedRequest, Trace
-
-#: estimated seconds one replica needs to serve a request end to end
-ServiceTimeEstimate = Callable[[TimedRequest], float]
-
-#: either one estimate shared by every replica (a homogeneous fleet) or
-#: one per replica (heterogeneous node kinds price differently)
-ServiceTimeEstimates = ServiceTimeEstimate | Sequence[ServiceTimeEstimate]
-
-#: seconds of prefill a replica saves by reusing ``hit_tokens`` of
-#: cached prefix (the cluster wires in the engines' own cost model)
-PrefixSavingsEstimate = Callable[[int], float]
-
-
-def _per_replica(
-    estimate: "ServiceTimeEstimate | Sequence[ServiceTimeEstimate]",
-    n_replicas: int,
-    what: str = "service_time",
-) -> list[ServiceTimeEstimate]:
-    """Normalize a shared-or-per-replica estimate to one entry per replica.
-
-    A single callable fans out to every replica (the homogeneous case —
-    identical floats, so pre-heterogeneity assignments are preserved bit
-    for bit); a sequence must match the fleet size exactly.
-    """
-    if callable(estimate):
-        return [estimate] * n_replicas
-    estimates = list(estimate)
-    if len(estimates) != n_replicas:
-        raise ValueError(
-            f"got {len(estimates)} {what} estimates for "
-            f"{n_replicas} replicas"
-        )
-    if not all(callable(e) for e in estimates):
-        raise TypeError(f"every {what} estimate must be callable")
-    return estimates
 
 
 class Router(abc.ABC):
@@ -147,30 +118,30 @@ class RoundRobinRouter(Router):
 
 
 class _VirtualQueueRouter(Router):
-    """A virtual single-server queue per replica, fed by service estimates.
+    """A virtual single-server queue per replica, fed by its prices.
 
     A routed request starts when the replica's predicted backlog drains
-    (or immediately if idle) and occupies it for ``service_time(request)``
-    seconds; ``_busy_until`` is when each replica's backlog drains.
+    (or immediately if idle) and occupies it for
+    ``prices[replica].service(request)`` seconds; ``_busy_until`` is when
+    each replica's backlog drains.  Prices are per replica: a
+    heterogeneous fleet prices the same request differently on different
+    node kinds, so the queue asks the *chosen* replica.
     """
 
-    def __init__(self, n_replicas: int, service_time: ServiceTimeEstimates):
-        super().__init__(n_replicas)
-        #: per-replica estimates — a heterogeneous fleet prices the same
-        #: request differently on different node kinds, so the virtual
-        #: queue must ask the *chosen* replica's cost model
-        self.service_times = _per_replica(service_time, n_replicas)
-        self._busy_until = [0.0] * n_replicas
+    def __init__(self, prices: Sequence):
+        super().__init__(len(prices))
+        self.prices = tuple(prices)
+        self._busy_until = [0.0] * self.n_replicas
 
     def reset(self) -> None:
         self._busy_until = [0.0] * self.n_replicas
 
     def _enqueue(self, request: TimedRequest, replica: int) -> float:
         """Queue ``request`` on ``replica``; return its predicted finish."""
-        service = self.service_times[replica](request)
+        service = self.prices[replica].service(request)
         if not service >= 0.0:
             raise ValueError(
-                f"service_time estimate for request {request.request_id} "
+                f"service estimate for request {request.request_id} "
                 f"on replica {replica} is {service!r}; it must be a "
                 "non-negative number of seconds"
             )
@@ -184,7 +155,7 @@ class LeastOutstandingRouter(_VirtualQueueRouter):
 
     Each replica is modeled as a virtual single-server queue: a routed
     request starts when the replica's backlog drains (or immediately if
-    idle) and occupies it for ``service_time(request)`` seconds.  At each
+    idle) and occupies it for ``service(request)`` seconds.  At each
     arrival the router first expires predictions that finished at or
     before the arrival instant, then counts what is left.  Ties break
     toward the lowest replica index, so the assignment is fully
@@ -200,10 +171,10 @@ class LeastOutstandingRouter(_VirtualQueueRouter):
 
     name = "least-loaded"
 
-    def __init__(self, n_replicas: int, service_time: ServiceTimeEstimates):
-        super().__init__(n_replicas, service_time)
+    def __init__(self, prices: Sequence):
+        super().__init__(prices)
         self._in_flight: list[collections.deque[float]] = [
-            collections.deque() for _ in range(n_replicas)
+            collections.deque() for _ in range(self.n_replicas)
         ]
 
     def reset(self) -> None:
@@ -255,13 +226,14 @@ class CacheAwareRouter(_VirtualQueueRouter):
     replicas is the predicted backlog *in seconds* (``busy_until - now``)
     rather than a request count — so the score never reads an in-flight
     list, and warmth can be subtracted in the same unit: for the replica
-    that last served the request's session, the score drops by the
-    estimated prefix-hit tokens priced through ``prefix_savings`` (the
-    cluster wires in the engines' own prefill cost).  A session therefore
-    sticks to its warm replica until the backlog gap exceeds what the
-    cached prefix is worth, at which point the router deliberately moves
-    it — and with a shared prefix tier downstream, the move lands warm
-    via a priced KV transfer instead of cold.
+    that last served the request's session, the score drops by that
+    replica's ``prefix_savings`` of the estimated prefix-hit tokens (a
+    warm prefix is worth whatever *that* node kind would spend
+    recomputing it).  A session therefore sticks to its warm replica
+    until the backlog gap exceeds what the cached prefix is worth, at
+    which point the router deliberately moves it — and with a shared
+    prefix tier downstream, the move lands warm via a priced KV transfer
+    instead of cold.
 
     Session history is tracked from the router's own decisions (replica
     and cumulative conversation tokens after each routed turn): a front
@@ -273,20 +245,8 @@ class CacheAwareRouter(_VirtualQueueRouter):
 
     name = "cache-aware"
 
-    def __init__(
-        self,
-        n_replicas: int,
-        service_time: ServiceTimeEstimates,
-        prefix_savings: PrefixSavingsEstimate | None = None,
-    ):
-        super().__init__(n_replicas, service_time)
-        #: per-replica like the service times: a warm prefix is
-        #: worth whatever *that* node kind would spend recomputing it
-        self.prefix_savings = (
-            None
-            if prefix_savings is None
-            else _per_replica(prefix_savings, n_replicas, "prefix_savings")
-        )
+    def __init__(self, prices: Sequence):
+        super().__init__(prices)
         #: session_id -> (replica of the last turn, conversation tokens)
         self._sessions: dict[object, tuple[int, int]] = {}
 
@@ -296,7 +256,7 @@ class CacheAwareRouter(_VirtualQueueRouter):
 
     def _warmth_s(self, request: TimedRequest, replica: int) -> float:
         session = request.session_id
-        if session is None or self.prefix_savings is None:
+        if session is None:
             return 0.0
         home = self._sessions.get(session)
         if home is None or home[0] != replica:
@@ -306,7 +266,7 @@ class CacheAwareRouter(_VirtualQueueRouter):
         hit_tokens = min(home[1], request.input_len - 1)
         if hit_tokens < 1:
             return 0.0
-        return self.prefix_savings[replica](hit_tokens)
+        return self.prices[replica].prefix_savings(hit_tokens)
 
     def choose(self, request: TimedRequest) -> int:
         now = request.arrival_s
@@ -351,7 +311,7 @@ def validate_phases(phases: Sequence[str], n_replicas: int) -> tuple[str, ...]:
     return phases
 
 
-class DisaggregatedRouter(Router):
+class DisaggregatedRouter(_VirtualQueueRouter):
     """Phase-pair routing for a prefill/decode-disaggregated fleet.
 
     Instead of one replica per request, this router picks a *pair*: the
@@ -359,22 +319,23 @@ class DisaggregatedRouter(Router):
     decode-capable replica that generates the tail.  A ``both`` replica
     may serve a request *colocated* (it is its own pair); a ``decode``
     replica only ever receives continuations, whose KV arrives over the
-    priced ``link_gbps`` wire — the handoff estimate is part of the
-    score, so a slow link correctly pushes the router back toward
-    colocated serving.
+    priced ``link_gbps`` wire — the destination's ``handoff_seconds``,
+    the same price the cluster charges, is part of the score, so a slow
+    link correctly pushes the router back toward colocated serving.
 
-    Scoring mirrors :class:`LeastOutstandingRouter`'s virtual
-    single-server queues, but in phase-split form.  For prefill replica
-    ``p``: ``t_first = max(now, busy[p]) + prefill_time[p](r)`` — the
-    estimated TTFT.  A colocated candidate scores ``t_first`` and would
-    occupy ``p`` through its decode tail too; a split candidate with
-    decode replica ``d`` scores ``max(t_first + handoff_time[d](r),
-    busy[d])`` — when the tail could *start* — and occupies ``p`` only
-    through prefill, which is exactly the interference-removal
-    disaggregation buys.  Ties break toward the lowest ``(p, d)``, so
-    assignment is fully deterministic.  On an all-``both`` fleet every
-    pair is colocated and the router degrades to TTFT-greedy
-    least-backlog routing (usable single-stage).
+    Scoring keeps the virtual single-server queues of
+    :class:`LeastOutstandingRouter`, but in phase-split form.  For
+    prefill replica ``p``: ``t_first = max(now, busy[p]) +
+    prices[p].first_token(r)`` — the estimated TTFT.  A colocated
+    candidate scores ``t_first`` and would occupy ``p`` through its
+    ``decode`` tail too; a split candidate with decode replica ``d``
+    scores ``max(t_first + prices[d].handoff_seconds(r), busy[d])`` —
+    when the tail could *start* — and occupies ``p`` only through
+    prefill, which is exactly the interference-removal disaggregation
+    buys.  Ties break toward the lowest ``(p, d)``, so assignment is
+    fully deterministic.  On an all-``both`` fleet every pair is
+    colocated and the router degrades to TTFT-greedy least-backlog
+    routing (usable single-stage).
 
     Not in :data:`ROUTER_NAMES`: the classic routers assign one replica
     per request and work under any cluster, while this one needs the
@@ -385,16 +346,9 @@ class DisaggregatedRouter(Router):
 
     name = "disaggregated"
 
-    def __init__(
-        self,
-        n_replicas: int,
-        phases: Sequence[str],
-        prefill_time: ServiceTimeEstimates,
-        decode_time: ServiceTimeEstimates,
-        handoff_time: ServiceTimeEstimates,
-    ):
-        super().__init__(n_replicas)
-        self.phases = phases = validate_phases(phases, n_replicas)
+    def __init__(self, prices: Sequence, phases: Sequence[str]):
+        super().__init__(prices)
+        self.phases = phases = validate_phases(phases, self.n_replicas)
         self._prefill_side = [
             i for i, ph in enumerate(phases) if ph != "decode"
         ]
@@ -405,19 +359,6 @@ class DisaggregatedRouter(Router):
             raise ValueError("a fleet needs a prefill-capable replica")
         if not any(ph != "prefill" for ph in phases):
             raise ValueError("a fleet needs a decode-capable replica")
-        self.prefill_times = _per_replica(
-            prefill_time, n_replicas, "prefill_time"
-        )
-        self.decode_times = _per_replica(
-            decode_time, n_replicas, "decode_time"
-        )
-        self.handoff_times = _per_replica(
-            handoff_time, n_replicas, "handoff_time"
-        )
-        self._busy_until = [0.0] * n_replicas
-
-    def reset(self) -> None:
-        self._busy_until = [0.0] * self.n_replicas
 
     def choose_pair(self, request: TimedRequest) -> tuple[int, int]:
         """The ``(prefill_replica, decode_replica)`` pair for ``request``.
@@ -427,21 +368,20 @@ class DisaggregatedRouter(Router):
         """
         now = request.arrival_s
         busy = self._busy_until
+        prices = self.prices
         # Ranked by (score, t_first, p, d): when a saturated decode side
         # makes every pair's score the shared decode backlog, the
         # t_first key still spreads prefills over the prefill side
         # instead of letting the index tie-break pile them on one node.
         best: tuple[float, float, int, int] | None = None
         for p in self._prefill_side:
-            t_first = max(now, busy[p]) + self.prefill_times[p](request)
+            t_first = max(now, busy[p]) + prices[p].first_token(request)
             if self.phases[p] == "both":
                 candidate = (t_first, t_first, p, p)
                 if best is None or candidate < best:
                     best = candidate
             for d in self._decode_only:
-                score = max(
-                    t_first + self.handoff_times[d](request), busy[d]
-                )
+                score = max(t_first + prices[d].handoff_seconds(request), busy[d])
                 candidate = (score, t_first, p, d)
                 if best is None or candidate < best:
                     best = candidate
@@ -449,10 +389,10 @@ class DisaggregatedRouter(Router):
         score, best_first, p, d = best
         if p == d:
             # Colocated: one node owns prefill and the decode tail.
-            busy[p] = best_first + self.decode_times[p](request)
+            busy[p] = best_first + prices[p].decode(request)
         else:
             busy[p] = best_first
-            busy[d] = score + self.decode_times[d](request)
+            busy[d] = score + prices[d].decode(request)
         return p, d
 
     def choose(self, request: TimedRequest) -> int:
@@ -487,45 +427,25 @@ ROUTER_NAMES: tuple[str, ...] = (
 )
 
 
-def build_router(
-    name: str,
-    n_replicas: int,
-    service_time: ServiceTimeEstimates | None = None,
-    prefix_savings: (
-        PrefixSavingsEstimate | Sequence[PrefixSavingsEstimate] | None
-    ) = None,
-) -> Router:
-    """Construct a router by registry name.
+def build_router(name: str, prices: Sequence) -> Router:
+    """Construct a router by registry name over one price per replica.
 
-    ``least-loaded`` and ``cache-aware`` require ``service_time`` (the
-    cluster passes its engines' cost models — one shared callable for a
-    homogeneous fleet or one per replica for mixed node kinds); the
-    other policies ignore it.  ``cache-aware`` additionally accepts
-    ``prefix_savings`` (shared or per-replica likewise) — left ``None``
-    it degrades to seconds-based least-outstanding routing.
+    ``least-loaded`` and ``cache-aware`` score replicas with ``prices``
+    (the cluster passes one :class:`~repro.serving.costs.ReplicaPrices`
+    per replica); ``round-robin`` and ``affinity`` read only their count.
 
     The ``disaggregated`` phase-pair router is *not* built here: it
-    needs the fleet's phases and three per-replica estimators, which
-    only :func:`~repro.serving.cluster.build_cluster` has.
+    needs the fleet's phases, which only
+    :func:`~repro.serving.cluster.build_cluster` has.
     """
     if name == RoundRobinRouter.name:
-        return RoundRobinRouter(n_replicas)
+        return RoundRobinRouter(len(prices))
     if name == LeastOutstandingRouter.name:
-        if service_time is None:
-            raise ValueError(
-                "the least-loaded router needs a service_time estimate"
-            )
-        return LeastOutstandingRouter(n_replicas, service_time)
+        return LeastOutstandingRouter(prices)
     if name == AffinityRouter.name:
-        return AffinityRouter(n_replicas)
+        return AffinityRouter(len(prices))
     if name == CacheAwareRouter.name:
-        if service_time is None:
-            raise ValueError(
-                "the cache-aware router needs a service_time estimate"
-            )
-        return CacheAwareRouter(
-            n_replicas, service_time, prefix_savings=prefix_savings
-        )
+        return CacheAwareRouter(prices)
     raise KeyError(
         f"unknown router {name!r}; available: {', '.join(ROUTER_NAMES)}"
     )

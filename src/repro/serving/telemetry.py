@@ -7,10 +7,10 @@ never *when* or *why*.  This module adds the time axis back: a
 
 * **spans** — every priced stretch of simulated time, tagged with the
   requests it served: monolithic prefills, prefill chunks, restore
-  re-prefills, scalar decode iterations, and whole coalesced decode runs
-  (one span per run; the batch provably cannot change mid-run, so the
-  span's members hold for its entire ``[t0, t1]`` — expanding it per
-  request at export time is exact, not an approximation);
+  re-prefills, KV handoffs, and whole decode runs (one span per run;
+  the batch provably cannot change mid-run, so the span's members hold
+  for its entire ``[t0, t1]`` — expanding it per request at export
+  time is exact, not an approximation);
 * **gauges** — sampled at every batch-composition event: waiting-queue
   depth, running batch size, :class:`~repro.serving.memory.BlockPool`
   blocks in use, cumulative preemptions, cumulative prefill/decode

@@ -250,38 +250,49 @@ class Trace:
     def from_payload(cls, payload: list[dict]) -> "Trace":
         """Rebuild a trace from :meth:`to_payload` output.
 
-        Lengths must be whole numbers (an int, or a float without a
-        fraction); a fractional length, a bool or a string raises
-        instead of being truncated.
+        Ids and lengths must be whole numbers (an int, or a float
+        without a fraction) and arrivals numbers; a fraction, a bool or
+        a string raises instead of being truncated, as does a missing
+        field or an entry that is not an object.  Each error names the
+        entry's index and the field.
         """
-        return cls(tuple(
-            TimedRequest(
-                Request(
-                    int(d["request_id"]),
-                    _whole_length(d, i, "input_len"),
-                    _whole_length(d, i, "output_len"),
-                    session_id=(
-                        int(d["session_id"])
-                        if d.get("session_id") is not None
-                        else None
-                    ),
-                ),
-                float(d["arrival_s"]),
+        if not isinstance(payload, list):
+            raise ValueError(
+                "a trace payload is a list of request entries, got "
+                f"{type(payload).__name__}"
             )
-            for i, d in enumerate(payload)
-        ))
+        return cls(tuple(_timed_request(i, d) for i, d in enumerate(payload)))
 
 
-def _whole_length(entry: dict, index: int, field: str) -> int:
-    """``entry[field]`` as an int, refusing anything but a whole number."""
-    value = entry[field]
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if not whole or isinstance(value, bool):
-        raise ValueError(
-            f"trace entry {index} (request {entry.get('request_id')!r}): "
-            f"{field} must be a whole number, got {value!r}"
+def _timed_request(index: int, entry: dict) -> TimedRequest:
+    """Replay entry ``index`` as a request, refusing malformed fields."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"trace entry {index} must be an object, got {entry!r}")
+
+    def number(field: str, whole: bool = True) -> int | float:
+        where = f"trace entry {index} (request {entry.get('request_id')!r})"
+        if field not in entry:
+            raise ValueError(f"{where}: missing {field}")
+        value = entry[field]
+        ok = isinstance(value, int) or (
+            isinstance(value, float) and (not whole or value.is_integer())
         )
-    return int(value)
+        if not ok or isinstance(value, bool):
+            kind = "a whole number" if whole else "a number"
+            raise ValueError(f"{where}: {field} must be {kind}, got {value!r}")
+        return int(value) if whole else float(value)
+
+    return TimedRequest(
+        Request(
+            number("request_id"),
+            number("input_len"),
+            number("output_len"),
+            session_id=(
+                None if entry.get("session_id") is None else number("session_id")
+            ),
+        ),
+        number("arrival_s", whole=False),
+    )
 
 
 def uniform_batch(

@@ -217,6 +217,62 @@ class TestWholeLengths:
         assert type(request.output_len) is int
 
 
+class TestWholeIds:
+    """Ids used to be truncated too: ``"session_id": 1.5`` loaded as
+    session 1, merging two conversations into one prefix-cache history
+    and one affinity key.  Ids follow the lengths' whole-number rule, and
+    a malformed file fails naming the entry and the field."""
+
+    entries = staticmethod(TestWholeLengths.entries)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("session_id", 1.5),
+            ("session_id", "3"),
+            ("request_id", 1.7),
+            ("request_id", True),
+        ],
+    )
+    def test_refuses_non_whole_ids(self, field, value, tmp_path):
+        path = _payload_file(tmp_path, self.entries(**{field: value}))
+        with pytest.raises(
+            ValueError,
+            match=rf"trace entry 1 \(request .*\): {field} must be a whole number",
+        ):
+            load_trace(path)
+
+    def test_accepts_ints_and_whole_floats(self, tmp_path):
+        path = _payload_file(tmp_path, self.entries(request_id=3.0, session_id=2.0))
+        request = load_trace(path).requests[1].request
+        assert (request.request_id, request.session_id) == (3, 2)
+        assert type(request.request_id) is type(request.session_id) is int
+
+    def test_missing_field_is_named(self, tmp_path):
+        entries = self.entries()
+        del entries[1]["arrival_s"]
+        with pytest.raises(
+            ValueError, match=r"trace entry 1 \(request 7\): missing arrival_s"
+        ):
+            load_trace(_payload_file(tmp_path, entries))
+
+    def test_refuses_a_non_numeric_arrival(self, tmp_path):
+        path = _payload_file(tmp_path, self.entries(arrival_s="1.0"))
+        with pytest.raises(ValueError, match="arrival_s must be a number"):
+            load_trace(path)
+
+    def test_refuses_malformed_structure(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(self.entries()))  # a bare list
+        with pytest.raises(ValueError, match="'requests' list"):
+            load_trace(path)
+        path.write_text(json.dumps({"requests": {"0": self.entries()[0]}}))
+        with pytest.raises(ValueError, match="list of request entries"):
+            load_trace(path)
+        with pytest.raises(ValueError, match="trace entry 1 must be an object"):
+            load_trace(_payload_file(tmp_path, [self.entries()[0], [7]]))
+
+
 class TestNonFiniteTimes:
     """NaN passes a bare ``< 0`` check and would never be served.  The one
     gate is :class:`TimedRequest` construction: every engine and cluster

@@ -165,7 +165,7 @@ class TestSharedTables:
         # Replica 3, the router's estimate for replica 3 and the tier's
         # cost model all hit the table replica 0 filled.
         assert cluster.replicas[3].cost.decode_seconds(1, mid_context) == decode
-        estimate = cluster.router.service_times[3](request)
+        estimate = cluster.router.prices[3].service(request)
         assert estimate == prefill + 128 * decode
         assert cluster.tier.cost.prefill_seconds(1, 1024) == prefill
         assert counted == cold

@@ -14,6 +14,10 @@ Three collapses pin the feature to the PR-9 cluster it grew out of:
   finite link's cost lands entirely *after* the first token: per-request
   TTFT is bit-equal between inf-link and finite-link runs of the same
   split fleet, only completion times move.
+
+Every router estimate and handoff charge reads one ``ReplicaPrices`` per
+replica, so the router scores exactly the handoff the cluster charges,
+from the destination replica's own prices.
 """
 
 import dataclasses
@@ -29,9 +33,11 @@ from repro.serving import (
     build_scheduler,
     fixed_lengths,
     gamma_trace,
+    lognormal_lengths,
     poisson_trace,
 )
 from repro.serving.costs import IterationCostModel
+from repro.serving.experiments import parse_fleet
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +205,51 @@ class TestZeroCostLink:
         )
         assert free.merged().handoff_bytes == priced.merged().handoff_bytes
         assert free.merged().handoffs == priced.merged().handoffs
+
+
+class TestOnePriceSource:
+    """Routers and the cluster read the same per-replica prices."""
+
+    @pytest.mark.parametrize(
+        "fleet", ["GPU:prefill,Pimba:decode", "Pimba:prefill,GPU:decode"]
+    )
+    def test_router_scores_the_handoff_the_cluster_charges(self, fleet, zamba_spec):
+        kinds, phases = parse_fleet(fleet, "small")
+        cluster = build_cluster(
+            kinds[0], zamba_spec, 2,
+            router="disaggregated", scheduler="fcfs", max_batch=8,
+            link_gbps=400.0, node_kinds=kinds, phases=phases,
+        )
+        trace = poisson_trace(6.0, 40, lognormal_lengths(1024, 64, 0.5), seed=3)
+        record = cluster.serve(trace)
+        assert record.split_ids
+        originals = {r.request_id: r for r in trace.requests}
+        decode = record.replicas[1]
+        assert decode.handoffs == len(decode.timings) == len(record.split_ids)
+        assert decode.handoff_bytes == sum(
+            cluster.prices[1].handoff_bytes(originals[t.request_id])
+            for t in decode.timings
+        )
+        scored, charged = cluster.router.prices[1], cluster.prices[1]
+        for request in trace.requests:
+            assert scored.handoff_seconds(request) == charged.handoff_seconds(request)
+
+    def test_each_replica_is_scored_with_its_own_costs(
+        self, gpu_system, pimba_system, zamba_spec
+    ):
+        cluster = build_cluster(
+            gpu_system, zamba_spec, 2,
+            router="least-loaded", node_kinds=(gpu_system, pimba_system),
+        )
+        trace = poisson_trace(6.0, 20, lognormal_lengths(1024, 256, 0.5), seed=5)
+        for request in trace.requests:
+            solo = []
+            for prices, engine in zip(cluster.router.prices, cluster.replicas):
+                cost = engine.cost
+                mid_context = request.input_len + request.output_len // 2
+                expected = cost.prefill_seconds(
+                    1, request.input_len
+                ) + request.output_len * cost.decode_seconds(1, mid_context)
+                assert prices.service(request) == expected
+                solo.append(expected)
+            assert solo[0] != solo[1]

@@ -78,13 +78,19 @@ class TestConversions:
 class TestMerges:
     def test_cluster_trace_merge_sums_every_counter(self):
         merged = ClusterTrace(
-            assignments=(), replicas=PARTS, router="round-robin"
+            assignments=(),
+            replicas=PARTS,
+            router="round-robin",
+            phases=("both",) * len(PARTS),
         ).merged()
         assert_counters(merged, summed(PARTS))
 
     def test_cluster_trace_report_sums_every_counter(self):
         report = ClusterTrace(
-            assignments=(), replicas=(*PARTS, None), router="round-robin"
+            assignments=(),
+            replicas=(*PARTS, None),
+            router="round-robin",
+            phases=("both",) * (len(PARTS) + 1),
         ).report()
         assert_counters(report, summed(PARTS))
         for entry, part in zip(report.per_replica, PARTS):

@@ -13,9 +13,11 @@ from repro.serving.arrivals import poisson_trace, save_trace
 from repro.serving.corpus import trace_replay_slo
 from repro.serving.experiments import (
     CHUNK_BUDGET_GRID,
+    MULTITURN_TURNS,
     PAGED_LOAD,
     _serve_trial,
     _trial_defaults,
+    build_arrival_trace,
     chunking_spec,
     cluster_slo,
     collect_timeline,
@@ -122,6 +124,19 @@ class TestPrefillShapingSpecs:
         header, rows = ttft_tradeoff_render(data)
         assert header[:3] == ["system", "scheduler", "chunk budget"]
         assert len(rows) == 4
+
+
+class TestMultiturnArrivals:
+    def test_sessions_have_the_fixed_turn_count(self):
+        trace = build_arrival_trace(
+            1.0, 3 * MULTITURN_TURNS, 0, "multiturn", 1.0, "fixed", 256, 32, 0.5
+        )
+        sessions = [r.session_id for r in trace.requests]
+        assert [sessions.count(s) for s in set(sessions)] == [MULTITURN_TURNS] * 3
+
+    def test_partial_sessions_rejected(self):
+        with pytest.raises(ValueError, match="not a whole number of 4-turn"):
+            build_arrival_trace(1.0, 6, 0, "multiturn", 1.0, "fixed", 256, 32, 0.5)
 
 
 class TestTraceReplayCaching:

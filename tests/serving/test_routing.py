@@ -1,6 +1,7 @@
 """Routers: policy behavior, determinism, and the imbalance metric."""
 
 import random
+import types
 
 import pytest
 
@@ -28,6 +29,18 @@ def turn(request_id: int, session_id: int, arrival_s: float, input_len=64):
     )
 
 
+def fake_prices(services, prefix_savings=lambda hit_tokens: 0.0):
+    """One duck-typed price object per service estimate (one per replica).
+
+    Routers call only the price methods they score with, so a namespace
+    holding the two callables stands in for ``ReplicaPrices``.
+    """
+    return [
+        types.SimpleNamespace(service=service, prefix_savings=prefix_savings)
+        for service in services
+    ]
+
+
 class TestRoundRobin:
     def test_rotates_evenly(self):
         router = RoundRobinRouter(3)
@@ -44,14 +57,14 @@ class TestLeastOutstanding:
     def test_spreads_simultaneous_burst(self):
         """A burst at t=0 must fan out: each arrival sees the previous
         ones still outstanding and picks the emptiest replica."""
-        router = LeastOutstandingRouter(4, service_time=lambda r: 100.0)
+        router = LeastOutstandingRouter(fake_prices([lambda r: 100.0] * 4))
         burst = Trace(tuple(timed(i, 0.0) for i in range(8)))
         assert router.assign(burst) == (0, 1, 2, 3, 0, 1, 2, 3)
 
     def test_drained_backlog_expires(self):
         """Once predictions complete, the first replica is preferred again
         (lowest-index tie-break) instead of blindly rotating."""
-        router = LeastOutstandingRouter(2, service_time=lambda r: 1.0)
+        router = LeastOutstandingRouter(fake_prices([lambda r: 1.0] * 2))
         assert router.choose(timed(0, 0.0)) == 0
         assert router.choose(timed(1, 0.5)) == 1  # replica 0 still busy
         assert router.choose(timed(2, 10.0)) == 0  # everything drained
@@ -59,9 +72,7 @@ class TestLeastOutstanding:
     def test_sized_requests_balance_work_not_count(self):
         """With per-request service estimates, a giant request keeps its
         replica 'outstanding' while short ones drain elsewhere."""
-        router = LeastOutstandingRouter(
-            2, service_time=lambda r: r.output_len * 1.0
-        )
+        router = LeastOutstandingRouter(fake_prices([lambda r: r.output_len * 1.0] * 2))
         assert router.choose(timed(0, 0.0, output_len=100)) == 0
         # Short requests arriving while the giant one is resident all
         # land on replica 1 once its own short work has drained.
@@ -69,15 +80,11 @@ class TestLeastOutstanding:
         assert router.choose(timed(2, 5.0, output_len=2)) == 1
         assert router.choose(timed(3, 9.0, output_len=2)) == 1
 
-    def test_requires_service_time(self):
-        with pytest.raises(ValueError, match="service_time"):
-            build_router("least-loaded", 2)
-
     def test_prediction_ending_at_the_arrival_has_expired(self):
         """``finish == now`` is no longer in flight: the replica whose
         only prediction ends exactly at the arrival counts as empty."""
         router = LeastOutstandingRouter(
-            2, service_time=lambda r: float(r.output_len)
+            fake_prices([lambda r: float(r.output_len)] * 2)
         )
         assert router.choose(timed(0, 0.0, output_len=4)) == 0  # until 4.0
         assert router.choose(timed(1, 0.0, output_len=2)) == 1  # until 2.0
@@ -86,7 +93,7 @@ class TestLeastOutstanding:
     def test_negative_service_estimate_rejected(self):
         """Pruning relies on monotone finishes, which a negative service
         time would break — it fails at the boundary instead."""
-        router = LeastOutstandingRouter(2, service_time=lambda r: -1.0)
+        router = LeastOutstandingRouter(fake_prices([lambda r: -1.0] * 2))
         with pytest.raises(ValueError, match="non-negative"):
             router.choose(timed(0, 0.0))
 
@@ -156,7 +163,7 @@ class TestLeastOutstandingPruningEquivalence:
         trace = _grid_trace(seed)
         service = _grid_service(1.0)
         oracle = _ListPruningRouter([service] * n_replicas)
-        router = LeastOutstandingRouter(n_replicas, service)
+        router = LeastOutstandingRouter(fake_prices([service] * n_replicas))
         assert router.assign(trace) == tuple(
             oracle.choose(r) for r in trace.requests
         )
@@ -166,7 +173,7 @@ class TestLeastOutstandingPruningEquivalence:
         services = [_grid_service(scale) for scale in (1.0, 2.0, 0.5, 3.0)]
         trace = _grid_trace(seed)
         oracle = _ListPruningRouter(services)
-        router = LeastOutstandingRouter(4, services)
+        router = LeastOutstandingRouter(fake_prices(services))
         assert router.assign(trace) == tuple(
             oracle.choose(r) for r in trace.requests
         )
@@ -181,7 +188,7 @@ class TestLeastOutstandingPruningEquivalence:
             return 1e-4 * r.input_len + 5e-3 * r.output_len
 
         oracle = _ListPruningRouter([service] * 4)
-        router = LeastOutstandingRouter(4, service)
+        router = LeastOutstandingRouter(fake_prices([service] * 4))
         assert router.assign(trace) == tuple(
             oracle.choose(r) for r in trace.requests
         )
@@ -192,14 +199,15 @@ class TestLeastOutstandingPruningEquivalence:
         )
         service = _grid_service(1.0)
         oracle = _ListPruningRouter([service] * 3)
-        assert LeastOutstandingRouter(3, service).assign(burst) == tuple(
+        router = LeastOutstandingRouter(fake_prices([service] * 3))
+        assert router.assign(burst) == tuple(
             oracle.choose(r) for r in burst.requests
         )
 
     def test_reuse_after_reset_matches_the_oracle(self):
         """A reused router forgets the previous trace's predictions."""
         service = _grid_service(1.0)
-        router = LeastOutstandingRouter(3, service)
+        router = LeastOutstandingRouter(fake_prices([service] * 3))
         router.assign(_grid_trace(0))
         router.reset()
         second = _grid_trace(1)
@@ -243,10 +251,13 @@ class TestAffinity:
 
 
 class TestCacheAware:
-    def test_without_savings_is_seconds_backlog_fanout(self):
-        """No ``prefix_savings`` estimate means no warmth anywhere: the
-        router degrades to least-outstanding over predicted seconds."""
-        router = CacheAwareRouter(4, service_time=lambda r: 100.0)
+    def test_sessionless_traffic_is_seconds_backlog_fanout(self):
+        """Sessionless requests earn no warmth anywhere, however much a
+        prefix is worth: the router degrades to least-outstanding over
+        predicted seconds."""
+        router = CacheAwareRouter(
+            fake_prices([lambda r: 100.0] * 4, prefix_savings=lambda hit_tokens: 1e9)
+        )
         burst = Trace(tuple(timed(i, 0.0) for i in range(8)))
         assert router.assign(burst) == (0, 1, 2, 3, 0, 1, 2, 3)
 
@@ -254,8 +265,7 @@ class TestCacheAware:
         """A large prefix credit keeps every turn home while sessionless
         traffic still spills to the emptier replica."""
         router = CacheAwareRouter(
-            2, service_time=lambda r: 1.0,
-            prefix_savings=lambda hit_tokens: 1000.0,
+            fake_prices([lambda r: 1.0] * 2, prefix_savings=lambda hit_tokens: 1000.0)
         )
         assert router.choose(turn(0, session_id=1, arrival_s=0.0)) == 0
         assert router.choose(turn(1, session_id=1, arrival_s=0.0)) == 0
@@ -268,8 +278,7 @@ class TestCacheAware:
         backlog exceeds what the cached prefix is worth, the session
         moves — with the shared tier downstream, it moves *warm*."""
         router = CacheAwareRouter(
-            2, service_time=lambda r: 1.0,
-            prefix_savings=lambda hit_tokens: 1.5,
+            fake_prices([lambda r: 1.0] * 2, prefix_savings=lambda hit_tokens: 1.5)
         )
         assert router.choose(turn(0, session_id=1, arrival_s=0.0)) == 0
         # Backlog 1.0 s vs 1.5 s of prefix: staying is cheaper.
@@ -279,33 +288,28 @@ class TestCacheAware:
 
     def test_reset_forgets_session_history(self):
         router = CacheAwareRouter(
-            2, service_time=lambda r: 1.0,
-            prefix_savings=lambda hit_tokens: 1000.0,
+            fake_prices([lambda r: 1.0] * 2, prefix_savings=lambda hit_tokens: 1000.0)
         )
         router.choose(turn(0, session_id=1, arrival_s=0.0))
         router.reset()
         assert not router._sessions
         assert router.choose(turn(1, session_id=1, arrival_s=0.0)) == 0
 
-    def test_requires_service_time(self):
-        with pytest.raises(ValueError, match="service_time"):
-            build_router("cache-aware", 2)
-
 
 class TestBuildRouter:
     def test_names_cover_registry(self):
         for name in ROUTER_NAMES:
-            router = build_router(name, 2, service_time=lambda r: 1.0)
+            router = build_router(name, fake_prices([lambda r: 1.0] * 2))
             assert router.name == name
             assert router.n_replicas == 2
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown router"):
-            build_router("random", 2)
+            build_router("random", fake_prices([lambda r: 1.0] * 2))
 
     def test_replica_count_validated(self):
         with pytest.raises(ValueError, match="at least one replica"):
-            build_router("round-robin", 0)
+            build_router("round-robin", [])
 
 
 class TestLoadImbalance:

@@ -1,5 +1,6 @@
 """Docs stay true: links resolve, the README catalog matches the registry,
-and the architecture doc's scheduler table matches ``build_scheduler``.
+and the architecture doc's scheduler and router tables match
+``build_scheduler`` and ``ROUTER_NAMES``.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``), so
 a renamed sweep or a broken relative link fails `pytest` locally before
@@ -29,6 +30,10 @@ class TestRepositoryDocs:
     def test_scheduler_table_matches_build_scheduler(self):
         doc = (ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
         assert check_docs.check_scheduler_table(doc) == []
+
+    def test_router_table_matches_router_names(self):
+        doc = (ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+        assert check_docs.check_router_table(doc) == []
 
     def test_architecture_doc_exists_and_is_linked(self):
         """The acceptance criterion in one place: docs/ARCHITECTURE.md
@@ -142,6 +147,28 @@ class TestCheckerDetectsBreakage:
     def test_a_missing_scheduler_table_is_reported(self):
         errors = check_docs.check_scheduler_table("# Architecture\n")
         assert len(errors) == 1 and "no scheduler table" in errors[0]
+
+    def test_router_table_rows_are_checked(self):
+        """A router without a row and a row naming no router are each
+        reported; correct rows are not."""
+        doc = (
+            "## Choosing a router\n\n"
+            "| router | placement rule | state | when to use |\n"
+            "| --- | --- | --- | --- |\n"
+            "| `round-robin` | i mod N | a counter | baseline |\n"
+            "| `least-loaded` | fewest in flight | deques | scaling |\n"
+            "| `affinity` | session hash | none | multi-turn |\n"
+            "| `random` | a coin | none | never |\n\n"
+            "## Next section\n| `cache-aware` | x | y | z |\n"
+        )
+        errors = check_docs.check_router_table(doc)
+        assert len(errors) == 2
+        assert "'cache-aware'" in errors[0] and "no row" in errors[0]
+        assert "'random'" in errors[1] and "not in ROUTER_NAMES" in errors[1]
+
+    def test_a_missing_router_table_is_reported(self):
+        errors = check_docs.check_router_table("# Architecture\n")
+        assert len(errors) == 1 and "no router table" in errors[0]
 
     def test_registry_names_cover_all_kinds(self):
         names = check_docs.registry_names()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: links resolve, catalogs match the code.
 
-Three families of checks, all run by the CI ``docs`` job and by
+Four families of checks, all run by the CI ``docs`` job and by
 ``tests/test_docs.py`` (so `pytest` catches drift before CI does):
 
 * **Links** — every relative markdown link in every ``*.md`` file of the
@@ -18,6 +18,8 @@ Three families of checks, all run by the CI ``docs`` job and by
   scheduler" table must have one row per scheduler ``build_scheduler``
   builds, and its "knobs" column may name only ``build_scheduler``
   parameters.
+* **Router table** — its "Choosing a router" table must have a row for
+  every name in ``ROUTER_NAMES`` and no other row.
 
 Run from the repository root (or pass it as ``argv[1]``):
 
@@ -46,8 +48,9 @@ _SECTIONS = {
     "trials": "### Trial functions",
 }
 
-#: the architecture doc's scheduler-selection table
+#: the architecture doc's scheduler- and router-selection tables
 _SCHEDULER_TABLE = "## Choosing a scheduler"
+_ROUTER_TABLE = "## Choosing a router"
 
 
 def markdown_files(root: pathlib.Path) -> list[pathlib.Path]:
@@ -201,13 +204,21 @@ def check_registry_sync(root: pathlib.Path) -> list[str]:
     return errors + check_trial_drivers(readme)
 
 
-def scheduler_table(doc: str) -> dict[str, set[str]]:
-    """Scheduler name -> backquoted names of its row's "knobs" cell."""
-    rows = [
+def table_rows(doc: str, section_heading: str) -> list[list[str]]:
+    """Cells of each row of the table under ``section_heading``.
+
+    The header row comes first, then the ``| --- |`` separator.
+    """
+    return [
         [cell.strip() for cell in line.strip().strip("|").split("|")]
-        for line in _section(doc, _SCHEDULER_TABLE).splitlines()
+        for line in _section(doc, section_heading).splitlines()
         if line.startswith("|")
     ]
+
+
+def scheduler_table(doc: str) -> dict[str, set[str]]:
+    """Scheduler name -> backquoted names of its row's "knobs" cell."""
+    rows = table_rows(doc, _SCHEDULER_TABLE)
     if not rows or "knobs" not in rows[0]:
         return {}
     knobs = rows[0].index("knobs")
@@ -246,6 +257,29 @@ def check_scheduler_table(doc: str) -> list[str]:
     return errors
 
 
+def check_router_table(doc: str) -> list[str]:
+    """The router table has a row for each ``ROUTER_NAMES`` entry, no other."""
+    from repro.serving.routing import ROUTER_NAMES
+
+    where = "docs/ARCHITECTURE.md"
+    rows = table_rows(doc, _ROUTER_TABLE)
+    if not rows:
+        return [f"{where}: no router table found under {_ROUTER_TABLE!r}"]
+    listed = [row[0].strip("`") for row in rows[2:]]
+    errors = [
+        f"{where}: ROUTER_NAMES has {name!r}, but the router table has no "
+        "row for it"
+        for name in ROUTER_NAMES
+        if name not in listed
+    ]
+    errors.extend(
+        f"{where}: router table row {name!r} is not in ROUTER_NAMES"
+        for name in listed
+        if name not in ROUTER_NAMES
+    )
+    return errors
+
+
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[1] if len(argv) > 1 else ".").resolve()
     architecture = (root / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
@@ -253,14 +287,15 @@ def main(argv: list[str]) -> int:
         check_links(root)
         + check_registry_sync(root)
         + check_scheduler_table(architecture)
+        + check_router_table(architecture)
     )
     for error in errors:
         print(f"docs check: {error}", file=sys.stderr)
     if not errors:
         n = len(markdown_files(root))
         print(
-            f"docs check: {n} markdown files ok, catalog and scheduler "
-            "table in sync"
+            f"docs check: {n} markdown files ok, catalog, scheduler and "
+            "router tables in sync"
         )
     return 1 if errors else 0
 
