@@ -272,7 +272,7 @@ class ServingEngine:
             timings=tuple(
                 r.timing()
                 for r in sorted(
-                    recorder.finished, key=lambda r: r.timed.request_id
+                    recorder.finished, key=lambda r: r.request_id
                 )
             ),
             iteration_seconds=tuple(recorder.iterations),
@@ -392,13 +392,14 @@ class ServingEngine:
             """
             n = 0
             for r in members:
-                if r.done:
+                generated = r.generated
+                if generated >= r.output_len:  # done
                     continue
                 n += 1
-                if r.generated == 0:
+                if generated == 0:
                     r.first_token_s = first_clock
-                r.generated += steps
-                if r.done:
+                r.generated = generated = generated + steps
+                if generated >= r.output_len:
                     r.finished_s = clock
                     self.scheduler.release(r)
                     rec.finish(r)
@@ -433,12 +434,12 @@ class ServingEngine:
                     # Re-enter in admission-age order, not at the tail:
                     # the restored request is the oldest resident and
                     # age decides who a preemptive scheduler protects.
-                    age = (head.admitted_s, head.timed.request_id)
+                    age = (head.admitted_s, head.request_id)
                     at = next(
                         (
                             i
                             for i, r in enumerate(running)
-                            if (r.admitted_s, r.timed.request_id) > age
+                            if (r.admitted_s, r.request_id) > age
                         ),
                         len(running),
                     )
@@ -588,9 +589,7 @@ class ServingEngine:
                             v.prefilled = False
                             v.preemptions += 1
                         preempted.extend(victims)
-                        preempted.sort(
-                            key=lambda r: (r.admitted_s, r.timed.request_id)
-                        )
+                        preempted.sort(key=lambda r: (r.admitted_s, r.request_id))
                         if tel:
                             col.preempt(clock, victims)
                         if not running:
@@ -647,7 +646,7 @@ class ServingEngine:
                         if all(r.done for r in running):
                             running.clear()
                     else:
-                        running = [r for r in running if not r.done]
+                        running = [r for r in running if r.generated < r.output_len]
                 if tel:
                     gauge(len(running))
                 continue

@@ -21,14 +21,29 @@ at admission, trimmed to that context, so it reserves the full-context
 footprint through the *same* :meth:`MemoryModel.request_bytes`
 arithmetic as :class:`~repro.serving.schedulers.MemoryAwareScheduler`
 and never claims again: the two engines are bit-exact, event for event.
+
+Every ledger event is a few integer operations.  A footprint is two
+numbers fixed at construction — the state bytes per request and the KV
+bytes per token — so ``reserved_bytes(t)`` is ``state + t * per_token``.
+The pool keeps its held total as a running integer, grows every
+crossing holding of a decode iteration in one all-or-nothing pass
+(:meth:`BlockPool.extend_all`), and a prefix pool drops the cached
+blocks a claim displaces in one cut of its LRU (:meth:`PrefixCache.evict`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
+
+if TYPE_CHECKING:
+    from repro.workloads.requests import Request
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,11 +56,30 @@ class MemoryModel:
     ``repro.quant`` registry's true bits-per-value — so a Pimba MX8 state
     is half an fp16 one, an int8 state carries its 16-bit group scales,
     and the capacity schedulers can never diverge from the Fig. 15
-    memory numbers.
+    memory numbers.  The view reads the two numbers a footprint needs —
+    state bytes per request, KV bytes per token — once, at construction.
     """
 
     spec: ModelSpec
     system: ServingSystem
+    #: state bytes one request holds whatever its context (the system's
+    #: own float, so byte counters keep their JSON type)
+    state_bytes_per_request: float = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+    #: KV bytes of one context token (the system's own float)
+    kv_bytes_per_token: float = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Read once: the system walks the spec's layer properties on
+        # every call, and the ledger asks for a footprint per event.
+        system, spec = self.system, self.spec
+        object.__setattr__(
+            self, "state_bytes_per_request", system.state_bytes_per_request(spec)
+        )
+        object.__setattr__(
+            self, "kv_bytes_per_token", system.kv_bytes_per_request(spec, 1)
+        )
 
     @classmethod
     def for_system(cls, system: ServingSystem, spec: ModelSpec) -> "MemoryModel":
@@ -64,12 +98,16 @@ class MemoryModel:
         tokens.  :meth:`request_bytes` is this at the full final context —
         the two share one arithmetic path on purpose, so the conservative
         and paged reservation models can be compared bit for bit.
+
+        ``state + kv_tokens * per_token`` is the same float as the
+        system's own ``state_bytes_per_request + kv_bytes_per_request``:
+        every registry footprint is a whole number of bytes below 2^53,
+        so each product is exact in either order (a registry-wide test
+        pins this for every context up to 4,096 tokens).
         """
         if kv_tokens < 0:
             raise ValueError(f"kv_tokens must be non-negative, got {kv_tokens}")
-        return self.system.state_bytes_per_request(
-            self.spec
-        ) + self.system.kv_bytes_per_request(self.spec, kv_tokens)
+        return self.state_bytes_per_request + kv_tokens * self.kv_bytes_per_token
 
     def kv_bytes(self, kv_tokens: int) -> float:
         """KV-only bytes of ``kv_tokens`` tokens (no per-request state).
@@ -80,7 +118,7 @@ class MemoryModel:
         """
         if kv_tokens < 0:
             raise ValueError(f"kv_tokens must be non-negative, got {kv_tokens}")
-        return self.system.kv_bytes_per_request(self.spec, kv_tokens)
+        return kv_tokens * self.kv_bytes_per_token
 
     def request_bytes(self, input_len: int, output_len: int) -> float:
         """Cluster-wide bytes one request holds resident at full context.
@@ -117,13 +155,15 @@ def validate_capacity(memory: MemoryModel, capacity_bytes: float) -> None:
         )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class _Holding:
-    """One resident request's share of a :class:`BlockPool`."""
+    """One resident request's share of a :class:`BlockPool`.
+
+    It holds ``state + kv_tokens * per_token`` whole bytes of the pool.
+    """
 
     blocks: int  #: whole KV blocks held (the tail one may be trimmed)
     kv_tokens: int  #: KV tokens actually charged (<= blocks * block_size)
-    reserved: int  #: memoized ``reserved_bytes(kv_tokens)``, whole bytes
     #: leading prefix tokens served from shared cache blocks instead of
     #: private ones (0 for every non-sharing holding — the arithmetic
     #: below then reduces to the plain paged path, bit for bit)
@@ -138,17 +178,22 @@ class BlockPool:
     ``kv_tokens`` of KV, where ``kv_tokens`` grows in steps of
     ``block_size`` as decode proceeds (:meth:`extend`) and is trimmed to
     the request's known final context, so the tail block never charges
-    tokens that will not exist.  All byte arithmetic goes through
-    :meth:`MemoryModel.reserved_bytes`, the same path the conservative
-    scheduler uses — which is what makes the degenerate
+    tokens that will not exist.  Every footprint is
+    :meth:`MemoryModel.reserved_bytes` — ``state + kv_tokens *
+    per_token`` on the model's two numbers, the arithmetic the
+    conservative scheduler uses — which is what makes the degenerate
     (reserve-final-context) configuration bit-exact with
     :class:`~repro.serving.schedulers.MemoryAwareScheduler`.
 
     The ledger is kept in whole bytes.  The constructor refuses a model
-    whose per-request state or per-token KV is a fractional byte count;
-    every holding's footprint is then a whole number, so the running
-    total of held bytes is exact in any addition order and
-    :attr:`free_bytes` is O(1).
+    whose per-request state or per-token KV is a fractional byte count,
+    and keeps the two as ints; every holding's footprint is then a whole
+    number, so the running total of held bytes is exact in any addition
+    order, :attr:`free_bytes` is O(1), and comparing or subtracting a
+    footprint as an int gives the same answer as the float.  That makes
+    the hot events a few integer operations: :meth:`admissible` packs an
+    admission, and :meth:`extend_all` lands every claim of a decode
+    iteration in one all-or-nothing pass.
 
     Lifetime block counters (:attr:`allocated_blocks` /
     :attr:`freed_blocks`) let the invariant tests assert that every block
@@ -161,8 +206,8 @@ class BlockPool:
         validate_capacity(memory, capacity_bytes)
         if block_size < 1:
             raise ValueError("block_size must be positive")
-        state = memory.reserved_bytes(0)
-        per_token = memory.kv_bytes(1)
+        state = memory.state_bytes_per_request
+        per_token = memory.kv_bytes_per_token
         if not (float(state).is_integer() and float(per_token).is_integer()):
             raise ValueError(
                 "the paged KV ledger needs whole-byte footprints, got "
@@ -172,6 +217,10 @@ class BlockPool:
         self.memory = memory
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
+        #: the model's footprint in whole bytes: a holding of ``kv_tokens``
+        #: holds ``state + kv_tokens * per_token`` of them
+        self._state = int(state)
+        self._per_token = int(per_token)
         #: bytes the pool owns: the budget minus the resident weights
         self._pool_bytes = capacity_bytes - memory.weights_bytes
         #: whole bytes held by all holdings (a running, exact total)
@@ -221,7 +270,8 @@ class BlockPool:
 
     @property
     def blocks_in_use(self) -> int:
-        return sum(h.blocks for h in self._holdings.values())
+        """Blocks held right now: every claim not yet returned."""
+        return self.allocated_blocks - self.freed_blocks
 
     @property
     def n_resident(self) -> int:
@@ -239,6 +289,28 @@ class BlockPool:
     def feasible(self, input_len: int, output_len: int) -> bool:
         """Could this request *ever* complete, even alone in the pool?"""
         return self.memory.request_bytes(input_len, output_len) <= self._pool_bytes
+
+    def admissible(self, requests: Iterable[Request]) -> int:
+        """How many of ``requests``, in order, the free pool admits now.
+
+        The longest prefix whose prompt blocks (tail trimmed to the
+        final context) fit the free bytes together, stopping at the
+        first request that could not finish even alone in the pool: the
+        :meth:`fits` and :meth:`feasible` tests, on whole-byte ints.
+        """
+        free = self.free_bytes
+        size, state, per_token = self.block_size, self._state, self._per_token
+        n = 0
+        for request in requests:
+            input_len = request.input_len
+            final = input_len + request.output_len
+            covered = -(-input_len // size) * size  # covered_tokens, inlined
+            need = state + min(covered, final) * per_token
+            if need > free or state + final * per_token > self._pool_bytes:
+                break
+            free -= need
+            n += 1
+        return n
 
     # -- mutation -----------------------------------------------------------
 
@@ -258,18 +330,15 @@ class BlockPool:
         claimed nor charged here — the holding covers only the private
         remainder.
         """
-        if request_id in self._holdings:
+        holdings = self._holdings
+        if request_id in holdings:
             raise ValueError(f"request {request_id} already holds blocks")
-        blocks = self.blocks_for(context) - shared_tokens // self.block_size
-        kv_tokens = self.covered_tokens(context, final_context) - shared_tokens
-        reserved = int(self.memory.reserved_bytes(kv_tokens))
-        self._holdings[request_id] = _Holding(
-            blocks=blocks,
-            kv_tokens=kv_tokens,
-            reserved=reserved,
-            shared_tokens=shared_tokens,
-        )
-        self._held += reserved
+        size = self.block_size
+        blocks = -(-context // size)  # blocks_for and covered_tokens, inlined
+        kv_tokens = min(blocks * size, final_context) - shared_tokens
+        blocks -= shared_tokens // size
+        holdings[request_id] = _Holding(blocks, kv_tokens, shared_tokens)
+        self._held += self._state + kv_tokens * self._per_token
         self.allocated_blocks += blocks
         self._claimed()
 
@@ -280,32 +349,54 @@ class BlockPool:
         claimed blocks; otherwise claims the next block(s) if the pool
         has room, and reports failure — the preemption trigger — if not.
         """
-        holding = self._holdings[request_id]
-        kv_tokens = (
-            self.covered_tokens(context, final_context)
-            - holding.shared_tokens
-        )
-        if kv_tokens <= holding.kv_tokens:
+        return self.extend_all(((request_id, context, final_context),))
+
+    def extend_all(self, claims: Sequence[tuple[int, int, int]]) -> bool:
+        """:meth:`extend` each ``(request_id, context, final_context)``
+        claim, one per holding, in one pass: all or nothing.
+
+        When the claims' summed byte deltas fit :attr:`free_bytes`, every
+        one lands and the pool settles once (one trim for a prefix pool);
+        otherwise nothing changes and ``False`` comes back.  That is the
+        outcome of extending them one by one, in any order, whenever no
+        extend would fail: each delta fits what the earlier ones left
+        (the ledger is whole bytes, so the sums are exact), the held
+        total is an integer sum, and a trim after each claim evicts the
+        LRU prefix one trim after the last claim does, because claims
+        only ever shrink the free pool.  A claim inside its holding's
+        blocks changes nothing and cannot fail.
+        """
+        holdings = self._holdings
+        size = self.block_size
+        grown = []
+        tokens = 0
+        for request_id, context, final_context in claims:
+            holding = holdings[request_id]
+            blocks = -(-context // size)  # blocks_for and covered_tokens, inlined
+            kv_tokens = min(blocks * size, final_context) - holding.shared_tokens
+            if kv_tokens > holding.kv_tokens:
+                grown.append((holding, blocks, kv_tokens))
+                tokens += kv_tokens - holding.kv_tokens
+        if not grown:
             return True
-        reserved = int(self.memory.reserved_bytes(kv_tokens))
-        if reserved - holding.reserved > self.free_bytes:
+        delta = tokens * self._per_token
+        if delta > self.free_bytes:
             return False
-        blocks = (
-            self.blocks_for(context)
-            - holding.shared_tokens // self.block_size
-        )
-        self.allocated_blocks += blocks - holding.blocks
-        self._held += reserved - holding.reserved
-        holding.blocks = blocks
-        holding.kv_tokens = kv_tokens
-        holding.reserved = reserved
+        claimed = 0
+        for holding, blocks, kv_tokens in grown:
+            blocks -= holding.shared_tokens // size
+            claimed += blocks - holding.blocks
+            holding.blocks = blocks
+            holding.kv_tokens = kv_tokens
+        self.allocated_blocks += claimed
+        self._held += delta
         self._claimed()
         return True
 
     def release(self, request_id: int) -> None:
         """Return all of a request's blocks (completion or preemption)."""
         holding = self._holdings.pop(request_id)
-        self._held -= holding.reserved
+        self._held -= self._state + holding.kv_tokens * self._per_token
         self.freed_blocks += holding.blocks
 
     def _claimed(self) -> None:
@@ -421,14 +512,16 @@ class PrefixCache:
         refreshed (moved to the LRU tail when unreferenced); the partial
         tail block is never published.
         """
+        refs, lru = self._refs, self._lru
         for i in range(history_tokens // self.block_size):
             key = (session_id, i)
-            if key not in self._refs:
-                self._refs[key] = 0
-                self._lru[key] = None
-            elif self._refs[key] == 0:
-                del self._lru[key]
-                self._lru[key] = None
+            count = refs.get(key)
+            if count is None:
+                refs[key] = 0
+                lru[key] = None
+            elif count == 0:
+                del lru[key]
+                lru[key] = None
 
     def evict_lru(self) -> bool:
         """Reclaim the least-recently-used unreferenced block, if any."""
@@ -439,6 +532,16 @@ class PrefixCache:
         del self._refs[key]
         self.evictions += 1
         return True
+
+    def evict(self, n_blocks: int) -> None:
+        """Reclaim the ``n_blocks`` least-recently-used unreferenced
+        blocks (at most :attr:`cached_blocks`): :meth:`evict_lru` that
+        many times, in one cut of the LRU."""
+        lru, refs = self._lru, self._refs
+        for key in list(itertools.islice(lru, n_blocks)):
+            del lru[key]
+            del refs[key]
+        self.evictions += n_blocks
 
 
 class PrefixBlockPool(BlockPool):
@@ -459,7 +562,8 @@ class PrefixBlockPool(BlockPool):
 
     With nothing shared and nothing published, every code path reduces
     to the base pool's arithmetic on the same whole-byte footprints —
-    the bit-exactness of the cache-disabled scheduler rests on this.
+    which is why a trace without session ids runs the ``prefix``
+    scheduler bit for bit like ``paged``.
     """
 
     def __init__(
@@ -494,7 +598,10 @@ class PrefixBlockPool(BlockPool):
 
     @property
     def free_bytes(self) -> float:
-        return self._pool_bytes - self._held - self.cache.pinned_bytes
+        # cache.pinned_bytes, inlined: this runs on every ledger event
+        cache = self.cache
+        pinned = len(cache._refs) - len(cache._lru)
+        return self._pool_bytes - self._held - pinned * cache.block_bytes
 
     def allocate_reusing(
         self,
@@ -574,10 +681,24 @@ class PrefixBlockPool(BlockPool):
         nothing.  So the pool trims only after those two (a tier pull
         publishes just before the claim that trims it), and a skipped
         trim could never have evicted anything.
+
+        The blocks to drop are counted, not searched for: the retained
+        set keeps the most blocks whose whole-byte total fits the free
+        pool, ``floor(free) // block_bytes`` of them (none when nothing
+        is free), exactly where evicting one LRU block at a time would
+        stop.
         """
+        cache = self.cache
+        cached = len(cache._lru)  # cache.cached_blocks, inlined
+        if not cached:
+            return
         free = self.free_bytes
-        while self.cache.cached_bytes > free and self.cache.evict_lru():
-            pass
+        if cached * cache.block_bytes <= free:
+            return
+        keep = 0
+        if free > 0 and cache.block_bytes:
+            keep = math.floor(free) // int(cache.block_bytes)
+        cache.evict(cached - keep)
 
     _claimed = _trim
 

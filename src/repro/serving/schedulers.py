@@ -32,7 +32,9 @@ Seven schedulers, in increasing order of sophistication:
   ``block_size`` generated tokens, and on pool exhaustion the youngest
   running request is preempted (its blocks freed, the request re-queued
   for a recompute-style restore whose re-prefill is priced like any
-  other prefill — preemption has a visible latency cost).
+  other prefill — preemption has a visible latency cost).  A claim step
+  touches only the residents whose next token crosses their blocks, and
+  lands all of their claims in one pass whenever they fit together.
 * :class:`PrefixCachingScheduler` — SGLang-style radix prefix reuse on
   top of the paged pool: completed requests publish their session's
   whole KV blocks to a refcounted
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import itertools
 import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -77,6 +80,13 @@ class RunningRequest:
     timed: TimedRequest
     admitted_s: float
     stride: int  #: pricing-anchor stride (clamped per request)
+    #: the :class:`~repro.workloads.requests.Request` fields, copied from
+    #: ``timed`` at construction: the ledger and the decode loop read
+    #: them on every event
+    request_id: int = dataclasses.field(init=False)
+    input_len: int = dataclasses.field(init=False)
+    output_len: int = dataclasses.field(init=False)
+    session_id: int | None = dataclasses.field(init=False)
     generated: int = 0
     first_token_s: float | None = None
     finished_s: float | None = None
@@ -102,13 +112,12 @@ class RunningRequest:
     #: admission/restore; 0.0 whenever nothing moved)
     transfer_s_last: float = 0.0
 
-    @property
-    def input_len(self) -> int:
-        return self.timed.input_len
-
-    @property
-    def output_len(self) -> int:
-        return self.timed.output_len
+    def __post_init__(self) -> None:
+        request = self.timed.request
+        self.request_id = request.request_id
+        self.input_len = request.input_len
+        self.output_len = request.output_len
+        self.session_id = request.session_id
 
     @property
     def done(self) -> bool:
@@ -122,7 +131,7 @@ class RunningRequest:
     def timing(self) -> RequestTiming:
         """The finished request's lifecycle record."""
         return RequestTiming(
-            request_id=self.timed.request_id,
+            request_id=self.request_id,
             input_len=self.input_len,
             output_len=self.output_len,
             arrival_s=self.timed.arrival_s,
@@ -603,7 +612,11 @@ class PagedScheduler(Scheduler):
     :meth:`steps_before_claim` knows how many decode iterations the
     batch takes before the next claim: the engine prices that stretch
     as one run, and only the claiming iteration — the one that can
-    preempt — goes through :meth:`prepare_iteration` on its own.
+    preempt — goes through :meth:`prepare_iteration` on its own.  That
+    iteration extends only the crossing residents, and when their
+    claims fit the free pool together it lands them in one
+    :meth:`~repro.serving.memory.BlockPool.extend_all` pass; the
+    one-claim-at-a-time loop that preempts runs only when they do not.
 
     A ``block_size`` at least every request's final context is the
     degenerate, thrash-free configuration: the prompt's one block,
@@ -639,25 +652,17 @@ class PagedScheduler(Scheduler):
         running: Sequence[RunningRequest],
         more_arrivals: bool,
     ) -> int:
-        free = self.pool.free_bytes
-        n = 0
-        for request in queue[:max(0, self.max_batch - len(running))]:
-            final = request.input_len + request.output_len
-            need = self.memory.reserved_bytes(
-                self.pool.covered_tokens(request.input_len, final)
-            )
-            if need > free or not self.pool.feasible(
-                request.input_len, request.output_len
-            ):
-                break
-            free -= need
-            n += 1
-        return n
+        limit = min(len(queue), self.max_batch - len(running))
+        if limit <= 0:
+            return 0
+        return self.pool.admissible(
+            timed.request for timed in itertools.islice(queue, limit)
+        )
 
     def on_admit(self, admitted: Sequence[RunningRequest]) -> None:
         for r in admitted:
             self.pool.allocate(
-                r.timed.request_id, r.input_len, r.input_len + r.output_len
+                r.request_id, r.input_len, r.input_len + r.output_len
             )
 
     def prepare_iteration(
@@ -670,23 +675,41 @@ class PagedScheduler(Scheduler):
         which protects the request closest to completion.  A resident may
         evict itself when it is the youngest; the head resident never
         can, because admission feasibility guarantees it fits alone.
+
+        Only the residents whose next token crosses their coverage
+        claim; for the rest an extend changes nothing and cannot fail,
+        so none is made.  When the crossers' claims fit the free pool
+        together they land in one :meth:`BlockPool.extend_all` pass —
+        in sequence each would have fitted, and nobody is evicted.  Only
+        when they do not is the pool grown one claim at a time in age
+        order, evicting as above.
         """
+        covered = self.pool.covered
+        claims = [
+            (r.request_id, r.input_len + r.generated + 1, r.input_len + r.output_len)
+            for r in running
+            if r.input_len + r.generated >= covered(r.request_id)
+        ]
+        if not claims or self.pool.extend_all(claims):
+            return []
+        crossing = {request_id for request_id, _, _ in claims}
         victims: list[RunningRequest] = []
         # Age order by *original* admission (restores keep their first
         # admission stamp), not list position: a restored request is the
         # oldest resident and must be the last evicted, never the first
         # — else a full pool re-evicts it before it decodes a token and
         # every restore re-prefill is pure waste.
-        alive = sorted(
-            running, key=lambda r: (r.admitted_s, r.timed.request_id)
-        )
+        alive = sorted(running, key=lambda r: (r.admitted_s, r.request_id))
         i = 0
         while i < len(alive):
             r = alive[i]
+            if r.request_id not in crossing:
+                i += 1
+                continue
             final = r.input_len + r.output_len
             self_evicted = False
             while not self.pool.extend(
-                r.timed.request_id, r.input_len + r.generated + 1, final
+                r.request_id, r.input_len + r.generated + 1, final
             ):
                 if len(alive) == 1:
                     # Nothing else to evict and self-eviction would just
@@ -694,10 +717,10 @@ class PagedScheduler(Scheduler):
                     # admission feasibility makes this unreachable.
                     raise RuntimeError(
                         "paged pool exhausted growing request "
-                        f"{r.timed.request_id} with no victim to preempt"
+                        f"{r.request_id} with no victim to preempt"
                     )
                 victim = alive.pop()
-                self.pool.release(victim.timed.request_id)
+                self.pool.release(victim.request_id)
                 victims.append(victim)
                 if victim is r:
                     self_evicted = True
@@ -712,13 +735,20 @@ class PagedScheduler(Scheduler):
         A holding covers its claimed KV plus any shared prefix; decode
         step ``j`` grows a resident to ``input_len + generated + j + 1``
         tokens, which claims only past that coverage.  A holding that
-        already covers the final context never claims again.
+        already covers the final context never claims again.  Coverage
+        never trails the context, so the first resident due to claim now
+        ends the scan.
         """
+        covered = self.pool.covered
         horizon = math.inf
         for r in running:
-            covered = self.pool.covered(r.timed.request_id)
-            if covered < r.input_len + r.output_len:
-                horizon = min(horizon, covered - r.input_len - r.generated)
+            tokens = covered(r.request_id)
+            if tokens < r.input_len + r.output_len:
+                steps = tokens - r.input_len - r.generated
+                if steps < horizon:
+                    if not steps:
+                        return 0
+                    horizon = steps
         return horizon
 
     def can_restore(
@@ -738,13 +768,13 @@ class PagedScheduler(Scheduler):
 
     def on_restore(self, request: RunningRequest) -> None:
         self.pool.allocate(
-            request.timed.request_id,
+            request.request_id,
             request.input_len + request.generated,
             request.input_len + request.output_len,
         )
 
     def release(self, request: RunningRequest) -> None:
-        self.pool.release(request.timed.request_id)
+        self.pool.release(request.request_id)
 
     @property
     def blocks_in_use(self) -> int:
@@ -802,22 +832,21 @@ class PrefixCachingScheduler(PagedScheduler):
         """
         context = r.input_len + r.generated
         final = r.input_len + r.output_len
-        if r.timed.session_id is not None:
-            # The admission clock doubles as the tier-lookup clock: a
-            # restore reuses the original admission time, which can only
-            # hide (never invent) remote publishes — deterministic and
-            # conservative.
-            hit, remote, transfer_s = self.pool.allocate_reusing(
-                r.timed.request_id,
-                r.timed.session_id,
-                context,
-                final,
-                prefill_tokens,
-                now=r.admitted_s,
-            )
-        else:
-            self.pool.allocate(r.timed.request_id, context, final)
-            hit, remote, transfer_s = 0, 0, 0.0
+        if r.session_id is None:
+            # Nothing to reuse: the cache fields keep their zero defaults.
+            self.pool.allocate(r.request_id, context, final)
+            return
+        # The admission clock doubles as the tier-lookup clock: a restore
+        # reuses the original admission time, which can only hide (never
+        # invent) remote publishes — deterministic and conservative.
+        hit, remote, transfer_s = self.pool.allocate_reusing(
+            r.request_id,
+            r.session_id,
+            context,
+            final,
+            prefill_tokens,
+            now=r.admitted_s,
+        )
         r.cache_hit_last = hit
         r.cached_tokens += hit
         r.remote_tokens += remote
@@ -831,13 +860,13 @@ class PrefixCachingScheduler(PagedScheduler):
         self._allocate(request, request.input_len + request.generated)
 
     def release(self, request: RunningRequest) -> None:
-        if request.timed.session_id is not None and request.done:
+        if request.session_id is not None and request.done:
             self.pool.publish(
-                request.timed.session_id,
+                request.session_id,
                 request.input_len + request.generated,
                 at=request.finished_s,
             )
-        self.pool.release(request.timed.request_id)
+        self.pool.release(request.request_id)
 
     def reset(self) -> None:
         self.pool.reset()

@@ -40,13 +40,12 @@ class SlotView:
     @classmethod
     def from_requests(cls, running: Sequence[RunningRequest]) -> "SlotView":
         requests = tuple(running)
-        specs = [r.timed.request for r in requests]
-        output_len = tuple([q.output_len for q in specs])
+        output_len = tuple([r.output_len for r in requests])
         generated = tuple([r.generated for r in requests])
         # positional: keyword arguments nearly double the cost of this call
         return cls(
             requests,
-            tuple([q.input_len for q in specs]),
+            tuple([r.input_len for r in requests]),
             output_len,
             generated,
             tuple([r.stride for r in requests]),

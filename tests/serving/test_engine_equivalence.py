@@ -375,6 +375,171 @@ def test_steps_before_claim_is_unbounded_once_a_block_covers_the_final_context(
     assert _scalar_steps_before_claim(scheduler, [r]) == math.inf
 
 
+def _lru_trim(pool):
+    """A prefix pool's trim, one LRU block at a time."""
+    free = pool.free_bytes
+    while pool.cache.cached_bytes > free and pool.cache.evict_lru():
+        pass
+
+
+def _extend_one(pool, request_id, context, final):
+    """One claim on the float footprints, written out: nothing inside the
+    holding's blocks, a refusal when the new blocks' bytes exceed the
+    free pool, else the claim and the pool's settling hook (a trim)."""
+    holding = pool._holdings[request_id]
+    kv_tokens = pool.covered_tokens(context, final) - holding.shared_tokens
+    if kv_tokens <= holding.kv_tokens:
+        return True
+    reserved = pool.memory.reserved_bytes
+    delta = reserved(kv_tokens) - reserved(holding.kv_tokens)
+    if delta > pool.free_bytes:
+        return False
+    blocks = pool.blocks_for(context) - holding.shared_tokens // pool.block_size
+    pool.allocated_blocks += blocks - holding.blocks
+    pool._held += int(delta)
+    holding.blocks, holding.kv_tokens = blocks, kv_tokens
+    pool._claimed()
+    return True
+
+
+def _sequential_prepare(scheduler, running):
+    """The claim step one resident at a time: extend every resident in
+    age order, and on each failed extend evict the youngest resident,
+    the claimer included."""
+    pool = scheduler.pool
+    victims = []
+    alive = sorted(running, key=lambda r: (r.admitted_s, r.request_id))
+    i = 0
+    while i < len(alive):
+        r = alive[i]
+        context, final = r.input_len + r.generated + 1, r.input_len + r.output_len
+        while not _extend_one(pool, r.request_id, context, final):
+            victim = alive.pop()
+            pool.release(victim.request_id)
+            victims.append(victim)
+            if victim is r:
+                break
+        else:
+            i += 1
+    return victims
+
+
+def _ledger(pool):
+    """Everything a claim step can change in a pool, comparable by ``==``."""
+    state = {
+        "holdings": {
+            rid: (h.blocks, h.kv_tokens, h.shared_tokens)
+            for rid, h in pool._holdings.items()
+        },
+        "free_bytes": pool.free_bytes,
+        "blocks": (pool.allocated_blocks, pool.freed_blocks),
+    }
+    cache = getattr(pool, "cache", None)
+    if cache is not None:
+        state["evictions"] = cache.evictions
+        state["lru"] = list(cache._lru)
+        state["refs"] = dict(cache._refs)
+    return state
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ("paged+tight", "prefix+tight"))
+def test_prepare_iteration_equals_sequential_extends(
+    name, seed, pimba_system, zamba_spec
+):
+    """Seeded differential check of the crossing-only batched claims.
+
+    Two schedulers on the same tight pool live through the same random
+    admissions, decode steps, preemptions, restores and completions.
+    One claims through ``prepare_iteration``; the other through the
+    per-resident loop of written-out extends above, and (prefix) trims
+    its cache one LRU block at a time after every claim.  After each claim step the
+    victims, every holding, the free bytes, the block counters, the
+    eviction count and the surviving LRU order must agree.  Both paths
+    of ``prepare_iteration`` are taken: one all-or-nothing pass over
+    several crossers, and the age-ordered fallback when their claims do
+    not fit together.
+    """
+    rng = random.Random(f"claims-{name}-{seed}")
+    # The running order is the engine's business, not the ledger's: the
+    # subject sees its residents shuffled before every claim step.
+    shuffle = random.Random(seed).shuffle
+    subject = make_scheduler(name, pimba_system, zamba_spec)
+    oracle = make_scheduler(name, pimba_system, zamba_spec)
+    if name.startswith("prefix"):
+        oracle.pool._trim = oracle.pool._claimed = lambda: _lru_trim(oracle.pool)
+    passes = []
+    extend_all = subject.pool.extend_all
+
+    def spy(claims):
+        landed = extend_all(claims)
+        passes.append((len(claims), landed))
+        return landed
+
+    subject.pool.extend_all = spy
+    worlds = ((subject, [], []), (oracle, [], []))  # scheduler, running, preempted
+    for step in range(400):
+        if worlds[0][2]:
+            restorable = [s.can_restore(p[0], run) for s, run, p in worlds]
+            assert restorable[0] == restorable[1]
+            if restorable[0]:
+                for s, run, preempted in worlds:
+                    head = preempted.pop(0)
+                    s.on_restore(head)
+                    run.append(head)
+        else:
+            # Mostly block-aligned prompts, so residents admitted
+            # together cross their coverage on the same step.
+            for k in range(rng.choice((0, 0, 1, 2, 3))):
+                session = rng.randrange(3) if rng.random() < 0.7 else None
+                timed = TimedRequest(
+                    Request(
+                        3 * step + k,
+                        16 * rng.randint(1, 12) - rng.choice((0, 0, 0, 5)),
+                        rng.randint(1, 48),
+                        session,
+                    ),
+                    0.0,
+                )
+                admitted = [s.admit([timed], run, True) for s, run, _ in worlds]
+                assert admitted[0] == admitted[1]
+                if not admitted[0]:
+                    break
+                for s, run, _ in worlds:
+                    r = RunningRequest(
+                        timed=timed,
+                        admitted_s=float(step),
+                        stride=s.request_stride(timed.output_len),
+                    )
+                    s.on_admit([r])
+                    run.append(r)
+        if not worlds[0][1]:
+            continue
+        shuffle(worlds[0][1])
+        got = subject.prepare_iteration(worlds[0][1])
+        want = _sequential_prepare(oracle, worlds[1][1])
+        assert [v.request_id for v in got] == [v.request_id for v in want]
+        assert _ledger(subject.pool) == _ledger(oracle.pool)
+        for (s, run, preempted), victims in zip(worlds, (got, want)):
+            gone = {id(v) for v in victims}
+            run[:] = [r for r in run if id(r) not in gone]
+            preempted.extend(victims)
+            preempted.sort(key=lambda r: (r.admitted_s, r.request_id))
+            for r in sorted(run, key=lambda r: r.request_id):
+                r.generated += 1
+                if r.done:
+                    r.finished_s = float(step)
+                    s.release(r)
+            run[:] = [r for r in run if not r.done]
+        assert _ledger(subject.pool) == _ledger(oracle.pool)
+    # Not vacuous: several crossers landed together, some claim steps
+    # fell back and preempted, and (prefix) claims displaced cache.
+    assert any(n > 1 and landed for n, landed in passes)
+    assert any(not landed for _, landed in passes)
+    if name.startswith("prefix"):
+        assert subject.pool.cache.evictions > 0
+
+
 def _expand(segments):
     """The per-step pricing points a run's ``(seq, count)`` segments
     stand for."""

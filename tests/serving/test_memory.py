@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.models import spec_for
+from repro.models.registry import MODEL_NAMES
 from repro.perf.system import SystemKind, build_system
 from repro.serving import (
     BlockPool,
@@ -12,6 +13,7 @@ from repro.serving import (
     PrefixBlockPool,
     validate_capacity,
 )
+from repro.workloads.requests import Request
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,26 @@ class TestMemoryModel:
 
     def test_validate_capacity_accepts_roomy_budget(self, memory):
         validate_capacity(memory, memory.weights_bytes * 2)  # no raise
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_two_number_footprint_equals_the_system_formulas(self, model):
+        """``state + t * per_token`` is the system's own footprint, to the
+        bit and the type, for every scale and system in the registry and
+        every context up to 4,096 tokens: the whole-byte footprints make
+        each product exact in either order."""
+        for scale in ("small", "large"):
+            spec = spec_for(model, scale)
+            for kind in SystemKind:
+                system = build_system(kind, scale)
+                memory = MemoryModel.for_system(system, spec)
+                state = system.state_bytes_per_request(spec)
+                for t in range(4097):
+                    kv = system.kv_bytes_per_request(spec, t)
+                    reserved = memory.reserved_bytes(t)
+                    assert reserved == state + kv, (scale, kind, t)
+                    assert type(reserved) is type(state + kv)
+                    assert memory.kv_bytes(t) == kv, (scale, kind, t)
+                    assert type(memory.kv_bytes(t)) is type(kv)
 
 
 class TestBlockPool:
@@ -119,6 +141,55 @@ class TestBlockPool:
         pool.allocate(0, 256, 256)
         pool.allocate(1, 256, 256)
         assert not pool.fits(128, 256)
+
+    def test_admissible_is_the_float_walk_over_fits_and_feasible(self, memory):
+        """``admissible`` packs on whole-byte ints exactly the queue
+        prefix that walking the float footprints admits: each prompt's
+        trimmed blocks must fit what the earlier ones left, and the
+        request must be able to finish alone in the pool.  Random queues
+        meet random partly filled pools at fractional budgets."""
+        rng = random.Random(11)
+        stops = {"admitted all": 0, "bytes": 0, "infeasible": 0}
+        for _ in range(400):
+            pool = BlockPool(
+                memory,
+                memory.weights_bytes
+                + rng.uniform(1.2, 4.0) * memory.request_bytes(256, 64),
+                16,
+            )
+            for rid in range(rng.randint(0, 3)):
+                context = rng.randint(1, 256)
+                final = context + rng.randint(1, 64)
+                if pool.fits(context, final):
+                    pool.allocate(rid, context, final)
+            # Some outputs are long enough that the final context could
+            # never fit the pool, however short the prompt.
+            queue = [
+                Request(
+                    100 + i,
+                    rng.randint(1, 320),
+                    rng.choice((rng.randint(1, 64), rng.randint(256, 3000))),
+                )
+                for i in range(rng.randint(0, 6))
+            ]
+            free, expected, stop = pool.free_bytes, 0, "admitted all"
+            for request in queue:
+                final = request.input_len + request.output_len
+                need = memory.reserved_bytes(
+                    pool.covered_tokens(request.input_len, final)
+                )
+                if need > free:
+                    stop = "bytes"
+                    break
+                if not pool.feasible(request.input_len, request.output_len):
+                    stop = "infeasible"
+                    break
+                free -= need
+                expected += 1
+            stops[stop] += 1
+            assert pool.admissible(queue) == expected
+        # Every way a walk can end is exercised.
+        assert min(stops.values()) > 40
 
 
 #: random-walk operations on a prefix pool (extend drawn twice as often)
@@ -221,6 +292,9 @@ class TestWholeByteLedger:
                 continue
             done[op] += 1
             assert pool.free_bytes == self.fresh_free_bytes(pool)
+            assert pool.blocks_in_use == sum(
+                h.blocks for h in pool._holdings.values()
+            )
             assert (
                 pool.cache.cached_bytes <= pool.free_bytes
                 or pool.cache.cached_blocks == 0
@@ -234,3 +308,67 @@ class TestWholeByteLedger:
         for rid in list(live):
             pool.release(rid)
         assert pool.free_bytes == pool.capacity_bytes - memory.weights_bytes
+
+    def test_one_pass_trim_evicts_what_single_block_evictions_would(self, memory):
+        """Two prefix pools live through one seeded walk of allocations,
+        extends, releases and publishes; the oracle trims by calling
+        ``evict_lru`` until its retained cache fits.  After every
+        operation both hold the same cached blocks in the same LRU order
+        with the same eviction count, and some trims drop several blocks
+        at once, so the counted cut is exercised beyond one block."""
+        rng = random.Random(7)
+        budget = memory.weights_bytes + 2.93 * memory.request_bytes(256, 32)
+        pool = PrefixBlockPool(memory, budget, 16)
+        oracle = PrefixBlockPool(memory, budget, 16)
+
+        def trim_one_at_a_time():
+            free = oracle.free_bytes
+            while oracle.cache.cached_bytes > free and oracle.cache.evict_lru():
+                pass
+
+        oracle._trim = oracle._claimed = trim_one_at_a_time
+        pools = (pool, oracle)
+        live = {}  # request id -> [context, final context, session]
+        multi_block_trims = 0
+        for request_id in range(3000):
+            op = rng.choice(_WALK_OPS)
+            evictions = pool.cache.evictions
+            if op.startswith("allocate"):
+                context = rng.randint(1, 256)
+                final = context + rng.randint(1, 64)
+                if not pool.fits(context, final):
+                    continue
+                session = None if op == "allocate" else rng.randrange(4)
+                for p in pools:
+                    if session is None:
+                        p.allocate(request_id, context, final)
+                    else:
+                        p.allocate_reusing(
+                            request_id, session, context, final, context
+                        )
+                live[request_id] = [context, final, session]
+            elif op == "extend" and live:
+                rid = rng.choice(list(live))
+                context, final, _ = live[rid]
+                grown = min(final, context + rng.randint(1, 48))
+                landed = {p.extend(rid, grown, final) for p in pools}
+                assert len(landed) == 1
+                if landed.pop():
+                    live[rid][0] = grown
+            elif op == "release" and live:
+                rid = rng.choice(list(live))
+                context, _, session = live.pop(rid)
+                for p in pools:
+                    if session is not None:
+                        p.publish(session, context)
+                    p.release(rid)
+            elif op == "publish":
+                session, tokens = rng.randrange(4), rng.randint(1, 640)
+                for p in pools:
+                    p.publish(session, tokens)
+            multi_block_trims += pool.cache.evictions - evictions > 1
+            assert list(pool.cache._lru) == list(oracle.cache._lru)
+            assert pool.cache._refs == oracle.cache._refs
+            assert pool.cache.evictions == oracle.cache.evictions
+            assert pool.free_bytes == oracle.free_bytes
+        assert multi_block_trims > 20
