@@ -60,11 +60,14 @@ class PimbaAccelerator:
     def store_state(self, state: np.ndarray) -> np.ndarray:
         """Quantize a state tensor into the device storage format.
 
-        The SPE computes with wide intermediates (12-bit products, a wide
-        dot-product accumulator) and loses precision only when the updated
-        state is written back to the row buffer — i.e. once per update.
-        Storage quantization therefore captures the hardware numerics; the
-        bit-exact block path in ``repro.core.spe`` validates this in tests.
+        The model assumes the SPE loses precision only when the updated
+        state is written back to the row buffer — once per update — so
+        storage quantization stands in for the hardware numerics.  That
+        is an assumption, not a checked fact: the bit-level block path in
+        ``repro.core.spe`` also rounds its MX8 operands and every product
+        and sum, and no test compares the two.  ROADMAP.md's "Pimba's
+        numerics through its own datapath" item measures the gap and
+        plans the datapath mode.
         """
         rng = self._rng if self.format.is_stochastic else None
         return self.format.quantize(state, rng=rng)

@@ -2,9 +2,12 @@
 
 One :class:`PseudoChannel` owns 16 banks (4 groups x 4 banks, Table 1), a
 command/address bus and a data bus.  It executes standard command streams
-while enforcing every timing constraint; the Pimba scheduler in
-``repro.core.scheduler`` builds its custom all-bank command schedules on
-top of this device.
+while enforcing every timing constraint.  It does not execute the Pimba
+commands: :meth:`PseudoChannel.execute` refuses all five PIM command
+kinds, and ``repro.core.scheduler`` prices its all-bank schedules in
+closed form instead of issuing them here.  ROADMAP.md's "Execute the PIM
+command schedule, or delete the command model" item covers closing that
+gap.
 """
 
 from __future__ import annotations

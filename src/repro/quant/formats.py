@@ -2,10 +2,12 @@
 
 A format models the *storage* of a tensor in DRAM: ``quantize`` maps a
 float32/float64 tensor onto the format's representable lattice and returns
-the dequantized values (value semantics).  This is exactly the numerical
-effect of Pimba storing the state or KV cache in a low-precision format and
-operating on it with wide accumulators: precision is lost at each store, not
-inside the arithmetic.
+the dequantized values (value semantics).  This models Pimba storing the
+state or KV cache in a low-precision format and operating on it with wide
+accumulators, under the model's assumption that precision is lost at each
+store, not inside the arithmetic.  The SPE's MX units also round operands,
+products and sums; ROADMAP.md's "Pimba's numerics through its own
+datapath" item measures how far that assumption is from the datapath.
 
 Formats quantize along the *last* axis of the input, which corresponds to
 the contiguous DRAM layout direction used by the Pimba data layout

@@ -6,9 +6,10 @@ traffic.  A :class:`~repro.workloads.requests.Trace` of timed requests
 file) is served by a discrete-event :class:`ServingEngine` that prices
 every prefill and decode iteration on a
 :class:`~repro.perf.system.ServingSystem`, under a pluggable batching
-policy (static, FCFS continuous, HBM-capacity-aware, Sarathi-style
-chunked prefill, NeuPIMs-style prefill/decode overlap, or vLLM-style
-paged KV with preempt/restore).  The outcome is a
+policy (static, FCFS continuous, HBM-capacity-aware, vLLM-style paged
+KV with preempt/restore, or SGLang-style prefix reuse on top of it).
+FCFS and capacity-aware admission also shape prefill: Sarathi-style
+chunked prefill or NeuPIMs-style prefill/decode overlap.  The outcome is a
 :class:`ServingReport`: TTFT/TPOT/latency percentiles, queue depths,
 preemption counts, throughput, and goodput under an SLO.
 
@@ -91,11 +92,10 @@ from repro.serving.telemetry import (
     write_trace_file,
 )
 from repro.serving.schedulers import (
+    POLICY_KNOBS,
     SCHEDULER_NAMES,
-    ChunkedPrefillScheduler,
     FcfsContinuousScheduler,
     MemoryAwareScheduler,
-    OverlapScheduler,
     PagedScheduler,
     PrefixCachingScheduler,
     RunningRequest,
@@ -153,17 +153,16 @@ __all__ = [
     "SloSpec",
     "percentile",
     "BlockPool",
-    "ChunkedPrefillScheduler",
     "FcfsContinuousScheduler",
     "MemoryAwareScheduler",
     "MemoryModel",
-    "OverlapScheduler",
     "PagedScheduler",
     "PrefixBlockPool",
     "PrefixCache",
     "PrefixCachingScheduler",
     "SharedPrefixTier",
     "RunningRequest",
+    "POLICY_KNOBS",
     "SCHEDULER_NAMES",
     "Scheduler",
     "StaticBatchScheduler",

@@ -313,7 +313,7 @@ class ReferenceEngine:
                 continue
 
             raise RuntimeError(
-                f"scheduler {self.scheduler.name!r} cannot place "
+                f"scheduler {type(self.scheduler).__name__} cannot place "
                 f"{len(queue)} waiting request(s) on an idle cluster — "
                 "the head request exceeds the admission bound"
             )

@@ -9,10 +9,11 @@ kinds move the clock:
   scheduler their prompts are processed in one compute-bound prefill that
   blocks the whole cluster (GPU and PIM execute in a blocked fashion,
   Section 5.6);
-* **prefill chunk** — under a chunking scheduler
-  (:class:`~repro.serving.schedulers.ChunkedPrefillScheduler` /
-  :class:`~repro.serving.schedulers.OverlapScheduler`) each admitted
-  cohort's prompt is instead streamed in budget-bounded chunks; the
+* **prefill chunk** — under a scheduler with a ``chunk_budget`` (the
+  ``chunked`` and ``overlap`` policies of
+  :class:`~repro.serving.schedulers.FcfsContinuousScheduler` and its
+  capacity-bound subclass) each admitted cohort's prompt is instead
+  streamed in budget-bounded chunks; the
   running decode batch piggybacks into the same priced iteration
   (Sarathi-style, cost = chunk + decode) or overlaps it entirely
   (NeuPIMs-style, cost = max(chunk, decode));
@@ -660,7 +661,7 @@ class ServingEngine:
                 continue
 
             raise RuntimeError(
-                f"scheduler {self.scheduler.name!r} cannot place "
+                f"scheduler {type(self.scheduler).__name__} cannot place "
                 f"{len(queue)} waiting request(s) on an idle cluster — "
                 "the head request exceeds the admission bound"
             )

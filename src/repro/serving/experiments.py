@@ -258,8 +258,8 @@ def serving_slo(
     max_batch: int = 32,
     step_stride: int = 32,
     capacity_gib: float | None = None,
-    chunk_budget: int = 256,
-    block_size: int = 64,
+    chunk_budget: int | None = None,
+    block_size: int | None = None,
     slo_ttft_s: float = 2.0,
     slo_tpot_s: float = 0.018,
     trace_file: str | None = None,
@@ -410,8 +410,8 @@ def cluster_slo(
     max_batch: int = 32,
     step_stride: int = 32,
     capacity_gib: float | None = None,
-    chunk_budget: int = 256,
-    block_size: int = 64,
+    chunk_budget: int | None = None,
+    block_size: int | None = None,
     shared_tier: bool = False,
     link_gbps: float = DEFAULT_LINK_GBPS,
     slo_ttft_s: float = 2.0,
@@ -745,8 +745,8 @@ PAGED_LOAD = dict(
     output_len=384,
     max_batch=512,
     capacity_gib=9.7,
-    # block_size rides on the trial default (64); the ``paged`` sweep
-    # makes it an axis, so it must not be fixed here
+    # block_size stays unset: ``paged`` applies its default (64),
+    # ``memory`` takes none, and the ``paged`` sweep makes it an axis
 )
 
 
@@ -1030,8 +1030,8 @@ def serving_timeline(
     max_batch: int = 32,
     step_stride: int = 32,
     capacity_gib: float | None = None,
-    chunk_budget: int = 256,
-    block_size: int = 64,
+    chunk_budget: int | None = None,
+    block_size: int | None = None,
     slo_ttft_s: float = 2.0,
     slo_tpot_s: float = 0.018,
     n_windows: int = 8,

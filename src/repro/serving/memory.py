@@ -253,7 +253,7 @@ class BlockPool:
         footprint is a whole number of bytes (the constructor checks), so
         the total is exact whatever order holdings come and go in, and
         it equals the fresh sum
-        :func:`~repro.serving.schedulers.admit_within_capacity` takes
+        :meth:`~repro.serving.schedulers.MemoryAwareScheduler.admit` takes
         over the same footprints.  ``capacity - weights - held`` is then
         the same float as that fresh arithmetic, which the degenerate
         bit-exactness with the conservative scheduler depends on.

@@ -1,33 +1,35 @@
 """Batching policies for the request-level serving engine.
 
-Seven schedulers, in increasing order of sophistication:
+Seven policies on five classes, in increasing order of sophistication
+(:data:`SCHEDULER_NAMES`; :func:`build_scheduler` builds each by name):
 
-* :class:`StaticBatchScheduler` — wait for a full batch, run it to
-  completion, repeat.  Parity with the paper's evaluation shape (and with
-  :class:`~repro.workloads.serving.ServingSimulator`, exactly — the
-  equivalence is tested).
-* :class:`FcfsContinuousScheduler` — Orca/vLLM-style iteration-level
-  scheduling: finished requests free their slot immediately and waiting
-  requests join at any decode-iteration boundary, bounded only by a slot
-  count.
-* :class:`MemoryAwareScheduler` — iteration-level scheduling bounded by
-  HBM *capacity* instead of a slot count: each admission reserves the
+* ``static`` — :class:`StaticBatchScheduler`: wait for a full batch, run
+  it to completion, repeat.  Parity with the paper's evaluation shape
+  (and with :class:`~repro.workloads.serving.ServingSimulator`, exactly
+  — the equivalence is tested).
+* ``fcfs`` — :class:`FcfsContinuousScheduler`: Orca/vLLM-style
+  iteration-level scheduling: finished requests free their slot
+  immediately and waiting requests join at any decode-iteration
+  boundary, bounded only by a slot count.
+* ``memory`` — :class:`MemoryAwareScheduler`: iteration-level scheduling
+  bounded by HBM *capacity* as well as slots: each admission reserves the
   request's full state + KV footprint, priced with the true per-value byte
   widths of the system's storage format (``repro.quant`` bit widths via
   the system precision).  Quantized systems (GPU+Q, Pimba) fit more
   concurrent requests in the same HBM, which is exactly the Fig. 15
   capacity argument at request level.
-* :class:`ChunkedPrefillScheduler` — Sarathi-style prefill shaping on top
-  of continuous batching: each admitted cohort's prompt is processed in
+* ``chunked`` — ``fcfs`` (or ``memory``, given a capacity) with a
+  ``chunk_budget``: Sarathi-style prefill shaping on top of continuous
+  batching.  Each admitted cohort's prompt is processed in
   fixed-token-budget chunks, and the running decode batch piggybacks into
   the same priced iteration instead of stalling for a monolithic prefill
   (the paper's Section 5.6 blocked execution).
-* :class:`OverlapScheduler` — NeuPIMs-style sub-batch overlap: the
-  prefill chunk and the decode batch execute *concurrently* (prefill on
-  the compute units, decode on the PIM/memory side), so the iteration is
-  priced at the max of the two instead of their sum.
-* :class:`PagedScheduler` — vLLM-style paged KV on top of the capacity
-  bound: admission reserves only the *prompt's* blocks from a
+* ``overlap`` — the same with ``overlap_decode``: NeuPIMs-style sub-batch
+  overlap.  The prefill chunk and the decode batch execute *concurrently*
+  (prefill on the compute units, decode on the PIM/memory side), so the
+  iteration is priced at the max of the two instead of their sum.
+* ``paged`` — :class:`PagedScheduler`: vLLM-style paged KV on top of the
+  capacity bound: admission reserves only the *prompt's* blocks from a
   :class:`~repro.serving.memory.BlockPool`, decode claims one block per
   ``block_size`` generated tokens, and on pool exhaustion the youngest
   running request is preempted (its blocks freed, the request re-queued
@@ -35,13 +37,18 @@ Seven schedulers, in increasing order of sophistication:
   other prefill — preemption has a visible latency cost).  A claim step
   touches only the residents whose next token crosses their blocks, and
   lands all of their claims in one pass whenever they fit together.
-* :class:`PrefixCachingScheduler` — SGLang-style radix prefix reuse on
-  top of the paged pool: completed requests publish their session's
+* ``prefix`` — :class:`PrefixCachingScheduler`: SGLang-style radix prefix
+  reuse on top of the paged pool: completed requests publish their session's
   whole KV blocks to a refcounted
   :class:`~repro.serving.memory.PrefixCache`, later turns of the same
   chat pin the shared prefix instead of recomputing it, and only the
   uncached suffix is charged — and priced.  Unreferenced cached blocks
   are evicted LRU-first the moment live KV wants the space.
+
+Every policy takes ``max_batch`` and ``step_stride``;
+:data:`POLICY_KNOBS` declares which of ``capacity_bytes``,
+``chunk_budget`` and ``block_size`` each one takes, and
+:func:`build_scheduler` refuses any other that is set.
 
 A scheduler also owns the *pricing shape* of a decode iteration — which
 (batch, context) point the cost model is asked for — because that shape is
@@ -71,6 +78,13 @@ from repro.workloads.serving import clamped_stride
 
 if TYPE_CHECKING:
     from repro.serving.slots import SlotView
+
+#: prompt tokens per chunk of ``chunked`` and ``overlap`` when
+#: ``chunk_budget`` is unset
+DEFAULT_CHUNK_BUDGET = 256
+#: tokens per KV block of ``paged`` and ``prefix`` when ``block_size`` is
+#: unset
+DEFAULT_BLOCK_SIZE = 64
 
 
 @dataclasses.dataclass
@@ -200,12 +214,12 @@ class Scheduler(abc.ABC):
     definition: the two can never silently disagree.
     """
 
-    #: registry name (``--set scheduler=...`` on the CLI)
-    name: str = "?"
     #: static batching keeps finished requests in their (padded) slots
     keep_finished: bool = False
-    #: prompt tokens per prefill chunk; ``None`` means monolithic prefill
-    #: (the engine blocks the whole cluster for each admission, Section 5.6)
+    #: the prefill shape both engines read (only
+    #: :class:`FcfsContinuousScheduler` and its subclass set it): prompt
+    #: tokens per prefill chunk, ``None`` for monolithic prefill (the
+    #: engine blocks the whole cluster for each admission, Section 5.6)
     chunk_budget: int | None = None
     #: chunk iterations run concurrently with the decode batch and are
     #: priced at max(chunk, decode) instead of their sum (NeuPIMs overlap)
@@ -381,7 +395,6 @@ class Scheduler(abc.ABC):
 class StaticBatchScheduler(Scheduler):
     """Fixed-size batches run to completion (the paper's serving shape)."""
 
-    name = "static"
     keep_finished = True
 
     def __init__(self, batch_size: int, step_stride: int = 32):
@@ -442,15 +455,54 @@ class StaticBatchScheduler(Scheduler):
 
 
 class FcfsContinuousScheduler(Scheduler):
-    """First-come-first-served continuous batching with a slot bound."""
+    """First-come-first-served continuous batching with a slot bound.
 
-    name = "fcfs"
+    It also owns the prefill shape the engines read.  With a
+    ``chunk_budget`` (the ``chunked`` policy) each admitted cohort's
+    prompt is processed in chunks of at most that many tokens,
+    Sarathi-style.  A cohort's *first* chunk runs alone — the engine
+    re-forms the fused batch at the admission boundary, exactly the
+    blocked execution the monolithic engine models — and every later
+    chunk piggybacks the running decode batch into the same priced
+    iteration, so decode stalls for one chunk instead of one whole
+    prefill.  ``overlap_decode`` (the ``overlap`` policy) runs the chunk
+    and the decode batch *concurrently*, NeuPIMs-style — prefill is
+    compute-bound (GPU side), decode is memory-bound (PIM side) — so
+    every chunk iteration is priced at ``max(chunk, decode)`` instead of
+    their sum, and decode piggybacks from the very first chunk.
 
-    def __init__(self, max_batch: int = 32, step_stride: int = 32):
+    Without overlap, a ``chunk_budget`` >= the longest prompt degenerates
+    to monolithic prefill *iteration for iteration* (under the slot
+    bound and under :class:`MemoryAwareScheduler`'s capacity bound
+    alike): one chunk covers the whole cohort
+    prompt, runs alone, and is priced identically to the monolithic
+    prefill (the chunk cost telescopes — see
+    :meth:`~repro.serving.costs.IterationCostModel.chunk_prefill_seconds`).
+    Shrinking the budget trades that blocked time for fused iterations:
+    TTFT tails fall (slots recycle faster, admissions stall less) while
+    TPOT rises (decode tokens now share iterations with chunk work).
+    """
+
+    def __init__(
+        self,
+        max_batch: int = 32,
+        step_stride: int = 32,
+        chunk_budget: int | None = None,
+        overlap_decode: bool = False,
+    ):
         super().__init__(step_stride)
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
+        if chunk_budget is not None and chunk_budget < 1:
+            raise ValueError("chunk_budget must be positive")
+        if overlap_decode and chunk_budget is None:
+            raise ValueError(
+                "overlap_decode needs a chunk_budget: only prefill chunks "
+                "overlap the decode batch"
+            )
         self.max_batch = max_batch
+        self.chunk_budget = chunk_budget
+        self.overlap_decode = overlap_decode
 
     def admit(
         self,
@@ -461,43 +513,15 @@ class FcfsContinuousScheduler(Scheduler):
         return min(len(queue), self.max_batch - len(running))
 
 
-def admit_within_capacity(
-    memory: MemoryModel,
-    capacity_bytes: float,
-    queue: Sequence[TimedRequest],
-    running: Sequence[RunningRequest],
-    limit: int,
-) -> int:
-    """Longest FCFS prefix of ``queue[:limit]`` whose reservations fit.
-
-    The single home of the Fig. 15 capacity semantics: weights plus every
-    resident request's full-final-context state+KV footprint are already
-    reserved, and each admission reserves the candidate's own footprint.
-    Shared by :class:`MemoryAwareScheduler` and the capacity-bounded
-    chunking schedulers so their accounting can never diverge.
-    """
-    free = capacity_bytes - memory.weights_bytes - sum(
-        memory.request_bytes(r.input_len, r.output_len) for r in running
-    )
-    n = 0
-    for request in queue[:max(0, limit)]:
-        need = memory.request_bytes(request.input_len, request.output_len)
-        if need > free:
-            break
-        free -= need
-        n += 1
-    return n
-
-
-class MemoryAwareScheduler(Scheduler):
+class MemoryAwareScheduler(FcfsContinuousScheduler):
     """Continuous batching bounded by HBM state+KV capacity.
 
-    Admits the longest FCFS prefix whose reserved footprint (weights plus
-    every resident request at its full final context) fits in
-    ``capacity_bytes``, additionally capped by ``max_batch`` slots.
+    Admits the longest FCFS prefix of what the slot bound allows whose
+    reserved footprint (weights plus every resident request at its full
+    final context) fits in ``capacity_bytes``.  Still-prefilling
+    requests hold their full reservation too, so a chunked prefill shape
+    can never overcommit HBM.
     """
-
-    name = "memory"
 
     def __init__(
         self,
@@ -505,14 +529,13 @@ class MemoryAwareScheduler(Scheduler):
         capacity_bytes: float,
         max_batch: int = 512,
         step_stride: int = 32,
+        chunk_budget: int | None = None,
+        overlap_decode: bool = False,
     ):
-        super().__init__(step_stride)
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
+        super().__init__(max_batch, step_stride, chunk_budget, overlap_decode)
         validate_capacity(memory, capacity_bytes)
         self.memory = memory
         self.capacity_bytes = capacity_bytes
-        self.max_batch = max_batch
 
     def admit(
         self,
@@ -520,74 +543,24 @@ class MemoryAwareScheduler(Scheduler):
         running: Sequence[RunningRequest],
         more_arrivals: bool,
     ) -> int:
-        return admit_within_capacity(
-            self.memory,
-            self.capacity_bytes,
-            queue,
-            running,
-            self.max_batch - len(running),
+        """The Fig. 15 capacity semantics: weights plus every resident
+        request's full-final-context state+KV footprint are already
+        reserved, and each admission reserves the candidate's own."""
+        limit = super().admit(queue, running, more_arrivals)
+        if limit <= 0:
+            return 0
+        memory = self.memory
+        free = self.capacity_bytes - memory.weights_bytes - sum(
+            memory.request_bytes(r.input_len, r.output_len) for r in running
         )
-
-
-class ChunkedPrefillScheduler(FcfsContinuousScheduler):
-    """Sarathi-style chunked prefill on top of continuous batching.
-
-    Admission is FCFS (slot-bounded, and additionally capacity-bounded
-    when a :class:`MemoryModel` is attached), but each admitted cohort's
-    prompt is processed in chunks of at most ``chunk_budget`` tokens.  A
-    cohort's *first* chunk runs alone — the engine re-forms the fused
-    batch at the admission boundary, exactly the blocked execution the
-    monolithic engine models — and every later chunk piggybacks the
-    running decode batch into the same priced iteration, so decode stalls
-    for one chunk instead of one whole prefill.
-
-    ``chunk_budget`` >= the longest prompt therefore degenerates to
-    :class:`FcfsContinuousScheduler` *iteration for iteration*: one chunk
-    covers the whole cohort prompt, runs alone, and is priced identically
-    to the monolithic prefill (the chunk cost telescopes — see
-    :meth:`~repro.serving.costs.IterationCostModel.chunk_prefill_seconds`).
-    Shrinking the budget trades that blocked time for fused iterations:
-    TTFT tails fall (slots recycle faster, admissions stall less) while
-    TPOT rises (decode tokens now share iterations with chunk work).
-    """
-
-    name = "chunked"
-
-    def __init__(
-        self,
-        chunk_budget: int,
-        max_batch: int = 32,
-        step_stride: int = 32,
-        memory: MemoryModel | None = None,
-        capacity_bytes: float | None = None,
-    ):
-        super().__init__(max_batch, step_stride)
-        if chunk_budget < 1:
-            raise ValueError("chunk_budget must be positive")
-        if (memory is None) != (capacity_bytes is None):
-            raise ValueError(
-                "memory and capacity_bytes must be given together"
-            )
-        if memory is not None:
-            validate_capacity(memory, capacity_bytes)
-        self.chunk_budget = chunk_budget
-        self.memory = memory
-        self.capacity_bytes = capacity_bytes
-
-    def admit(
-        self,
-        queue: Sequence[TimedRequest],
-        running: Sequence[RunningRequest],
-        more_arrivals: bool,
-    ) -> int:
-        n = super().admit(queue, running, more_arrivals)
-        if self.memory is None or n == 0:
-            return n
-        # Capacity bound: still-prefilling requests hold their full
-        # reservation, so chunked admission can never overcommit HBM.
-        return admit_within_capacity(
-            self.memory, self.capacity_bytes, queue, running, n
-        )
+        n = 0
+        for request in queue[:limit]:
+            need = memory.request_bytes(request.input_len, request.output_len)
+            if need > free:
+                break
+            free -= need
+            n += 1
+        return n
 
 
 class PagedScheduler(Scheduler):
@@ -627,13 +600,11 @@ class PagedScheduler(Scheduler):
     (tested, bare and clustered).
     """
 
-    name = "paged"
-
     def __init__(
         self,
         memory: MemoryModel,
         capacity_bytes: float,
-        block_size: int = 64,
+        block_size: int = DEFAULT_BLOCK_SIZE,
         max_batch: int = 512,
         step_stride: int = 32,
     ):
@@ -810,13 +781,11 @@ class PrefixCachingScheduler(PagedScheduler):
     tests pin this bit for bit.
     """
 
-    name = "prefix"
-
     def __init__(
         self,
         memory: MemoryModel,
         capacity_bytes: float,
-        block_size: int = 64,
+        block_size: int = DEFAULT_BLOCK_SIZE,
         max_batch: int = 512,
         step_stride: int = 32,
     ):
@@ -883,24 +852,23 @@ class PrefixCachingScheduler(PagedScheduler):
         }
 
 
-class OverlapScheduler(ChunkedPrefillScheduler):
-    """NeuPIMs-style prefill/decode sub-batch overlap.
+#: the policy-specific knobs each scheduler name takes, beyond the
+#: ``max_batch`` and ``step_stride`` every policy takes; names in
+#: increasing order of sophistication (``--set scheduler=...`` on the
+#: CLI).  :func:`build_scheduler` refuses any other policy knob that is
+#: set, and the docs checker holds ARCHITECTURE's scheduler table to it.
+POLICY_KNOBS: dict[str, tuple[str, ...]] = {
+    "static": (),
+    "fcfs": (),
+    "memory": ("capacity_bytes",),
+    "chunked": ("capacity_bytes", "chunk_budget"),
+    "overlap": ("capacity_bytes", "chunk_budget"),
+    "paged": ("capacity_bytes", "block_size"),
+    "prefix": ("capacity_bytes", "block_size"),
+}
 
-    Same chunked admission and prefill shaping as
-    :class:`ChunkedPrefillScheduler`, but the chunk and the decode batch
-    execute *concurrently* — prefill is compute-bound (GPU side), decode
-    is memory-bound (PIM side) — so every chunk iteration is priced at
-    ``max(chunk, decode)`` instead of their sum, and decode piggybacks
-    from the very first chunk (there is no re-forming stall).
-    """
-
-    name = "overlap"
-    overlap_decode = True
-
-
-#: scheduler names :func:`build_scheduler` builds, in increasing order of
-#: sophistication (``--set scheduler=...`` on the CLI)
-SCHEDULER_NAMES = ("static", "fcfs", "memory", "chunked", "overlap", "paged", "prefix")
+#: scheduler names :func:`build_scheduler` builds
+SCHEDULER_NAMES = tuple(POLICY_KNOBS)
 
 
 def build_scheduler(
@@ -910,53 +878,61 @@ def build_scheduler(
     max_batch: int = 32,
     step_stride: int = 32,
     capacity_bytes: float | None = None,
-    chunk_budget: int = 256,
-    block_size: int = 64,
+    chunk_budget: int | None = None,
+    block_size: int | None = None,
 ) -> Scheduler:
     """Construct a scheduler by registry name.
 
     ``static`` uses ``max_batch`` as its fixed batch size; ``memory``,
     ``paged`` and ``prefix`` default ``capacity_bytes`` to the system's
     aggregate HBM capacity.  ``chunked``/``overlap`` split prefills into
-    ``chunk_budget``-token chunks and become capacity-bounded (instead
-    of slot-only) when ``capacity_bytes`` is given.  ``paged`` and
-    ``prefix`` reserve KV in ``block_size``-token blocks as decode
-    progresses and preempt on exhaustion; ``prefix`` also reuses the
-    blocks a session's earlier turns published.
+    ``chunk_budget``-token chunks (:data:`DEFAULT_CHUNK_BUDGET` when
+    unset) and are ``memory`` instead of ``fcfs`` when ``capacity_bytes``
+    is given.  ``paged`` and ``prefix`` reserve KV in ``block_size``-token
+    blocks (:data:`DEFAULT_BLOCK_SIZE` when unset) as decode progresses
+    and preempt on exhaustion; ``prefix`` also reuses the blocks a
+    session's earlier turns published.  ``None`` means unset: a policy
+    knob the policy does not take (:data:`POLICY_KNOBS`) raises
+    ``ValueError`` instead of being ignored.
 
     This signature is the one declaration of the scheduler knobs:
     :func:`~repro.serving.cluster.build_cluster` and the serving trials
     forward them here.
     """
+    if name not in POLICY_KNOBS:
+        raise KeyError(
+            f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}"
+        )
+    takes = POLICY_KNOBS[name]
+    given = dict(
+        capacity_bytes=capacity_bytes, chunk_budget=chunk_budget, block_size=block_size
+    )
+    for knob, value in given.items():
+        if value is not None and knob not in takes:
+            raise ValueError(
+                f"scheduler {name!r} cannot use {knob}={value!r}: it takes "
+                f"{', '.join(('max_batch', 'step_stride', *takes))}"
+            )
     if name == "static":
         return StaticBatchScheduler(max_batch, step_stride)
-    if name == "fcfs":
-        return FcfsContinuousScheduler(max_batch, step_stride)
-    memory = MemoryModel.for_system(system, spec)
-    if name in ("chunked", "overlap"):
-        cls = ChunkedPrefillScheduler if name == "chunked" else OverlapScheduler
-        return cls(
-            chunk_budget,
-            max_batch=max_batch,
-            step_stride=step_stride,
-            memory=None if capacity_bytes is None else memory,
-            capacity_bytes=capacity_bytes,
-        )
-    if capacity_bytes is None:
-        capacity_bytes = system.capacity_bytes
-    if name == "memory":
-        return MemoryAwareScheduler(
-            memory, capacity_bytes, max_batch=max_batch, step_stride=step_stride
-        )
     if name in ("paged", "prefix"):
         cls = PagedScheduler if name == "paged" else PrefixCachingScheduler
         return cls(
-            memory,
-            capacity_bytes,
-            block_size=block_size,
+            MemoryModel.for_system(system, spec),
+            system.capacity_bytes if capacity_bytes is None else capacity_bytes,
+            block_size=DEFAULT_BLOCK_SIZE if block_size is None else block_size,
             max_batch=max_batch,
             step_stride=step_stride,
         )
-    raise KeyError(
-        f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}"
-    )
+    shape = {}
+    if name in ("chunked", "overlap"):
+        shape = dict(
+            chunk_budget=DEFAULT_CHUNK_BUDGET if chunk_budget is None else chunk_budget,
+            overlap_decode=name == "overlap",
+        )
+    elif name == "memory" and capacity_bytes is None:
+        capacity_bytes = system.capacity_bytes
+    if capacity_bytes is None:
+        return FcfsContinuousScheduler(max_batch, step_stride, **shape)
+    memory = MemoryModel.for_system(system, spec)
+    return MemoryAwareScheduler(memory, capacity_bytes, max_batch, step_stride, **shape)

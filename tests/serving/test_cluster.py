@@ -25,6 +25,13 @@ from repro.serving.experiments import cluster_slo, cluster_spec, scaling_spec
 SLO = SloSpec(ttft_s=2.0, tpot_s=0.018)
 
 
+def knobs_for(scheduler):
+    """Eight slots, and 192-token chunks where the policy chunks."""
+    if scheduler in ("chunked", "overlap"):
+        return dict(max_batch=8, chunk_budget=192)
+    return dict(max_batch=8)
+
+
 @pytest.fixture(scope="module")
 def zamba_spec():
     return spec_for("Zamba2")
@@ -47,18 +54,15 @@ class TestSingleReplicaEquivalence:
         self, router, scheduler, pimba_system, zamba_spec
     ):
         trace = gamma_trace(10.0, 24, cv=3.0, seed=4)
+        knobs = knobs_for(scheduler)
         bare = ServingEngine(
             pimba_system,
             zamba_spec,
-            build_scheduler(
-                scheduler, pimba_system, zamba_spec,
-                max_batch=8, chunk_budget=192,
-            ),
+            build_scheduler(scheduler, pimba_system, zamba_spec, **knobs),
         ).serve(trace)
         cluster = build_cluster(
             pimba_system, zamba_spec, 1,
-            router=router, scheduler=scheduler,
-            max_batch=8, chunk_budget=192,
+            router=router, scheduler=scheduler, **knobs,
         ).serve(trace)
         # The merge is the identity for one replica: every event list,
         # timestamp, and queue statistic is the bare engine's, bit for bit.
@@ -86,7 +90,7 @@ class TestSingleReplicaEquivalence:
         trace = multiturn_chat_trace(
             1.0, 8, 4, first_input=512, output_len=32, seed=0
         )
-        knobs = dict(max_batch=8, chunk_budget=192)
+        knobs = knobs_for(scheduler)
         engine = ServingEngine(
             pimba_system,
             zamba_spec,

@@ -1,18 +1,19 @@
 """Discrete-event engine: static-batching parity, continuous batching,
 memory-aware admission, prefill shaping, and lifecycle invariants."""
 
+import functools
+
 import pytest
 
 from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
 from repro.serving import (
+    POLICY_KNOBS,
     SCHEDULER_NAMES,
-    ChunkedPrefillScheduler,
     EngineTrace,
     FcfsContinuousScheduler,
     MemoryAwareScheduler,
     MemoryModel,
-    OverlapScheduler,
     PagedScheduler,
     PrefixCachingScheduler,
     ServingEngine,
@@ -23,6 +24,7 @@ from repro.serving import (
     poisson_trace,
     static_trace,
 )
+from repro.serving.schedulers import DEFAULT_CHUNK_BUDGET
 from repro.workloads import ServingSimulator, sampled_batch, uniform_batch
 import numpy as np
 
@@ -183,23 +185,40 @@ class TestMemoryAwareScheduling:
 class TestChunkedPrefill:
     """Sarathi-style chunk streaming and its blocked-FCFS degeneration."""
 
+    @staticmethod
+    def bound_case(bound, system, spec):
+        """A trace and a maker of the policy it runs under, slot-bound
+        (``fcfs``) or capacity-bound (``memory``); the maker takes a
+        prefill shape.  The capacity binds: four full-context footprints
+        make ``memory`` finish well after ``fcfs``."""
+        if bound == "slots":
+            trace = poisson_trace(10.0, 24, seed=3)
+            return trace, functools.partial(FcfsContinuousScheduler, 8)
+        memory = MemoryModel.for_system(system, spec)
+        capacity = memory.weights_bytes + 4 * memory.request_bytes(512, 64)
+        trace = poisson_trace(40.0, 24, lognormal_lengths(512, 64), seed=0)
+        return trace, functools.partial(MemoryAwareScheduler, memory, capacity, 8)
+
+    @pytest.mark.parametrize("bound", ["slots", "capacity"])
     @pytest.mark.parametrize("kind", [SystemKind.GPU, SystemKind.PIMBA])
     @pytest.mark.parametrize("budget", [1024, 10**6])
     def test_whole_prompt_budget_is_fcfs_bit_exact(
-        self, kind, budget, zamba_spec
+        self, kind, budget, bound, zamba_spec
     ):
-        """Budget >= the longest prompt (1024 here): every admission is a
-        single full-prompt chunk that runs alone and is priced exactly
-        like the monolithic prefill — the EngineTrace is *identical* to
-        FCFS continuous batching, event for event (the chunked analogue
-        of the static==ServingSimulator parity)."""
+        """Budget >= the longest prompt (1024 on the slot-bound trace;
+        on the capacity-bound one at least its longest prompt): every
+        admission is a single full-prompt chunk that runs alone and is
+        priced exactly like the monolithic prefill — the EngineTrace is
+        *identical* to the unshaped policy's, event for event (the
+        chunked analogue of the static==ServingSimulator parity), under
+        the slot bound (``chunked == fcfs``) and under a binding
+        capacity bound (``chunked == memory``)."""
         system = build_system(kind, "small")
-        trace = poisson_trace(10.0, 24, seed=3)
-        fcfs = ServingEngine(
-            system, zamba_spec, FcfsContinuousScheduler(8)
-        ).serve(trace)
+        trace, make = self.bound_case(bound, system, zamba_spec)
+        budget = max(budget, *(r.input_len for r in trace.requests))
+        fcfs = ServingEngine(system, zamba_spec, make()).serve(trace)
         chunked = ServingEngine(
-            system, zamba_spec, ChunkedPrefillScheduler(budget, max_batch=8)
+            system, zamba_spec, make(chunk_budget=budget)
         ).serve(trace)
         assert chunked == fcfs
 
@@ -214,7 +233,7 @@ class TestChunkedPrefill:
             return engine_for(
                 SystemKind.PIMBA,
                 zamba_spec,
-                ChunkedPrefillScheduler(budget, max_batch=8),
+                FcfsContinuousScheduler(8, chunk_budget=budget),
             ).serve(trace)
 
         full, halved, quartered = run(1024), run(512), run(256)
@@ -240,7 +259,7 @@ class TestChunkedPrefill:
             return engine_for(
                 SystemKind.PIMBA,
                 zamba_spec,
-                ChunkedPrefillScheduler(budget, max_batch=8),
+                FcfsContinuousScheduler(8, chunk_budget=budget),
             ).serve(trace)
 
         full, halved, quartered = run(1024), run(512), run(256)
@@ -262,23 +281,27 @@ class TestChunkedPrefill:
         chunked = engine_for(
             SystemKind.GPU,
             zamba_spec,
-            ChunkedPrefillScheduler(128, max_batch=8),
+            FcfsContinuousScheduler(8, chunk_budget=128),
         ).run(trace)
         assert chunked.tpot_percentile(99) > fcfs.tpot_percentile(99)
 
-    def test_overlap_is_never_slower_than_chunked(self, zamba_spec):
+    @pytest.mark.parametrize("bound", ["slots", "capacity"])
+    def test_overlap_is_never_slower_than_chunked(self, bound, zamba_spec):
         """max(chunk, decode) pricing vs chunk + decode pricing: the
-        overlap engine finishes the same workload no later."""
-        trace = poisson_trace(16.0, 24, seed=2)
-        chunked = engine_for(
-            SystemKind.PIMBA,
-            zamba_spec,
-            ChunkedPrefillScheduler(128, max_batch=8),
+        overlap engine finishes the same workload no later — with
+        128-token chunks under the slot bound, and with whole-prompt
+        chunks (where ``chunked`` is ``memory``) under a binding
+        capacity bound."""
+        system = build_system(SystemKind.PIMBA, "small")
+        trace, make = self.bound_case(bound, system, zamba_spec)
+        budget = max(r.input_len for r in trace.requests)
+        if bound == "slots":
+            trace, budget = poisson_trace(16.0, 24, seed=2), 128
+        chunked = ServingEngine(
+            system, zamba_spec, make(chunk_budget=budget)
         ).serve(trace)
-        overlap = engine_for(
-            SystemKind.PIMBA,
-            zamba_spec,
-            OverlapScheduler(128, max_batch=8),
+        overlap = ServingEngine(
+            system, zamba_spec, make(chunk_budget=budget, overlap_decode=True)
         ).serve(trace)
         assert overlap.end_s <= chunked.end_s
         assert overlap.report().ttft_percentile(99) <= (
@@ -286,17 +309,17 @@ class TestChunkedPrefill:
         )
 
     def test_capacity_bound_composes_with_chunking(self, zamba_spec):
-        """A chunked scheduler with an attached MemoryModel admits no more
+        """A chunked scheduler with a capacity bound admits no more
         concurrent residents than the capacity allows — prefilling
         requests hold their reservation too."""
         system = build_system(SystemKind.GPU, "small")
         memory = MemoryModel.for_system(system, zamba_spec)
         per_request = memory.request_bytes(1024, 256)
-        scheduler = ChunkedPrefillScheduler(
-            256,
+        scheduler = MemoryAwareScheduler(
+            memory,
+            memory.weights_bytes + 2.5 * per_request,
             max_batch=64,
-            memory=memory,
-            capacity_bytes=memory.weights_bytes + 2.5 * per_request,
+            chunk_budget=256,
         )
         run = ServingEngine(system, zamba_spec, scheduler).serve(
             poisson_trace(100.0, 10, seed=0)
@@ -314,13 +337,11 @@ class TestChunkedPrefill:
         system = build_system(SystemKind.GPU, "small")
         memory = MemoryModel.for_system(system, zamba_spec)
         with pytest.raises(ValueError, match="chunk_budget"):
-            ChunkedPrefillScheduler(0)
-        with pytest.raises(ValueError, match="together"):
-            ChunkedPrefillScheduler(256, memory=memory)
+            FcfsContinuousScheduler(chunk_budget=0)
+        with pytest.raises(ValueError, match="needs a chunk_budget"):
+            FcfsContinuousScheduler(overlap_decode=True)
         with pytest.raises(ValueError, match="weights"):
-            ChunkedPrefillScheduler(
-                256, memory=memory, capacity_bytes=memory.weights_bytes / 2
-            )
+            MemoryAwareScheduler(memory, memory.weights_bytes / 2, chunk_budget=256)
 
 
 class TestPagedScheduling:
@@ -473,20 +494,26 @@ class TestEmptyEngineTrace:
 
 class TestBuildScheduler:
     def test_names(self, zamba_spec):
+        """Seven policies on five classes: ``chunked`` and ``overlap``
+        are ``fcfs`` with a prefill shape."""
         system = build_system(SystemKind.PIMBA, "small")
         classes = {
             "static": StaticBatchScheduler,
             "fcfs": FcfsContinuousScheduler,
             "memory": MemoryAwareScheduler,
-            "chunked": ChunkedPrefillScheduler,
-            "overlap": OverlapScheduler,
+            "chunked": FcfsContinuousScheduler,
+            "overlap": FcfsContinuousScheduler,
             "paged": PagedScheduler,
             "prefix": PrefixCachingScheduler,
         }
         assert SCHEDULER_NAMES == tuple(classes)
         for name, cls in classes.items():
             scheduler = build_scheduler(name, system, zamba_spec)
-            assert type(scheduler) is cls and scheduler.name == name
+            assert type(scheduler) is cls
+            assert (scheduler.chunk_budget is not None) == (
+                name in ("chunked", "overlap")
+            )
+            assert scheduler.overlap_decode == (name == "overlap")
         with pytest.raises(KeyError, match="unknown scheduler"):
             build_scheduler("lifo", system, zamba_spec)
 
@@ -498,18 +525,44 @@ class TestBuildScheduler:
         with pytest.raises(ValueError, match="positive"):
             build_scheduler(name, system, zamba_spec, max_batch=0)
 
+    @pytest.mark.parametrize("knob", ["capacity_bytes", "chunk_budget", "block_size"])
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_a_policy_knob_is_applied_or_refused(self, name, knob, zamba_spec):
+        """A knob the policy takes reaches it; any other raises, naming
+        the knob, its value, the policy and the knobs it takes — never
+        a build that silently ignores it."""
+        system = build_system(SystemKind.PIMBA, "small")
+        value = {
+            "capacity_bytes": system.capacity_bytes / 2,
+            "chunk_budget": 128,
+            "block_size": 32,
+        }[knob]
+        if knob not in POLICY_KNOBS[name]:
+            with pytest.raises(ValueError) as refused:
+                build_scheduler(name, system, zamba_spec, **{knob: value})
+            message = str(refused.value)
+            assert repr(name) in message and f"{knob}={value!r}" in message
+            assert all(taken in message for taken in POLICY_KNOBS[name])
+            return
+        scheduler = build_scheduler(name, system, zamba_spec, **{knob: value})
+        owner = scheduler.pool if knob == "block_size" else scheduler
+        assert getattr(owner, knob) == value
+
     def test_chunked_capacity_opt_in(self, zamba_spec):
         system = build_system(SystemKind.PIMBA, "small")
         slot_only = build_scheduler(
             "chunked", system, zamba_spec, chunk_budget=128
         )
-        assert slot_only.chunk_budget == 128 and slot_only.memory is None
+        assert slot_only.chunk_budget == 128
+        assert type(slot_only) is FcfsContinuousScheduler
         bounded = build_scheduler(
             "overlap", system, zamba_spec,
             capacity_bytes=system.capacity_bytes,
         )
-        assert bounded.memory is not None
+        assert type(bounded) is MemoryAwareScheduler
         assert bounded.capacity_bytes == system.capacity_bytes
+        assert bounded.chunk_budget == DEFAULT_CHUNK_BUDGET
+        assert bounded.overlap_decode
 
     def test_memory_default_capacity_is_cluster_hbm(self, zamba_spec):
         system = build_system(SystemKind.PIMBA, "small")

@@ -26,8 +26,8 @@ import pytest
 from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
 from repro.serving import (
-    ChunkedPrefillScheduler,
     FcfsContinuousScheduler,
+    MemoryAwareScheduler,
     MemoryModel,
     PagedScheduler,
     PrefixCachingScheduler,
@@ -121,11 +121,11 @@ def pimba_system():
 
 def make_scheduler(name, system, spec):
     if name == "chunked+hbm":
-        return ChunkedPrefillScheduler(
-            BUDGET,
+        return MemoryAwareScheduler(
+            MemoryModel.for_system(system, spec),
+            system.capacity_bytes,
             max_batch=8,
-            memory=MemoryModel.for_system(system, spec),
-            capacity_bytes=system.capacity_bytes,
+            chunk_budget=BUDGET,
         )
     if name in ("paged+tight", "prefix+tight"):
         cls = PagedScheduler if name == "paged+tight" else (
@@ -138,9 +138,8 @@ def make_scheduler(name, system, spec):
             block_size=16,
             max_batch=8,
         )
-    return build_scheduler(
-        name, system, spec, max_batch=8, chunk_budget=BUDGET
-    )
+    shape = {"chunk_budget": BUDGET} if name in ("chunked", "overlap") else {}
+    return build_scheduler(name, system, spec, max_batch=8, **shape)
 
 
 @pytest.mark.parametrize("trace_name", sorted(TRACES))

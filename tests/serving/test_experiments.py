@@ -15,6 +15,7 @@ from repro.serving.experiments import (
     CHUNK_BUDGET_GRID,
     MULTITURN_TURNS,
     PAGED_LOAD,
+    _SCHEDULER_KNOBS,
     _serve_trial,
     _trial_defaults,
     build_arrival_trace,
@@ -33,6 +34,7 @@ from repro.serving.experiments import (
     ttft_tradeoff_render,
     ttft_tradeoff_spec,
 )
+from repro.serving.schedulers import build_scheduler
 from repro.serving.telemetry import validate_trace_events
 
 #: a small load every one-path test serves
@@ -57,9 +59,10 @@ class TestServingSloTrial:
 
     def test_scheduler_axis(self):
         for scheduler in ("static", "fcfs", "memory", "chunked", "overlap"):
+            shape = {"chunk_budget": 48} if scheduler in ("chunked", "overlap") else {}
             payload = serving_slo(
                 "GPU", 20.0, scheduler=scheduler, n_requests=6,
-                input_len=128, output_len=16, max_batch=2, chunk_budget=48,
+                input_len=128, output_len=16, max_batch=2, **shape,
             )
             assert payload["n_requests"] == 6
 
@@ -326,7 +329,10 @@ class TestOneServingPath:
         """The trial signatures stay explicit (``--set`` validation and
         ``collect_timeline`` read them), so they must not drift apart:
         a parameter two serving trials share has one default, except
-        the replica count."""
+        the replica count.  Each scheduler knob a trial forwards has
+        ``build_scheduler``'s own default (``capacity_bytes`` is spelled
+        ``capacity_gib``), so a trial that leaves a knob alone leaves it
+        unset, and a policy that does not take it builds."""
         seen: dict = {}
         for fn in (serving_slo, serving_timeline, cluster_slo, trace_replay_slo):
             for name, p in inspect.signature(fn).parameters.items():
@@ -336,4 +342,16 @@ class TestOneServingPath:
                 assert p.default == default, (
                     f"{name}: {fn.__name__} defaults to {p.default!r}, "
                     f"{owner} to {default!r}"
+                )
+        knob_params = inspect.signature(build_scheduler).parameters
+        for fn in (serving_slo, serving_timeline, cluster_slo, trace_replay_slo):
+            params = inspect.signature(fn).parameters
+            for knob in _SCHEDULER_KNOBS:
+                name = "capacity_gib" if knob == "capacity_bytes" else knob
+                if fn is trace_replay_slo and name not in params:
+                    continue  # a corpus replay forwards only the slot knobs
+                assert params[name].default == knob_params[knob].default, (
+                    f"{fn.__name__}: {name} defaults to "
+                    f"{params[name].default!r}, build_scheduler's {knob} "
+                    f"to {knob_params[knob].default!r}"
                 )

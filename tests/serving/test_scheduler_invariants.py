@@ -31,9 +31,8 @@ import pytest
 from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
 from repro.serving import (
-    ChunkedPrefillScheduler,
+    MemoryAwareScheduler,
     MemoryModel,
-    OverlapScheduler,
     PagedScheduler,
     PrefixCachingScheduler,
     ServingEngine,
@@ -86,11 +85,11 @@ def pimba_system():
 def make_scheduler(name, system, spec):
     if name == "chunked+hbm":
         # The chunked policy riding the memory-aware capacity logic.
-        return ChunkedPrefillScheduler(
-            BUDGET,
+        return MemoryAwareScheduler(
+            MemoryModel.for_system(system, spec),
+            system.capacity_bytes,
             max_batch=8,
-            memory=MemoryModel.for_system(system, spec),
-            capacity_bytes=system.capacity_bytes,
+            chunk_budget=BUDGET,
         )
     if name in ("paged+tight", "prefix+tight"):
         # A pool that holds three admission-time footprints but not
@@ -108,9 +107,8 @@ def make_scheduler(name, system, spec):
             block_size=16,
             max_batch=8,
         )
-    return build_scheduler(
-        name, system, spec, max_batch=8, chunk_budget=BUDGET
-    )
+    shape = {"chunk_budget": BUDGET} if name in ("chunked", "overlap") else {}
+    return build_scheduler(name, system, spec, max_batch=8, **shape)
 
 
 @pytest.mark.parametrize("trace_name", sorted(TRACES))

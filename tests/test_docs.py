@@ -128,13 +128,14 @@ class TestCheckerDetectsBreakage:
             "| scheduler | admission | knobs | when |\n"
             "| --- | --- | --- | --- |\n"
             "| `fcfs` | slots | `max_batch`, `step_stride` | always |\n"
-            "| `paged` | blocks | `block_size`, `preempt` | long outputs |\n"
+            "| `paged` | blocks | `block_size`, `capacity_bytes`, `preempt` "
+            "| long outputs |\n"
             "| `lifo` | backwards | `max_batch` | never |\n\n"
             "## Next section\n| `static` | x | `cache` | y |\n"
         )
         assert check_docs.scheduler_table(doc) == {
             "fcfs": {"max_batch", "step_stride"},
-            "paged": {"block_size", "preempt"},
+            "paged": {"block_size", "capacity_bytes", "preempt"},
             "lifo": {"max_batch"},
         }
         errors = check_docs.check_scheduler_table(doc)
@@ -143,6 +144,28 @@ class TestCheckerDetectsBreakage:
         missing = [e for e in errors if "has no row" in e]
         assert len(missing) == 5 and not any("'fcfs'" in e for e in missing)
         assert len(errors) == 7
+
+    def test_scheduler_rows_list_exactly_the_policy_knobs(self):
+        """A row naming a knob its policy refuses, or leaving out one it
+        takes, is reported; the rest of the table is in order."""
+        rows = {
+            "static": "`max_batch`",
+            "fcfs": "`max_batch`",
+            "memory": "`capacity_bytes`",
+            "chunked": "`chunk_budget`, `capacity_bytes`",
+            "overlap": "`chunk_budget`",
+            "paged": "`block_size`, `capacity_bytes`, `chunk_budget`",
+            "prefix": "`block_size`, `capacity_bytes`",
+        }
+        doc = "## Choosing a scheduler\n\n| scheduler | knobs |\n| --- | --- |\n"
+        doc += "".join(f"| `{name}` | {knobs} |\n" for name, knobs in rows.items())
+        errors = check_docs.check_scheduler_table(doc)
+        assert len(errors) == 2
+        missing, refused = errors
+        assert "'overlap'" in missing and "'capacity_bytes'" in missing
+        assert "does not list" in missing
+        assert "'paged'" in refused and "'chunk_budget'" in refused
+        assert "refuses" in refused
 
     def test_a_missing_scheduler_table_is_reported(self):
         errors = check_docs.check_scheduler_table("# Architecture\n")

@@ -17,7 +17,9 @@ Four families of checks, all run by the CI ``docs`` job and by
 * **Scheduler table** — ``docs/ARCHITECTURE.md``'s "Choosing a
   scheduler" table must have one row per scheduler ``build_scheduler``
   builds, and its "knobs" column may name only ``build_scheduler``
-  parameters.
+  parameters.  Of the policy-specific knobs it must list exactly those
+  ``POLICY_KNOBS`` (the declaration ``build_scheduler`` enforces) gives
+  that scheduler.
 * **Router table** — its "Choosing a router" table must have a row for
   every name in ``ROUTER_NAMES`` and no other row.
 
@@ -229,30 +231,44 @@ def scheduler_table(doc: str) -> dict[str, set[str]]:
 
 
 def check_scheduler_table(doc: str) -> list[str]:
-    """The table has a row per built scheduler and names only real knobs."""
-    from repro.serving.schedulers import SCHEDULER_NAMES, build_scheduler
+    """The table has a row per built scheduler, names only real knobs,
+    and lists exactly the policy knobs each scheduler takes."""
+    from repro.serving.schedulers import POLICY_KNOBS, build_scheduler
 
     where = "docs/ARCHITECTURE.md"
     table = scheduler_table(doc)
     if not table:
         return [f"{where}: no scheduler table found under {_SCHEDULER_TABLE!r}"]
     knobs = set(list(inspect.signature(build_scheduler).parameters)[3:])
+    policy_knobs = set().union(*POLICY_KNOBS.values())
     errors = [
         f"{where}: build_scheduler builds {name!r}, but the scheduler "
         "table has no row for it"
-        for name in SCHEDULER_NAMES
+        for name in POLICY_KNOBS
         if name not in table
     ]
     for name, listed in table.items():
-        if name not in SCHEDULER_NAMES:
-            errors.append(
-                f"{where}: scheduler table row {name!r} is not a scheduler "
-                "build_scheduler builds"
-            )
         errors.extend(
             f"{where}: scheduler {name!r} lists knob {knob!r}, which is "
             "not a build_scheduler parameter"
             for knob in sorted(listed - knobs)
+        )
+        if name not in POLICY_KNOBS:
+            errors.append(
+                f"{where}: scheduler table row {name!r} is not a scheduler "
+                "build_scheduler builds"
+            )
+            continue
+        takes = set(POLICY_KNOBS[name])
+        errors.extend(
+            f"{where}: scheduler {name!r} lists knob {knob!r}, which "
+            "build_scheduler refuses for it"
+            for knob in sorted(listed & policy_knobs - takes)
+        )
+        errors.extend(
+            f"{where}: scheduler {name!r} takes knob {knob!r}, which its "
+            "row does not list"
+            for knob in sorted(takes - listed)
         )
     return errors
 
