@@ -17,14 +17,9 @@ import dataclasses
 import numpy as np
 
 from repro.core.config import PimbaConfig, PimDesign, pimba_config
-from repro.core.layout import (
-    BankAssignment,
-    kv_layout_for,
-    state_layout_for,
-)
+from repro.core.layout import kv_layout_for, state_layout_for
 from repro.core.scheduler import (
     SweepTiming,
-    attention_subchunks_per_row,
     schedule_attention_rows,
     schedule_state_update_rows,
 )
@@ -51,8 +46,11 @@ class PimbaAccelerator:
         self.config = config or pimba_config()
         self.format = get_format(self.config.state_format)
         self._rng = np.random.default_rng(seed)
-        #: attention records by the values their sweeps read; see
-        #: :meth:`attention_timing`
+        hbm = self.config.hbm
+        #: every bank of every pseudo-channel sweeps in lock-step
+        self._banks = hbm.pseudo_channels * hbm.organization.banks
+        self._columns_per_row = hbm.organization.columns_per_row
+        #: attention records by :meth:`attention_signature`
         self._attention_memo: dict[tuple, PimTiming] = {}
 
     # -- functional execution ----------------------------------------------
@@ -119,14 +117,6 @@ class PimbaAccelerator:
 
     # -- timing -------------------------------------------------------------
 
-    def _assignment(self, total_heads: int) -> BankAssignment:
-        hbm = self.config.hbm
-        return BankAssignment(
-            total_heads=total_heads,
-            pseudo_channels=hbm.pseudo_channels,
-            banks_per_channel=hbm.organization.banks,
-        )
-
     def state_update_timing(
         self, total_heads: int, dim_head: int, dim_state: int
     ) -> PimTiming:
@@ -143,7 +133,7 @@ class PimbaAccelerator:
             dim_head / dim_state: per-head state shape.
         """
         layout = state_layout_for(self.config, dim_head, dim_state)
-        banks = self._assignment(max(1, total_heads)).total_banks
+        banks = self._banks
         total_rows = total_heads * layout.chunks_per_head
         rows_per_bank = -(-total_rows // banks) if total_rows else 0
         groups_per_bank = max(1.0, total_heads / banks) if total_heads else 0.0
@@ -155,6 +145,53 @@ class PimbaAccelerator:
             seconds=seconds, sweep=sweep,
             heads_per_bank=-(-total_heads // banks) if total_heads else 0,
         )
+
+    def attention_signature(
+        self,
+        total_heads: int,
+        dim_head: int,
+        seq_len: int,
+        dim_value: int | None = None,
+    ) -> tuple:
+        """What one generation step's attention sweeps read of their inputs.
+
+        A PIM sweep is row-granular (Section 5.5):
+        ``schedule_attention_rows`` reads the rows per bank, the columns
+        streamed per row and the vector geometry of its cache, never the
+        context length itself.  The signature is exactly those values for
+        the K sweep (``dim_head``-wide vectors) and the V sweep
+        (``dim_value``-wide), after the caches and heads per bank:
+
+            (caches, heads_per_bank,
+             k_rows_per_bank, k_columns_per_row, k_columns_per_vector, dim_head,
+             v_rows_per_bank, v_columns_per_row, v_columns_per_vector, dim_value)
+
+        Two calls with equal signatures get the same
+        :meth:`attention_timing` record.  Computed in integer arithmetic
+        from the device geometry, with no layout objects: it is the
+        :meth:`attention_timing` memo key and the key a serving system's
+        step table files decode totals under.
+        """
+        if seq_len < 0:
+            raise ValueError("sequence length must be non-negative")
+        banks = self._banks
+        columns = self._columns_per_row
+        per_column = self.config.values_per_column
+        caches = max(1.0, total_heads / banks) if total_heads else 0.0
+        signature = [caches, -(-total_heads // banks)]
+        for dim in (dim_head, dim_value or dim_head):
+            # kv_layout_for's subchunks_per_vector, subchunks_per_pass and
+            # rows_per_cache, then attention_subchunks_per_row, on ints
+            per_vector = -(-dim // per_column)
+            per_pass = per_vector * seq_len
+            rows = -(-per_pass // columns) or 1
+            signature += (
+                -(-total_heads * rows // banks),
+                min(columns, per_pass or 1),
+                per_vector,
+                dim,
+            )
+        return tuple(signature)
 
     def attention_timing(
         self,
@@ -168,41 +205,26 @@ class PimbaAccelerator:
         The score phase streams the K cache (``dim_head``-wide vectors);
         the attend phase streams the V cache (``dim_value``-wide).
 
-        Memoized.  A PIM sweep is row-granular (Section 5.5):
-        ``schedule_attention_rows`` reads the rows and caches per bank,
-        the columns streamed per row and the vector geometry, never the
-        context length itself.  The memo key is exactly those values for
-        both phases, plus the heads per bank the record reports, so
-        contexts that fill the same rows share one (immutable) record.
+        Memoized by :meth:`attention_signature`: contexts that fill the
+        same rows share one (immutable) record.
         """
-        dim_value = dim_value or dim_head
-        banks = self._assignment(max(1, total_heads)).total_banks
-        caches = max(1.0, total_heads / banks) if total_heads else 0.0
-        heads_per_bank = -(-total_heads // banks) if total_heads else 0
-
-        def read_by_sweep(layout):
-            total_rows = total_heads * max(1, layout.rows_per_cache)
-            return (
-                -(-total_rows // banks) if total_heads else 0,
-                attention_subchunks_per_row(self.config, layout),
-                layout.subchunks_per_vector,
-                layout.dim_head,
-            )
-
-        k_layout = kv_layout_for(self.config, dim_head, seq_len)
-        k_key = read_by_sweep(k_layout)
-        if dim_value == dim_head:  # the V cache is laid out like the K cache
-            v_layout, v_key = k_layout, k_key
-        else:
-            v_layout = kv_layout_for(self.config, dim_value, seq_len)
-            v_key = read_by_sweep(v_layout)
-        key = (caches, heads_per_bank, k_key, v_key)
+        key = self.attention_signature(total_heads, dim_head, seq_len, dim_value)
         timing = self._attention_memo.get(key)
         if timing is None:
+            caches, heads_per_bank, k_rows = key[:3]
+            v_rows = key[6]
             total = schedule_attention_rows(
-                self.config, k_layout, k_key[0], caches, "score"
+                self.config,
+                kv_layout_for(self.config, dim_head, seq_len),
+                k_rows,
+                caches,
+                "score",
             ) + schedule_attention_rows(
-                self.config, v_layout, v_key[0], caches, "attend"
+                self.config,
+                kv_layout_for(self.config, dim_value or dim_head, seq_len),
+                v_rows,
+                caches,
+                "attend",
             )
             timing = self._attention_memo[key] = PimTiming(
                 seconds=total.bus_cycles / self.config.hbm.bus_frequency_hz,

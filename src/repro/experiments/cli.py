@@ -275,6 +275,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for text in args.overrides:
             axis, values = parse_axis_override(text)
             spec = spec.with_axes(**{axis: values})
+        spec.validate()
     except (KeyError, ValueError) as err:
         print(f"repro: {err}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ callables.
 from __future__ import annotations
 
 import importlib
-from collections.abc import Callable
+import inspect
+from collections.abc import Callable, Mapping
 
 from repro.experiments.spec import ExperimentSpec
 
@@ -19,20 +20,51 @@ _CATALOG_MODULE = "repro.experiments.catalog"
 
 _TRIALS: dict[str, Callable] = {}
 _TRIAL_MODULES: dict[str, str] = {}
+_CHECKS: dict[str, Callable[[dict], None]] = {}
 _SWEEPS: dict[str, Callable[..., ExperimentSpec]] = {}
 
 
-def trial(name: str) -> Callable[[Callable], Callable]:
-    """Decorator: register ``fn`` as the trial function called ``name``."""
+def trial(
+    name: str, check: Callable[[dict], None] | None = None
+) -> Callable[[Callable], Callable]:
+    """Decorator: register ``fn`` as the trial function called ``name``.
+
+    ``check``, if given, vets one trial's parameters before any trial of
+    a grid runs (see :func:`check_params`): it raises ``ValueError`` (or
+    ``KeyError``) for parameters the trial would refuse.
+    """
 
     def register(fn: Callable) -> Callable:
         if name in _TRIALS:
             raise ValueError(f"trial function {name!r} is already registered")
         _TRIALS[name] = fn
         _TRIAL_MODULES[name] = fn.__module__
+        if check is not None:
+            _CHECKS[name] = check
         return fn
 
     return register
+
+
+def check_params(name: str, params: Mapping[str, object]) -> None:
+    """Run trial function ``name``'s registered check on ``params``,
+    with the function's own defaults filled in.
+
+    A no-op for a trial without a check, and for a name no module
+    registers (running such a trial reports it).
+    """
+    try:
+        fn = get_trial(name)
+    except KeyError:
+        return
+    check = _CHECKS.get(name)
+    if check is not None:
+        defaults = {
+            key: p.default
+            for key, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty
+        }
+        check({**defaults, **params})
 
 
 def sweep(name: str) -> Callable[[Callable], Callable]:

@@ -127,7 +127,12 @@ class Runner:
         spec: ExperimentSpec,
         progress: Callable[[TrialResult], None] | None = None,
     ) -> RunReport:
-        """Execute every trial of ``spec`` and return results in grid order."""
+        """Execute every trial of ``spec`` and return results in grid order.
+
+        The grid is validated first (:meth:`ExperimentSpec.validate`), so
+        a trial its check refuses stops the run before any trial runs.
+        """
+        spec.validate()
         start = time.perf_counter()
         trials = list(spec.trials())
         results: list[TrialResult | None] = [None] * len(trials)

@@ -128,6 +128,15 @@ class ExperimentSpec:
                 merged[name] = values
         return dataclasses.replace(self, axes=merged, fixed=fixed)
 
+    def validate(self) -> None:
+        """Refuse the grid before any trial runs: each trial's parameters
+        go through the check its trial function registered, if any (see
+        :func:`~repro.experiments.registry.trial`)."""
+        from repro.experiments import registry  # deferred: import cycle
+
+        for trial in self.trials():
+            registry.check_params(trial.trial_fn, trial.params)
+
     def _trial_parameters(self) -> set[str]:
         """Parameter names the trial function accepts (empty if unknown)."""
         import inspect

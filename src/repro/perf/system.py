@@ -146,8 +146,9 @@ class ServingSystem:
         self.offloads = _OFFLOADS[kind]
         pim_cfg = _pim_for(kind, self.gpu_spec)
         self.pim = PimbaAccelerator(pim_cfg) if pim_cfg else None
-        #: spec -> (decode, prefill) price tables; see :meth:`price_tables`
-        self._tables: dict[ModelSpec, tuple[dict, dict]] = {}
+        #: spec -> (decode, prefill, steps) price tables; see
+        #: :meth:`price_tables`
+        self._tables: dict[ModelSpec, tuple[dict, dict, dict | None]] = {}
         #: (spec, batch) -> seconds of the context-free ops before and after
         #: ATTENTION; see :meth:`step_seconds`
         self._step_terms: dict[
@@ -175,11 +176,15 @@ class ServingSystem:
         Only the ATTENTION term depends on ``seq_len``: the terms of
         :func:`~repro.perf.operators.context_free_ops` are priced once per
         ``(spec, batch)`` and kept, and ATTENTION is priced per call
-        through the same per-op code :meth:`step_latency` runs.  The
+        through the same per-op code :meth:`step_latency` runs (a PIM
+        attention record is kept per :meth:`step_signature`).  The
         builtin ``sum`` then adds the same floats in the same order as
         :attr:`StepBreakdown.total`, so the result is the same float on
         every Python version (from 3.12 ``sum`` compensates float
-        rounding, so a running ``+=`` total would not be).
+        rounding, so a running ``+=`` total would not be).  On a system
+        that runs attention on PIM, the serving cost model calls this
+        once per distinct ``(batch, step_signature)`` of a spec, not once
+        per context (see :meth:`price_tables`).
         """
         terms = self._step_terms.get((spec, batch))
         if terms is None:
@@ -198,17 +203,55 @@ class ServingSystem:
         seconds = self._priced(attention, spec, batch, seq_len)[0]
         return sum((*before, seconds, *after))
 
-    def price_tables(self, spec: ModelSpec) -> tuple[dict, dict]:
-        """The ``(decode, prefill)`` price tables of ``spec`` on this system.
+    def step_signature(self, spec: ModelSpec, batch: int, seq_len: int) -> tuple | None:
+        """All that :meth:`step_seconds` reads of ``seq_len``, when PIM
+        runs attention.
+
+        ``None`` when the step has no ATTENTION term (a model without
+        attention layers, or an empty context: see
+        :func:`~repro.perf.operators.attention_op`); otherwise the
+        accelerator's
+        :meth:`~repro.core.accelerator.PimbaAccelerator.attention_signature`
+        at the step's heads.  The other terms depend on ``(spec, batch)``
+        alone, so two contexts with one signature cost the same float at
+        one batch.  Only for a system whose :attr:`attention_on_pim`
+        holds.
+        """
+        if seq_len < 0:
+            raise ValueError("seq_len must be >= 0")
+        if not (seq_len and spec.attention_layers):
+            return None
+        return self.pim.attention_signature(
+            self._pim_heads(spec, batch), spec.dim_head, seq_len, spec.dim_state
+        )
+
+    @property
+    def attention_on_pim(self) -> bool:
+        """Attention runs on PIM, whose price moves only at DRAM rows."""
+        return OpKind.ATTENTION in self.offloads and self.pim is not None
+
+    def price_tables(self, spec: ModelSpec) -> tuple[dict, dict, dict | None]:
+        """The ``(decode, prefill, steps)`` price tables of ``spec``.
+
+        ``decode`` maps ``(batch, seq_len)`` and ``prefill`` ``(batch,
+        input_len)`` to seconds.  ``steps`` maps ``(batch,``
+        :meth:`step_signature` ``)`` to the step total, so a decode point
+        whose signature is known costs one lookup instead of a
+        :meth:`step_seconds` call; it is ``None`` when attention runs on
+        the GPU, whose cost changes with every context length.
 
         Every :class:`~repro.serving.costs.IterationCostModel` built on
-        this system for an equal spec binds the same two dicts, so a
-        point one replica priced is a hit for every other replica, router
+        this system for an equal spec binds the same tables, so a point
+        one replica priced is a hit for every other replica, router
         estimate and tier of its fleet.  They live on the system, not at
         module level: a freshly built system starts cold.  The system only
         keeps the dicts; the cost model keys and fills them.
         """
-        return self._tables.setdefault(spec, ({}, {}))
+        tables = self._tables.get(spec)
+        if tables is None:
+            steps = {} if self.attention_on_pim else None
+            tables = self._tables[spec] = ({}, {}, steps)
+        return tables
 
     def _priced(
         self, op: OpCost, spec: ModelSpec, batch: int, seq_len: int
@@ -224,10 +267,14 @@ class ServingSystem:
             return self._pim_seconds(op, spec, batch, seq_len), "PIM"
         return self.gpu.op_seconds(op), self.gpu_spec.name
 
+    def _pim_heads(self, spec: ModelSpec, batch: int) -> int:
+        """Heads of a ``batch``-request step on one device (under TP)."""
+        return max(1, round(batch * spec.n_heads / self.n_devices))
+
     def _pim_seconds(
         self, op: OpCost, spec: ModelSpec, batch: int, seq_len: int
     ) -> float:
-        heads = max(1, round(batch * spec.n_heads / self.n_devices))
+        heads = self._pim_heads(spec, batch)
         if op.kind is OpKind.STATE_UPDATE:
             per_layer = self.pim.state_update_timing(
                 heads, spec.dim_head, spec.dim_state

@@ -28,6 +28,7 @@ import pathlib
 from repro.experiments.registry import sweep, trial
 from repro.experiments.spec import ExperimentSpec
 from repro.serving.costs import DEFAULT_LINK_GBPS
+from repro.serving.schedulers import check_policy_knobs
 
 #: corpus name -> file name under ``traces/``
 SHIPPED_TRACES = {
@@ -68,7 +69,13 @@ def pinned_trace(name: str) -> str:
     return f"{name}@{trace_fingerprint(trace_path(name))}"
 
 
-@trial("trace_replay_slo")
+def _check_scheduler(p: dict) -> None:
+    """An unknown scheduler fails before any replay runs (a replay sets
+    no policy knob)."""
+    check_policy_knobs(p["scheduler"], {})
+
+
+@trial("trace_replay_slo", check=_check_scheduler)
 def trace_replay_slo(
     system: str,
     trace: str,

@@ -10,16 +10,20 @@ properties matter:
   simulators use, so request-level and batch-level results are directly
   comparable (and exactly equal under static batching).
 * **Speed** — each distinct ``(batch, seq)`` point is priced once per
-  fleet, and cheaply.  The decode and prefill tables live on the
-  ``ServingSystem`` (one pair per ``ModelSpec``) and every cost model
-  built on that system binds them, so all replicas of a fleet and every
-  :class:`ReplicaPrices` share one table; a hit is one dict lookup.  A
-  miss prices the decode step through ``ServingSystem.step_seconds``,
-  which keeps the context-free operator terms per batch size and prices
-  only attention per context (PIM attention timings are kept per DRAM
-  row count), and sums the same terms in the same order as
-  ``step_latency(...).total``, so the float is the same.
-  Nothing is cached at module level: a freshly built system starts cold.
+  fleet, and cheaply.  The price tables live on the ``ServingSystem``
+  (one set per ``ModelSpec``) and every cost model binds them once, at
+  construction, so all replicas of a fleet and every
+  :class:`ReplicaPrices` share them; a hit is one dict lookup.  When
+  PIM runs attention, a decode miss looks up its ``(batch,
+  signature)`` next (``ServingSystem.step_signature``: the DRAM rows
+  and geometry the attention sweeps read, Section 5.5), so a context
+  whose rows were priced before costs a few integer operations and one
+  more lookup.  Only a new signature, or any miss on a system whose
+  attention runs on the GPU, calls ``ServingSystem.step_seconds``,
+  which keeps the context-free operator terms per batch size, prices
+  only attention per context, and sums the same terms in the same order
+  as ``step_latency(...).total``, so the float is the same.  Nothing is
+  cached at module level: a freshly built system starts cold.
 
 :class:`ReplicaPrices` declares once every estimate a cluster makes of
 one replica, including the KV handoff the routers score and the
@@ -45,10 +49,11 @@ class IterationCostModel:
     The memo is the system's (see
     :meth:`~repro.perf.system.ServingSystem.price_tables`): every model
     built on one system for an equal spec reads and fills the same
-    tables.  ``link_gbps`` prices cross-replica KV movement (the shared
-    prefix tier); it never enters prefill/decode pricing, so two models
-    differing only in link bandwidth price every iteration identically
-    and share the tables too.
+    tables, the step totals by row signature included.  ``link_gbps``
+    prices cross-replica KV movement (the shared prefix tier); it never
+    enters prefill/decode pricing, so two models differing only in link
+    bandwidth price every iteration identically and share the tables
+    too.
     """
 
     def __init__(
@@ -62,17 +67,29 @@ class IterationCostModel:
         self.system = system
         self.spec = spec
         self.link_gbps = link_gbps
-        # Bound once: a hit is one lookup in the system's shared table.
-        self._decode, self._prefill = system.price_tables(spec)
+        # Bound once: a hit is one lookup in the system's shared table,
+        # and a miss never hashes the spec.
+        self._decode, self._prefill, self._steps = system.price_tables(spec)
 
     def decode_seconds(self, batch: int, seq_len: int) -> float:
         """One decode iteration for ``batch`` requests at context ``seq_len``."""
         key = (int(batch), int(seq_len))
         seconds = self._decode.get(key)
         if seconds is None:
-            seconds = self._decode[key] = self.system.step_seconds(
-                self.spec, *key
-            )
+            seconds = self._decode[key] = self._price_decode(*key)
+        return seconds
+
+    def _price_decode(self, batch: int, seq_len: int) -> float:
+        """A decode point the table lacks: the step total of its
+        ``(batch, signature)`` when PIM runs attention, priced only the
+        first time that pair comes up."""
+        steps = self._steps
+        if steps is None:  # attention on the GPU: every context is new
+            return self.system.step_seconds(self.spec, batch, seq_len)
+        point = (batch, self.system.step_signature(self.spec, batch, seq_len))
+        seconds = steps.get(point)
+        if seconds is None:
+            seconds = steps[point] = self.system.step_seconds(self.spec, batch, seq_len)
         return seconds
 
     def prefill_seconds(self, batch: int, input_len: int) -> float:

@@ -52,10 +52,13 @@ source of the wall-clock speedup the ``wallclock`` benchmark gates.
 Paged KV growth ends a run instead of opting out of coalescing: the
 scheduler's
 :meth:`~repro.serving.schedulers.Scheduler.steps_before_claim` caps each
-run at the next block claim, and the claiming iteration — the one that
-may preempt — runs
-:meth:`~repro.serving.schedulers.Scheduler.prepare_iteration`, is priced
-at the scheduler's scalar
+run at the next block claim, and the claiming iteration runs
+:meth:`~repro.serving.schedulers.Scheduler.prepare_iteration` first.
+A claim that evicts nobody opens the next run: the horizon is read
+again after the claims land, and the claim iteration is that run's
+first step (the loop top in between could change nothing, because the
+claims only shrank the free pool).  Only a claim that preempts is
+priced alone, at the scheduler's scalar
 :meth:`~repro.serving.schedulers.Scheduler.iteration_shape`, and then
 keeps the same books as a one-step run.  The per-iteration loop lives
 on only in the reference implementation
@@ -568,16 +571,17 @@ class ServingEngine:
                 # resident finishes, the scheduler would admit an
                 # arrival, or a resident must claim KV, the batch cannot
                 # change: a coalesced run prices the whole stretch one
-                # stride segment at a time.  The claiming iteration
-                # (horizon 0) may preempt, so it runs alone, priced at
-                # the scalar shape — what decode_run would return for
-                # one step, at a fraction of its cost.
+                # stride segment at a time.  A claiming iteration
+                # (horizon 0) claims first.  When it evicts nobody it
+                # opens the run that follows, whose horizon is read
+                # again after the claims land: between the two, the
+                # loop top could change nothing (the claims only shrank
+                # the free pool, so admit and can_restore, which refused
+                # before them, still refuse).  One that preempts runs
+                # alone, priced at the scalar shape.
                 horizon = self.scheduler.steps_before_claim(running)
-                if horizon:
-                    slots = SlotView.from_requests(running)
-                    steps = min(slots.max_coalesced_steps(), horizon)
-                    batch, segments = self.scheduler.decode_run(slots, steps)
-                else:
+                claimed = False
+                if not horizon:
                     victims = self.scheduler.prepare_iteration(running)
                     if victims:
                         # Pool exhausted: the scheduler already freed the
@@ -597,13 +601,21 @@ class ServingEngine:
                             if tel:
                                 gauge(0)
                             continue
+                    else:
+                        claimed = True
+                        horizon = self.scheduler.steps_before_claim(running)
+                if horizon:
+                    slots = SlotView.from_requests(running)
+                    steps = min(slots.max_coalesced_steps(), horizon)
+                    batch, segments = self.scheduler.decode_run(slots, steps)
+                else:
                     batch, seq = self.scheduler.iteration_shape(running)
                     steps, segments = 1, [(seq, 1)]
                 dts = []
                 for seq, count in segments:
                     dts += [self.cost.decode_seconds(batch, seq)] * count
                 # Replay only the order-sensitive float accumulation.
-                qlen = len(queue)
+                qlen = queued = len(queue)
                 clock_before = clock
                 next_arrival = pending[0].arrival_s if pending else math.inf
                 for executed, dt in enumerate(dts, 1):
@@ -619,7 +631,7 @@ class ServingEngine:
                         # goes on unless admit — pure, and blind to
                         # decode progress — would take one now.  A
                         # waiting restore blocks admission, and no
-                        # claim-free step can let it in.
+                        # step of the run can let it in.
                         while pending and pending[0].arrival_s <= clock:
                             queue.append(pending.popleft())
                         qlen = len(queue)
@@ -631,15 +643,37 @@ class ServingEngine:
                         next_arrival = pending[0].arrival_s if pending else math.inf
                 # Bit-exact re-derivation: after the first iteration the
                 # clock was exactly clock_before + dts[0] (one float add).
-                n_active = generate(running, executed, clock_before + dts[0])
+                first_clock = clock_before + dts[0]
+                split = tel and claimed and executed > 1
+                if split:
+                    # The claim iteration keeps its own decode span and
+                    # gauge, as if it had run alone: no resident finishes
+                    # in it (the run is longer), and a claiming policy
+                    # keeps no finished resident, so all of them decode.
+                    # Its queue depth leaves out the later arrivals.
+                    col.decode_span(clock_before, first_clock, 1, len(running), running)
+                    depth = len(queue)
+                    while depth > queued and queue[depth - 1].arrival_s > first_clock:
+                        depth -= 1
+                    col.gauge(
+                        first_clock,
+                        depth,
+                        len(running),
+                        self.scheduler.blocks_in_use,
+                        preemptions,
+                        self.scheduler.counters(),
+                    )
+                n_active = generate(running, executed, first_clock)
                 rec.decode_run(dts if executed == steps else dts[:executed], n_active)
                 if tel:
                     # The whole stretch is one decode span; the exporter
                     # expands it per member (the batch could not change
                     # mid-run — that is what made it coalescable).
-                    col.decode_span(
-                        clock_before, clock, executed, executed * n_active, running
-                    )
+                    if split:
+                        t0, spanned = first_clock, executed - 1
+                    else:
+                        t0, spanned = clock_before, executed
+                    col.decode_span(t0, clock, spanned, spanned * n_active, running)
                 if executed == steps:
                     # Only a full run can finish anyone (a run stops at
                     # the earliest finish among active slots, or sooner).

@@ -77,7 +77,7 @@ from repro.serving.costs import DEFAULT_LINK_GBPS
 from repro.serving.engine import ServingEngine
 from repro.serving.metrics import ServingReport, SloSpec
 from repro.serving.routing import ROUTER_NAMES
-from repro.serving.schedulers import build_scheduler
+from repro.serving.schedulers import build_scheduler, check_policy_knobs
 from repro.serving.telemetry import Collector, Timeline, TimelineCollector
 from repro.workloads.requests import Trace
 
@@ -193,6 +193,22 @@ def build_arrival_trace(
 #: spell its ``capacity_bytes`` as ``capacity_gib``)
 _SCHEDULER_KNOBS = tuple(inspect.signature(build_scheduler).parameters)[3:]
 
+
+def _check_policy_knobs(p: dict) -> None:
+    """Refuse a serving trial whose scheduler cannot use a policy knob it
+    sets, naming the knob as the trial spells it (``capacity_gib``).
+
+    Registered with every serving trial, so a sweep or a ``--set`` fails
+    before any trial runs; :func:`_serve_trial` checks again, for callers
+    that run a trial directly.
+    """
+    check_policy_knobs(
+        p["scheduler"],
+        {knob: p[knob] for knob in ("capacity_gib", "chunk_budget", "block_size")},
+        spelling={"capacity_gib": "capacity_bytes"},
+    )
+
+
 #: cluster-trial parameters forwarded to :func:`build_cluster` by name
 _CLUSTER_KNOBS = ("router", "shared_tier", "link_gbps")
 
@@ -212,6 +228,7 @@ def _serve_trial(
     fleet from a ``"KIND[:phase],..."`` string (see :func:`parse_fleet`)
     instead of ``system`` x ``replicas``.
     """
+    _check_policy_knobs(p)
     trace = build_arrival_trace(
         p["qps"], p["n_requests"], p["seed"], p["arrival"], p["cv"],
         p["length_dist"], p["input_len"], p["output_len"], p["sigma"],
@@ -240,7 +257,7 @@ def _serve_trial(
     return ServingReport.to_payload(report, slo), slo
 
 
-@trial("serving_slo")
+@trial("serving_slo", check=_check_policy_knobs)
 def serving_slo(
     system: str,
     qps: float,
@@ -389,7 +406,7 @@ def parse_fleet(
     return tuple(kinds), tuple(phases)
 
 
-@trial("cluster_slo")
+@trial("cluster_slo", check=_check_policy_knobs)
 def cluster_slo(
     system: str,
     qps: float,
@@ -1012,7 +1029,7 @@ def preemption_tradeoff_render(data: dict) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-@trial("serving_timeline")
+@trial("serving_timeline", check=_check_policy_knobs)
 def serving_timeline(
     system: str,
     qps: float,

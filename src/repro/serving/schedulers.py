@@ -48,7 +48,9 @@ Seven policies on five classes, in increasing order of sophistication
 Every policy takes ``max_batch`` and ``step_stride``;
 :data:`POLICY_KNOBS` declares which of ``capacity_bytes``,
 ``chunk_budget`` and ``block_size`` each one takes, and
-:func:`build_scheduler` refuses any other that is set.
+:func:`build_scheduler` refuses any other that is set
+(:func:`check_policy_knobs`, which the serving trials also call on
+their own spelling of the knobs before any trial runs).
 
 A scheduler also owns the *pricing shape* of a decode iteration — which
 (batch, context) point the cost model is asked for — because that shape is
@@ -61,7 +63,7 @@ import abc
 import dataclasses
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.models.config import ModelSpec
@@ -206,12 +208,14 @@ class Scheduler(abc.ABC):
     admits.  This is exact only because :meth:`admit` is pure and
     independent of decode progress — it returns what the scalar loop's
     call at that clock would.  Paged growth ends a run instead of
-    opting out of it: the iteration that claims a block (and may
-    preempt) runs :meth:`prepare_iteration` alone and is priced at
-    :meth:`iteration_shape`, and the claim-free stretches between
-    claims coalesce like any other.  So both pricing methods are live,
-    and a class that overrides one without the other fails at
-    definition: the two can never silently disagree.
+    opting out of it: the iteration that claims a block runs
+    :meth:`prepare_iteration` first.  When the claim evicts nobody, it
+    is the first step of the next run, whose length
+    :meth:`steps_before_claim` gives again after the claims land; one
+    that preempts runs alone and is priced at :meth:`iteration_shape`.
+    So both pricing methods are live, and a class that overrides one
+    without the other fails at definition: the two can never silently
+    disagree.
     """
 
     #: static batching keeps finished requests in their (padded) slots
@@ -283,7 +287,7 @@ class Scheduler(abc.ABC):
 
         That many :meth:`prepare_iteration` calls in a row would claim
         nothing (so evict nobody); the next one may.  The engine
-        coalesces up to there and steps the claiming iteration alone.
+        coalesces up to there, and at 0 it claims first and asks again.
         ``math.inf`` when no iteration will ever claim — every policy
         that reserves nothing per token.
         """
@@ -584,9 +588,9 @@ class PagedScheduler(Scheduler):
     crosses the tokens its holding covers, so
     :meth:`steps_before_claim` knows how many decode iterations the
     batch takes before the next claim: the engine prices that stretch
-    as one run, and only the claiming iteration — the one that can
-    preempt — goes through :meth:`prepare_iteration` on its own.  That
-    iteration extends only the crossing residents, and when their
+    as one run.  The claiming iteration goes through
+    :meth:`prepare_iteration` first, and opens the next run unless it
+    preempts.  It extends only the crossing residents, and when their
     claims fit the free pool together it lands them in one
     :meth:`~repro.serving.memory.BlockPool.extend_all` pass; the
     one-claim-at-a-time loop that preempts runs only when they do not.
@@ -871,6 +875,35 @@ POLICY_KNOBS: dict[str, tuple[str, ...]] = {
 SCHEDULER_NAMES = tuple(POLICY_KNOBS)
 
 
+def check_policy_knobs(
+    name: str,
+    knobs: Mapping[str, object],
+    spelling: Mapping[str, str] | None = None,
+) -> None:
+    """Refuse an unknown policy ``name``, or a set knob it does not take.
+
+    ``knobs`` maps policy knobs to values, ``None`` meaning unset.  A
+    caller that spells a knob its own way maps its spelling to the
+    :data:`POLICY_KNOBS` name in ``spelling``, and the error then names
+    knobs the caller's way: a serving trial's ``capacity_gib`` stands for
+    ``capacity_bytes``.
+    """
+    if name not in POLICY_KNOBS:
+        raise KeyError(
+            f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}"
+        )
+    spelling = spelling or {}
+    takes = POLICY_KNOBS[name]
+    for knob, value in knobs.items():
+        if value is not None and spelling.get(knob, knob) not in takes:
+            said = {policy: own for own, policy in spelling.items()}
+            taken = [said.get(k, k) for k in takes]
+            raise ValueError(
+                f"scheduler {name!r} cannot use {knob}={value!r}: it takes "
+                f"{', '.join(('max_batch', 'step_stride', *taken))}"
+            )
+
+
 def build_scheduler(
     name: str,
     system: ServingSystem,
@@ -899,20 +932,14 @@ def build_scheduler(
     :func:`~repro.serving.cluster.build_cluster` and the serving trials
     forward them here.
     """
-    if name not in POLICY_KNOBS:
-        raise KeyError(
-            f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}"
-        )
-    takes = POLICY_KNOBS[name]
-    given = dict(
-        capacity_bytes=capacity_bytes, chunk_budget=chunk_budget, block_size=block_size
+    check_policy_knobs(
+        name,
+        dict(
+            capacity_bytes=capacity_bytes,
+            chunk_budget=chunk_budget,
+            block_size=block_size,
+        ),
     )
-    for knob, value in given.items():
-        if value is not None and knob not in takes:
-            raise ValueError(
-                f"scheduler {name!r} cannot use {knob}={value!r}: it takes "
-                f"{', '.join(('max_batch', 'step_stride', *takes))}"
-            )
     if name == "static":
         return StaticBatchScheduler(max_batch, step_stride)
     if name in ("paged", "prefix"):

@@ -147,6 +147,38 @@ def test_runner_cache_miss_then_hit(tmp_path):
     assert _count(counter) == 4
 
 
+def _odd_x_only(params: dict) -> None:
+    if params["x"] % 2 == 0:
+        raise ValueError(f"x={params['x']} is even")
+
+
+@trial("test_checked_trial", check=_odd_x_only)
+def _checked_trial(counter_file: str, x: int = 1) -> int:
+    return _counting_trial(counter_file, x)
+
+
+def test_a_registered_check_refuses_the_grid_before_any_trial_runs(tmp_path):
+    counter = tmp_path / "count"
+    spec = ExperimentSpec(
+        name="checked",
+        trial_fn="test_checked_trial",
+        axes={"x": (1, 3, 4)},
+        fixed={"counter_file": str(counter)},
+    )
+    with pytest.raises(ValueError, match="x=4 is even"):
+        Runner(use_cache=False, max_workers=1).run(spec)
+    assert _count(counter) == 0
+    # The check sees the trial's defaults for parameters the grid omits.
+    defaulted = ExperimentSpec(
+        name="checked",
+        trial_fn="test_checked_trial",
+        axes={"counter_file": (str(counter),)},
+    )
+    defaulted.validate()
+    assert Runner(use_cache=False, max_workers=1).run(defaulted).values == [10]
+    assert _count(counter) == 1
+
+
 def test_runner_no_cache_always_recomputes(tmp_path):
     counter = tmp_path / "count"
     spec = ExperimentSpec(

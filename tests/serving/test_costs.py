@@ -3,21 +3,28 @@
 :meth:`~repro.serving.costs.IterationCostModel.decode_seconds` prices a
 decode point through :meth:`~repro.perf.system.ServingSystem.step_seconds`
 (context-free terms kept per batch, PIM attention timings kept per DRAM
-row count) and keeps the result in a table the whole fleet shares.  None
-of that may change a price: every point must equal
-``step_latency(spec, batch, seq_len).total`` from a freshly built system,
-compared with ``==``.  And the sharing must reach exactly as far as one
-system object: every replica, router estimate and tier of a fleet, never
-a second system.
+row signature) and keeps the result in a table the whole fleet shares.
+When PIM runs attention, a point whose ``(batch, signature)`` was priced
+before costs one more lookup in a second shared table instead of a
+``step_seconds`` call.  None of that may change a price: every point
+must equal ``step_latency(spec, batch, seq_len).total`` from a freshly
+built system, compared with ``==``, in any pricing order.  The
+accelerator's signature must be what the layouts give.  And the sharing
+must reach exactly as far as one system object: every replica, router
+estimate and tier of a fleet, never a second system.
 """
 
 import collections
+import dataclasses
+import math
+import random
 
 import pytest
 
 from repro.core import accelerator
 from repro.core.config import pimba_config
-from repro.core.layout import kv_layout_for
+from repro.core.layout import BankAssignment, kv_layout_for
+from repro.core.scheduler import attention_subchunks_per_row
 from repro.models import spec_for
 from repro.models.registry import MODEL_NAMES
 from repro.perf.system import ServingSystem, SystemKind, build_system
@@ -73,15 +80,17 @@ class TestExactPricing:
         spec = spec_for(model, scale)
         system = build_system(kind, scale)
         cost = IterationCostModel(system, spec)
-        contexts = _contexts(system, spec)
+        # One warm cost model prices the grid in a shuffled order, so
+        # signature hits come before and after misses, across batches.
+        points = [(b, s) for b in BATCHES for s in _contexts(system, spec)]
+        random.Random(0).shuffle(points)
         mismatches = []
-        for batch in BATCHES:
-            for seq_len in contexts:
-                got = cost.decode_seconds(batch, seq_len)
-                fresh = build_system(kind, scale)  # no table or row memo is warm
-                want = fresh.step_latency(spec, batch, seq_len).total
-                if got != want:
-                    mismatches.append((batch, seq_len, got.hex(), want.hex()))
+        for batch, seq_len in points:
+            got = cost.decode_seconds(batch, seq_len)
+            fresh = build_system(kind, scale)  # no table or row memo is warm
+            want = fresh.step_latency(spec, batch, seq_len).total
+            if got != want:
+                mismatches.append((batch, seq_len, got.hex(), want.hex()))
         assert mismatches == []
 
     @pytest.mark.parametrize("kind", PIM_KINDS, ids=lambda k: k.value)
@@ -102,6 +111,57 @@ class TestExactPricing:
                     mismatches.append(args)
         assert mismatches == []
 
+    @pytest.mark.parametrize("kind", PIM_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("model", ["Zamba2", "OPT"])
+    def test_the_signature_is_what_the_layouts_give(self, model, kind):
+        # Zamba2's V vectors are wider than its K vectors; OPT's are not.
+        spec = spec_for(model)
+        system = build_system(kind)
+        pim, config = system.pim, system.pim.config
+        hbm = config.hbm
+        assignment = BankAssignment(0, hbm.pseudo_channels, hbm.organization.banks)
+        banks = assignment.total_banks
+        heads = sorted({0, 1} | {m * banks + d for m in (1, 2, 3) for d in (-1, 0, 1)})
+        mismatches = []
+        for seq_len in _contexts(system, spec):
+            layouts = [
+                kv_layout_for(config, dim, seq_len)
+                for dim in (spec.dim_head, spec.dim_state)
+            ]
+            for h in heads:
+                want = [
+                    max(1.0, h / banks) if h else 0.0,
+                    dataclasses.replace(assignment, total_heads=h).heads_per_bank,
+                ]
+                for layout in layouts:
+                    want += (
+                        math.ceil(h * max(1, layout.rows_per_cache) / banks),
+                        attention_subchunks_per_row(config, layout),
+                        layout.subchunks_per_vector,
+                        layout.dim_head,
+                    )
+                got = pim.attention_signature(h, spec.dim_head, seq_len, spec.dim_state)
+                if got != tuple(want):
+                    mismatches.append((h, seq_len, got, tuple(want)))
+        assert mismatches == []
+        assert pim.attention_signature(8, 64, 100) == pim.attention_signature(
+            8, 64, 100, 64
+        )
+
+    def test_an_empty_context_is_its_own_point(self):
+        # K and V vectors of one DRAM column each: the empty context
+        # streams the sweeps of a one-token context, but its step has no
+        # ATTENTION term, so the two must not share a step total.
+        spec = dataclasses.replace(spec_for("Zamba2"), dim_head=16, dim_state=16)
+        system = build_system(SystemKind.PIMBA)
+        sweeps = system.pim.attention_signature
+        assert sweeps(8, 16, 0) == sweeps(8, 16, 1)
+        cost = IterationCostModel(system, spec)
+        for seq_len in (1, 0, 2):
+            fresh = build_system(SystemKind.PIMBA)
+            want = fresh.step_latency(spec, 4, seq_len).total
+            assert cost.decode_seconds(4, seq_len) == want
+
     def test_contexts_cross_row_boundaries(self):
         spec = spec_for("Zamba2")
         system = build_system(SystemKind.PIMBA)
@@ -118,6 +178,15 @@ class TestExactPricing:
             system.step_seconds(spec, 0, 16)
         with pytest.raises(ValueError):
             system.step_seconds(spec, 4, -1)
+        # A negative context never reaches the step table, not even
+        # after the empty context's signature is in it.
+        for model in ("Zamba2", "Mamba-2"):
+            cost = IterationCostModel(system, spec_for(model))
+            cost.decode_seconds(4, 0)
+            with pytest.raises(ValueError):
+                cost.decode_seconds(4, -1)
+        with pytest.raises(ValueError):
+            system.pim.attention_signature(4, 64, -1)
 
 
 @pytest.fixture
@@ -201,7 +270,17 @@ class TestSharedTables:
         assert len(same_row) > 1
         for seq_len in same_row:
             cost.decode_seconds(8, seq_len)
-        assert counted == {"step_seconds": len(same_row), "sweep": 2}
+        # One full pricing for the row; every other context is a lookup.
+        assert counted == {"step_seconds": 1, "sweep": 2}
+
+    def test_a_model_without_attention_prices_one_step_per_batch(self, counted):
+        spec = spec_for("Mamba-2")
+        assert spec.attention_layers == 0
+        cost = IterationCostModel(build_system(SystemKind.PIMBA), spec)
+        for batch in (1, 8):
+            for seq_len in (0, 1, 100, 4096):
+                cost.decode_seconds(batch, seq_len)
+        assert counted == {"step_seconds": 2}
 
     def test_decode_pricing_never_builds_a_breakdown(self, counted):
         cost = IterationCostModel(build_system(SystemKind.GPU), spec_for("OPT"))

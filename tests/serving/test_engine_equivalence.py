@@ -728,8 +728,10 @@ def test_a_coalesced_run_prices_once_per_segment(
     """The engine prices a coalesced run one ``decode_seconds`` call per
     segment, never per step: a single request decoding 100 tokens at
     stride 32 re-anchors three times, so its one run is four calls.  A
-    ragged burst then has every run price exactly its segments, and a
-    paged batch adds exactly one call per block-claiming iteration."""
+    ragged burst then has every run price exactly its segments.  A paged
+    batch adds exactly one call per block claim that preempts: a claim
+    that evicts nobody opens the run that follows, whose segments price
+    it."""
     calls = []
     priced = IterationCostModel.decode_seconds
 
@@ -750,8 +752,9 @@ def test_a_coalesced_run_prices_once_per_segment(
             return batch, segments
 
         def claiming(running):
-            claims.append(len(running))
-            return prepare_iteration(running)
+            victims = prepare_iteration(running)
+            claims.append(bool(victims))  # did this claim preempt?
+            return victims
 
         scheduler.decode_run = recorded
         scheduler.prepare_iteration = claiming
@@ -780,14 +783,28 @@ def test_a_coalesced_run_prices_once_per_segment(
     assert len(calls) == sum(len(segments) for segments in runs)
     assert len(calls) < len(record.iteration_seconds)
 
-    record, runs, claims = serve(
-        make_scheduler("paged+tight", pimba_system, zamba_spec),
-        TRACES["poisson"](),
+    # Prefix caching on multi-turn chat: claims trim cached blocks, and
+    # the pool is tight enough to preempt too.
+    chat = multiturn_chat_trace(
+        3.0,
+        12,
+        turns=3,
+        first_input=128,
+        user_tokens=24,
+        output_len=32,
+        think_s=1.0,
+        seed=3,
     )
-    assert runs and claims
-    assert record.preemptions > 0
-    assert len(calls) == sum(len(segments) for segments in runs) + len(claims)
-    assert len(calls) < len(record.iteration_seconds)
+    for name, trace in (("paged+tight", TRACES["poisson"]()), ("prefix+tight", chat)):
+        record, runs, claims = serve(
+            make_scheduler(name, pimba_system, zamba_spec), trace
+        )
+        assert runs and claims
+        assert record.preemptions > 0
+        assert 0 < sum(claims) < len(claims)
+        assert len(calls) == sum(len(segments) for segments in runs) + sum(claims)
+        assert len(calls) < len(record.iteration_seconds)
+    assert record.cache_hit_tokens > 0
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from repro.experiments import Runner
 from repro.experiments.cli import main
 from repro.perf import SystemKind
+from repro.serving import experiments as serving_experiments
 from repro.serving.arrivals import poisson_trace, save_trace
 from repro.serving.corpus import trace_replay_slo
 from repro.serving.experiments import (
@@ -323,6 +324,38 @@ class TestOneServingPath:
         argv = ["trace", "export", "--set", "qps=1,2", "--out", str(out)]
         assert main(argv) == 2
         assert "one value per --set" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "serving", "--smoke", "--serial", "--no-cache"],
+            ["trace", "export", "--trial", "serving_slo"],
+        ],
+        ids=["sweep", "trace-export"],
+    )
+    @pytest.mark.parametrize(
+        "scheduler, knob, takes",
+        [
+            ("fcfs", "capacity_gib=9.7", "max_batch, step_stride"),
+            ("fcfs", "block_size=32", "max_batch, step_stride"),
+            ("memory", "chunk_budget=128", "max_batch, step_stride, capacity_gib"),
+        ],
+    )
+    def test_a_refused_policy_knob_fails_before_any_trial_runs(
+        self, command, scheduler, knob, takes, tmp_path, capsys, monkeypatch
+    ):
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(serving_experiments, "build_cluster", no_fleet)
+        out = tmp_path / "out.json"
+        argv = [*command, "--set", f"scheduler={scheduler}", "--set", knob]
+        argv += ["--json" if command[0] == "sweep" else "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro: scheduler {scheduler!r} cannot use {knob}: it takes {takes}"
+        ]
         assert not out.exists()
 
     def test_shared_parameters_share_defaults(self):

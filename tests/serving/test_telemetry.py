@@ -164,6 +164,20 @@ class TestConservation:
         assert track.prefill_tokens == prefill
         assert track.decode_tokens == decode
 
+    @pytest.mark.parametrize("scheduler_name", ["paged", "paged+tight", "prefix+tight"])
+    def test_decode_spans_partition_the_iterations(
+        self, scheduler_name, pimba_system, zamba_spec
+    ):
+        """Each decode span covers at least one priced iteration and a
+        positive stretch of time, and the spans cover every iteration
+        once: a run that a block claim opened splits off the claim's own
+        span, and never an empty remainder."""
+        record, timeline = recorded_run(pimba_system, zamba_spec, scheduler_name)
+        (track,) = timeline.tracks
+        decode = [s for s in track.spans if s[0] == "decode"]
+        assert all(s[4] >= 1 and s[2] > s[1] for s in decode)
+        assert sum(s[4] for s in decode) == len(record.iteration_seconds)
+
     def test_preempt_spans_match_preemption_count(
         self, pimba_system, zamba_spec
     ):
