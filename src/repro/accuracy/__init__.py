@@ -13,7 +13,6 @@ from repro.accuracy.harness import (
 )
 from repro.accuracy.perplexity import (
     evaluate_perplexity,
-    perplexity_delta,
     quantization_sweep,
 )
 from repro.accuracy.synthetic_lm import (
@@ -37,7 +36,6 @@ __all__ = [
     "fig4_study",
     "table2_row",
     "evaluate_perplexity",
-    "perplexity_delta",
     "quantization_sweep",
     "MIXER_GAIN",
     "TEMPERATURE",

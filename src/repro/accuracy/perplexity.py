@@ -48,8 +48,3 @@ def quantization_sweep(
         student = lm.build_student(name)
         results[name] = evaluate_perplexity(student, tokens, lm.temperature)
     return results
-
-
-def perplexity_delta(results: dict[str, float], format_name: str) -> float:
-    """Excess perplexity of a format over the exact reference."""
-    return results[format_name] - results["fp64"]

@@ -98,7 +98,27 @@ def _sweep(
     reg_bytes_per_row: float,
     result_bytes_per_row: float,
 ) -> SweepTiming:
-    """Schedule ``rows`` uniform rows on one bank (all banks in lock-step)."""
+    """Schedule ``rows`` uniform rows on one bank (all banks in lock-step).
+
+    This closed form is the only source of PIM cycles, and it is known to
+    start PRECHARGES too early after the row's last COMP, which it spaces
+    like one more COMP (``tCCD_L`` = 4 cycles):
+
+    * on a state-update row the last COMP writes back, and a precharge
+      must wait ``tBL + tWR`` (18 cycles) after it: 14 cycles short on
+      every row, 3.7% of a 374-cycle Pimba or per-bank row and 0.8% of a
+      1,654-cycle HBM-PIM row (rows with no exposed I/O);
+    * on an attention row the last COMP reads, and a precharge must wait
+      ``tRTP_L`` (6 cycles): 2 cycles short on every row.
+
+    ``tRAS`` holds on every row with at least five COMPs (``tRCD`` plus
+    their ``tCCD_L`` cadence), which is every row of the modelled specs;
+    a one-position cache at ``dim_head`` 64 has four and closes 4 cycles
+    early.  All these terms are in ``TimingParams``; adding them moves
+    every Pimba price, so it is left to a change that may re-record
+    ``perfbench/expected.json``.  ``tests/core/test_row_schedule.py``
+    pins each gap.
+    """
     if rows < 0:
         raise ValueError("row count must be non-negative")
     t = config.hbm.timing

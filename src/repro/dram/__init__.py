@@ -1,21 +1,14 @@
-"""DRAM/HBM substrate: organization, timing, banks, controller, energy.
+"""DRAM/HBM parameters the paper stack prices with: Table 1 and energy.
 
-Rebuilds the Ramulator2-based memory substrate the paper's simulator sits
-on: Table 1 timing parameters, a bank/row-buffer state machine with a full
-constraint checker, an FCFS controller for conventional streaming, and the
-O'Connor-style energy model used in Fig. 14.
+Two cited tables, no command model: the Table 1 timing parameters and
+pseudo-channel organization (``repro.dram.timing``), which the Pimba
+core's closed-form command schedule (``repro.core.scheduler``) and the
+GPU model read, and the O'Connor energy coefficients
+(``repro.dram.energy``), which the Fig. 14 energy model
+(``repro.perf.energy``) reads.
 """
 
-from repro.dram.bank import Bank, BankState, FawTracker, TimingError
-from repro.dram.commands import (
-    ALL_BANK_COMMANDS,
-    DATA_BUS_COMMANDS,
-    Command,
-    CommandKind,
-)
-from repro.dram.controller import FcfsController, Request, stream_cycles
-from repro.dram.device import PseudoChannel
-from repro.dram.energy import DramEnergyModel, DramEnergyParams, EnergyLedger
+from repro.dram.energy import DramEnergyParams
 from repro.dram.timing import (
     HbmConfig,
     HbmOrganization,
@@ -25,21 +18,7 @@ from repro.dram.timing import (
 )
 
 __all__ = [
-    "Bank",
-    "BankState",
-    "FawTracker",
-    "TimingError",
-    "ALL_BANK_COMMANDS",
-    "DATA_BUS_COMMANDS",
-    "Command",
-    "CommandKind",
-    "FcfsController",
-    "Request",
-    "stream_cycles",
-    "PseudoChannel",
-    "DramEnergyModel",
     "DramEnergyParams",
-    "EnergyLedger",
     "HbmConfig",
     "HbmOrganization",
     "TimingParams",

@@ -1,4 +1,4 @@
-"""DRAM energy model.
+"""DRAM energy coefficients.
 
 Per-operation energies follow the HBM numbers from O'Connor et al.,
 "Fine-Grained DRAM" (MICRO 2017), which the paper cites ([52]) as its
@@ -10,7 +10,8 @@ source for activation and read energy:
 
 The decisive PIM effect (Fig. 14): in-bank computation pays the array
 access energy but *not* the channel I/O energy, and MX8 halves the bits
-moved relative to fp16.
+moved relative to fp16.  :class:`repro.perf.energy.EnergyModel` prices
+Fig. 14's array and channel-I/O energy with these coefficients.
 """
 
 from __future__ import annotations
@@ -31,74 +32,3 @@ class DramEnergyParams:
     def __post_init__(self) -> None:
         if min(self.activate_pj, self.array_pj_per_bit, self.io_pj_per_bit) < 0:
             raise ValueError("energy coefficients must be non-negative")
-
-
-@dataclasses.dataclass
-class EnergyLedger:
-    """Accumulates energy by component, in picojoules."""
-
-    activate_pj: float = 0.0
-    array_pj: float = 0.0
-    io_pj: float = 0.0
-    compute_pj: float = 0.0
-    background_pj: float = 0.0
-
-    @property
-    def total_pj(self) -> float:
-        return (
-            self.activate_pj + self.array_pj + self.io_pj
-            + self.compute_pj + self.background_pj
-        )
-
-    @property
-    def total_j(self) -> float:
-        return self.total_pj * 1e-12
-
-    def add(self, other: "EnergyLedger") -> "EnergyLedger":
-        """Return a new ledger with component-wise sums."""
-        return EnergyLedger(
-            activate_pj=self.activate_pj + other.activate_pj,
-            array_pj=self.array_pj + other.array_pj,
-            io_pj=self.io_pj + other.io_pj,
-            compute_pj=self.compute_pj + other.compute_pj,
-            background_pj=self.background_pj + other.background_pj,
-        )
-
-    def scaled(self, factor: float) -> "EnergyLedger":
-        """Return a new ledger with every component scaled."""
-        return EnergyLedger(
-            activate_pj=self.activate_pj * factor,
-            array_pj=self.array_pj * factor,
-            io_pj=self.io_pj * factor,
-            compute_pj=self.compute_pj * factor,
-            background_pj=self.background_pj * factor,
-        )
-
-
-class DramEnergyModel:
-    """Charges DRAM events against an :class:`EnergyLedger`."""
-
-    def __init__(self, params: DramEnergyParams | None = None):
-        self.params = params or DramEnergyParams()
-        self.ledger = EnergyLedger()
-
-    def activation(self, count: int = 1) -> None:
-        self.ledger.activate_pj += self.params.activate_pj * count
-
-    def array_access(self, n_bytes: float) -> None:
-        """Bank-internal read or write of ``n_bytes`` (no bus transfer)."""
-        self.ledger.array_pj += self.params.array_pj_per_bit * n_bytes * 8
-
-    def channel_transfer(self, n_bytes: float) -> None:
-        """Array access *plus* I/O transfer over the channel bus."""
-        self.array_access(n_bytes)
-        self.ledger.io_pj += self.params.io_pj_per_bit * n_bytes * 8
-
-    def compute(self, pj: float) -> None:
-        """PIM datapath energy (from ``repro.hw.power``)."""
-        self.ledger.compute_pj += pj
-
-    def background(self, seconds: float, pseudo_channels: int) -> None:
-        self.ledger.background_pj += (
-            self.params.background_w * seconds * pseudo_channels * 1e12
-        )

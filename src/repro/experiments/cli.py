@@ -269,6 +269,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse(err: Exception) -> int:
+    """Print a refused argument as one ``repro:`` line; exit status 2.
+
+    ``str`` of a ``KeyError`` is the repr of its message, quotes and all,
+    so its message is printed instead.
+    """
+    message = err.args[0] if isinstance(err, KeyError) else err
+    print(f"repro: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = registry.get_sweep(args.sweep_name)(args.smoke)
     try:
@@ -277,8 +288,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             spec = spec.with_axes(**{axis: values})
         spec.validate()
     except (KeyError, ValueError) as err:
-        print(f"repro: {err}", file=sys.stderr)
-        return 2
+        return _refuse(err)
     report = _run(args, spec)
     header = [*spec.axis_names, "result"]
     rows = []
@@ -301,8 +311,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             args.wall_tolerance,
         )
     except (OSError, ValueError, json.JSONDecodeError) as err:
-        print(f"repro: {err}", file=sys.stderr)
-        return 2
+        return _refuse(err)
     print(diff.summary())
     return 0 if diff.ok else 1
 
@@ -322,8 +331,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             params[name] = values[0]
         timeline, _slo, payload = collect_timeline(args.trial, **params)
     except (KeyError, ValueError) as err:
-        print(f"repro: {err}", file=sys.stderr)
-        return 2
+        return _refuse(err)
     wrapper = write_trace_file(timeline, args.out)
     tracks = timeline.tracks
     n_spans = sum(len(t.spans) for t in tracks)
@@ -356,7 +364,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     # Bad *arguments* (unknown axis, malformed --set) exit 2 with a one-line
-    # message from _cmd_sweep; errors raised while trials run propagate as
+    # message from _refuse; errors raised while trials run propagate as
     # tracebacks so real bugs are never masked as usage errors.
     args = build_parser().parse_args(argv)
     if args.command == "list":

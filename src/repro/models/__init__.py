@@ -7,12 +7,10 @@ the paper's central observation and what Pimba accelerates.
 
 from repro.models.base import BaseLlm
 from repro.models.config import (
-    SMALL_SCALE_SPECS,
     Family,
     ModelSpec,
     gla_2p7b,
     hgrn2_2p7b,
-    large_scale_specs,
     mamba2_2p7b,
     opt_7b,
     retnet_2p7b,
@@ -30,12 +28,10 @@ from repro.models.zamba2 import Zamba2
 
 __all__ = [
     "BaseLlm",
-    "SMALL_SCALE_SPECS",
     "Family",
     "ModelSpec",
     "gla_2p7b",
     "hgrn2_2p7b",
-    "large_scale_specs",
     "mamba2_2p7b",
     "opt_7b",
     "retnet_2p7b",

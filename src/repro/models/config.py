@@ -166,16 +166,6 @@ def opt_7b() -> ModelSpec:
                      n_heads=32, dim_head=128, dim_state=128)
 
 
-SMALL_SCALE_SPECS = (
-    retnet_2p7b, gla_2p7b, hgrn2_2p7b, mamba2_2p7b, zamba2_7b, opt_7b,
-)
-
-
-def large_scale_specs() -> tuple[ModelSpec, ...]:
-    """All six models scaled to ~70B parameters (Fig. 12 right half)."""
-    return tuple(spec().scaled_to(70e9) for spec in SMALL_SCALE_SPECS)
-
-
 def accuracy_spec(family: Family, name: str | None = None) -> ModelSpec:
     """The spec used by the Fig. 4 / Table 2 accuracy harness.
 

@@ -568,8 +568,11 @@ def build_cluster(
     pairs by estimated first-token time *including* the KV handoff the
     cluster charges over the ``link_gbps`` wire and owns the phases; the
     cluster then runs the two-stage orchestration.
-    ``router="disaggregated"`` with no ``phases`` is a colocated fleet
-    where pairs may still split when the wire is cheap.
+    ``router="disaggregated"`` with no ``phases`` makes every replica
+    ``both``; the router splits a request only onto a ``decode``
+    replica, so such a fleet never splits, however cheap the wire, and
+    routes each request whole to the replica with the earliest
+    estimated first token.
 
     ``shared_tier=True`` joins every replica's prefix pool to one
     :class:`~repro.serving.memory.SharedPrefixTier`, pricing cross-replica

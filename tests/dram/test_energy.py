@@ -1,8 +1,8 @@
-"""Unit tests for the DRAM energy model and ledger arithmetic."""
+"""Unit tests for the DRAM energy coefficients."""
 
 import pytest
 
-from repro.dram.energy import DramEnergyModel, DramEnergyParams, EnergyLedger
+from repro.dram.energy import DramEnergyParams
 
 
 class TestParams:
@@ -15,56 +15,3 @@ class TestParams:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DramEnergyParams(activate_pj=-1.0)
-
-
-class TestLedger:
-    def test_total_sums_components(self):
-        ledger = EnergyLedger(activate_pj=1, array_pj=2, io_pj=3,
-                              compute_pj=4, background_pj=5)
-        assert ledger.total_pj == 15
-        assert ledger.total_j == pytest.approx(15e-12)
-
-    def test_add_is_componentwise(self):
-        a = EnergyLedger(activate_pj=1, io_pj=2)
-        b = EnergyLedger(activate_pj=3, compute_pj=4)
-        c = a.add(b)
-        assert (c.activate_pj, c.io_pj, c.compute_pj) == (4, 2, 4)
-        # originals untouched
-        assert a.activate_pj == 1
-
-    def test_scaled(self):
-        a = EnergyLedger(array_pj=10).scaled(2.5)
-        assert a.array_pj == 25
-
-
-class TestModel:
-    def test_channel_transfer_includes_array(self):
-        model = DramEnergyModel()
-        model.channel_transfer(100)
-        p = model.params
-        assert model.ledger.array_pj == pytest.approx(p.array_pj_per_bit * 800)
-        assert model.ledger.io_pj == pytest.approx(p.io_pj_per_bit * 800)
-
-    def test_array_access_has_no_io(self):
-        model = DramEnergyModel()
-        model.array_access(100)
-        assert model.ledger.io_pj == 0.0
-        assert model.ledger.array_pj > 0.0
-
-    def test_pim_saves_io_energy(self):
-        """The Fig. 14 mechanism at the ledger level: same bytes, in-bank
-        access skips the channel-crossing energy."""
-        gpu, pim = DramEnergyModel(), DramEnergyModel()
-        gpu.channel_transfer(1 << 20)
-        pim.array_access(1 << 20)
-        assert pim.ledger.total_pj < gpu.ledger.total_pj
-        assert gpu.ledger.total_pj - pim.ledger.total_pj == pytest.approx(
-            gpu.ledger.io_pj
-        )
-
-    def test_activation_and_background(self):
-        model = DramEnergyModel()
-        model.activation(count=3)
-        model.background(seconds=1e-3, pseudo_channels=80)
-        assert model.ledger.activate_pj == pytest.approx(3 * 909.0)
-        assert model.ledger.background_pj > 0

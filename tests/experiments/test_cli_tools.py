@@ -128,3 +128,24 @@ class TestJsonReport:
         assert args.json_path == "x.json"
         args = build_parser().parse_args(["figure", "fig12"])
         assert args.json_path is None
+
+
+class TestRefusedArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "serving", "--smoke", "--set", "fooo=1"],
+            ["sweep", "serving", "--smoke", "--set", "scheduler=foo"],
+            ["trace", "export", "--set", "fooo=1"],
+        ],
+        ids=["sweep-axis", "sweep-scheduler", "trace-parameter"],
+    )
+    def test_an_unknown_name_prints_one_bare_line(self, argv, tmp_path, capsys):
+        """An unknown ``--set`` name is refused as a ``KeyError``, and
+        prints as one unquoted ``repro:`` line, as a ``ValueError`` does."""
+        out = tmp_path / "out.json"
+        argv = [*argv, "--json" if argv[0] == "sweep" else "--out", str(out)]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro: unknown")
+        assert not out.exists()

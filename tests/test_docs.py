@@ -1,6 +1,7 @@
 """Docs stay true: links resolve, the README catalog matches the registry,
-and the architecture doc's scheduler and router tables match
-``build_scheduler`` and ``ROUTER_NAMES``.
+the architecture doc's scheduler and router tables match
+``build_scheduler`` and ``ROUTER_NAMES``, and the README's package map
+matches ``src/repro``.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``), so
 a renamed sweep or a broken relative link fails `pytest` locally before
@@ -34,6 +35,9 @@ class TestRepositoryDocs:
     def test_router_table_matches_router_names(self):
         doc = (ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
         assert check_docs.check_router_table(doc) == []
+
+    def test_package_map_matches_the_tree(self):
+        assert check_docs.check_package_map(ROOT) == []
 
     def test_architecture_doc_exists_and_is_linked(self):
         """The acceptance criterion in one place: docs/ARCHITECTURE.md
@@ -192,6 +196,32 @@ class TestCheckerDetectsBreakage:
     def test_a_missing_router_table_is_reported(self):
         errors = check_docs.check_router_table("# Architecture\n")
         assert len(errors) == 1 and "no router table" in errors[0]
+
+    def test_package_map_missing_and_stale_rows_are_reported(self, tmp_path):
+        """A package without a row and a row naming no path are each
+        reported; a correct row, with or without a trailing slash, is
+        not."""
+        for package in ("core", "dram", "perf"):
+            (tmp_path / "src" / "repro" / package).mkdir(parents=True)
+            (tmp_path / "src" / "repro" / package / "__init__.py").write_text("")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text(
+            "## Package map\n\n| Path | What lives there |\n| --- | --- |\n"
+            "| `src/repro/core` | the accelerator |\n"
+            "| `src/repro/dram/` | Table 1 |\n"
+            "| `src/repro/cycles` | a deleted package |\n"
+            "| `docs/` | architecture |\n\n## CI\n| `src/repro/perf` | x |\n"
+        )
+        errors = check_docs.check_package_map(tmp_path)
+        assert len(errors) == 2
+        stale, missing = errors
+        assert "'src/repro/cycles'" in stale and "no existing path" in stale
+        assert "'src/repro/perf'" in missing and "0 package map rows" in missing
+
+    def test_a_missing_package_map_is_reported(self, tmp_path):
+        (tmp_path / "README.md").write_text("# Readme\n")
+        errors = check_docs.check_package_map(tmp_path)
+        assert len(errors) == 1 and "no table" in errors[0]
 
     def test_registry_names_cover_all_kinds(self):
         names = check_docs.registry_names()

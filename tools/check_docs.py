@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: links resolve, catalogs match the code.
 
-Four families of checks, all run by the CI ``docs`` job and by
+Five families of checks, all run by the CI ``docs`` job and by
 ``tests/test_docs.py`` (so `pytest` catches drift before CI does):
 
 * **Links** — every relative markdown link in every ``*.md`` file of the
@@ -22,6 +22,9 @@ Four families of checks, all run by the CI ``docs`` job and by
   that scheduler.
 * **Router table** — its "Choosing a router" table must have a row for
   every name in ``ROUTER_NAMES`` and no other row.
+* **Package map** — the README's "Package map" table must have exactly
+  one row per ``src/repro`` package, and every row must name an existing
+  path.
 
 Run from the repository root (or pass it as ``argv[1]``):
 
@@ -53,6 +56,9 @@ _SECTIONS = {
 #: the architecture doc's scheduler- and router-selection tables
 _SCHEDULER_TABLE = "## Choosing a scheduler"
 _ROUTER_TABLE = "## Choosing a router"
+
+#: the README's table of repository paths
+_PACKAGE_MAP = "## Package map"
 
 
 def markdown_files(root: pathlib.Path) -> list[pathlib.Path]:
@@ -296,6 +302,29 @@ def check_router_table(doc: str) -> list[str]:
     return errors
 
 
+def check_package_map(root: pathlib.Path) -> list[str]:
+    """The package map has one row per ``src/repro`` package, and each
+    row names an existing path."""
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    rows = table_rows(readme, _PACKAGE_MAP)[2:]
+    listed = [row[0].strip("`").rstrip("/") for row in rows]
+    if not listed:
+        return [f"README.md: no table found under {_PACKAGE_MAP!r}"]
+    errors = [
+        f"README.md: package map row {path!r} names no existing path"
+        for path in listed
+        if not (root / path).exists()
+    ]
+    for init in sorted((root / "src" / "repro").glob("*/__init__.py")):
+        package = init.parent.relative_to(root).as_posix()
+        if listed.count(package) != 1:
+            errors.append(
+                f"README.md: package {package!r} has {listed.count(package)} "
+                "package map rows, not one"
+            )
+    return errors
+
+
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[1] if len(argv) > 1 else ".").resolve()
     architecture = (root / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
@@ -304,14 +333,15 @@ def main(argv: list[str]) -> int:
         + check_registry_sync(root)
         + check_scheduler_table(architecture)
         + check_router_table(architecture)
+        + check_package_map(root)
     )
     for error in errors:
         print(f"docs check: {error}", file=sys.stderr)
     if not errors:
         n = len(markdown_files(root))
         print(
-            f"docs check: {n} markdown files ok, catalog, scheduler and "
-            "router tables in sync"
+            f"docs check: {n} markdown files ok, catalog, scheduler, "
+            "router and package tables in sync"
         )
     return 1 if errors else 0
 
