@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 from collections.abc import Sequence
@@ -362,11 +363,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    # Bad *arguments* (unknown axis, malformed --set) exit 2 with a one-line
-    # message from _refuse; errors raised while trials run propagate as
-    # tracebacks so real bugs are never masked as usage errors.
-    args = build_parser().parse_args(argv)
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "figure":
@@ -378,6 +375,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "cache":
         return _cmd_cache(args)
     return _cmd_sweep(args)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    # Bad *arguments* (unknown axis, malformed --set) exit 2 with a one-line
+    # message from _refuse; errors raised while trials run propagate as
+    # tracebacks so real bugs are never masked as usage errors.
+    args = build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        # Flush inside the guard: a block-buffered stdout whose reader is
+        # gone raises here, not at interpreter shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro list | head``).  Point fd 1
+        # at devnull so the interpreter's last flush has somewhere to go
+        # (the Python docs' "Note on SIGPIPE"), and fail quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

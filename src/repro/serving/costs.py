@@ -153,10 +153,11 @@ class ReplicaPrices:
 
     def service(self, request: TimedRequest) -> float:
         """Whole-lifetime seconds: solo prefill plus the decode tail."""
-        mid_context = request.input_len + request.output_len // 2
-        return self.cost.prefill_seconds(
-            1, request.input_len
-        ) + request.output_len * self.cost.decode_seconds(1, mid_context)
+        input_len = request.input_len
+        output_len = request.output_len
+        mid_context = input_len + output_len // 2
+        prefill = self.cost.prefill_seconds(1, input_len)
+        return prefill + output_len * self.cost.decode_seconds(1, mid_context)
 
     def first_token(self, request: TimedRequest) -> float:
         """Time to first token: solo prefill plus the first decode step."""

@@ -229,7 +229,7 @@ class _StatsRecorder:
         self.n_iterations += len(dts)
 
     def finish(self, request: RunningRequest) -> None:
-        self.requests.observe(request.timing())
+        self.requests.observe(request)
 
 
 class ServingEngine:

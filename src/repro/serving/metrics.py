@@ -31,8 +31,12 @@ import dataclasses
 import heapq
 import random
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # annotations only: schedulers imports this module
+    from repro.serving.schedulers import RunningRequest
 
 #: reservoir rows kept per report; samples below this size are exact
 DEFAULT_SKETCH_CAPACITY = 4096
@@ -43,6 +47,28 @@ _SKETCH_SEED = 0x51CE7C
 #: fixed seed of the queue-depth segment reservoir (distinct from the
 #: latency reservoir's, so the two sample streams stay independent)
 _DEPTH_SEED = 0xDEE75C
+
+
+def _latency_row(timing: RequestTiming | RunningRequest) -> tuple[float, float, float]:
+    """The ``(ttft_s, tpot_s, e2e_s)`` row of one finished request.
+
+    Reads the lifecycle fields a :class:`RequestTiming` and a finished
+    :class:`~repro.serving.schedulers.RunningRequest` share, and raises
+    ``ValueError`` unless arrival, admission, first token and finish are
+    in order.  TPOT is seconds per output token after the first, and 0
+    for a one-token request.
+    """
+    arrival_s = timing.arrival_s
+    first_token_s = timing.first_token_s
+    finished_s = timing.finished_s
+    if not arrival_s <= timing.admitted_s <= first_token_s <= finished_s:
+        raise ValueError("request timestamps must be ordered")
+    output_len = timing.output_len
+    if output_len <= 1:
+        tpot_s = 0.0
+    else:
+        tpot_s = (finished_s - first_token_s) / (output_len - 1)
+    return first_token_s - arrival_s, tpot_s, finished_s - arrival_s
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,11 +91,7 @@ class RequestTiming:
     remote_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if not (
-            self.arrival_s <= self.admitted_s
-            <= self.first_token_s <= self.finished_s
-        ):
-            raise ValueError("request timestamps must be ordered")
+        _latency_row(self)  # refuses out-of-order timestamps
 
     @property
     def queue_s(self) -> float:
@@ -77,18 +99,16 @@ class RequestTiming:
 
     @property
     def ttft_s(self) -> float:
-        return self.first_token_s - self.arrival_s
+        return _latency_row(self)[0]
 
     @property
     def tpot_s(self) -> float:
         """Seconds per output token after the first (0 for one-token jobs)."""
-        if self.output_len <= 1:
-            return 0.0
-        return (self.finished_s - self.first_token_s) / (self.output_len - 1)
+        return _latency_row(self)[1]
 
     @property
     def e2e_s(self) -> float:
-        return self.finished_s - self.arrival_s
+        return _latency_row(self)[2]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,12 +174,19 @@ class RequestStats:
         """True while the reservoir still holds every observed row."""
         return self.count <= self.capacity
 
-    def observe(self, timing: RequestTiming) -> None:
-        """Fold one completed request into the counters and the reservoir."""
+    def observe(self, timing: RequestTiming | RunningRequest) -> None:
+        """Fold one completed request into the counters and the reservoir.
+
+        ``timing`` is a :class:`RequestTiming` or a finished
+        :class:`~repro.serving.schedulers.RunningRequest`: both carry the
+        two lengths and four timestamps read here, so the engine folds a
+        finisher without building its timing, into the same row and the
+        same reservoir slot.
+        """
+        row = _latency_row(timing)
         self.prompt_tokens += timing.input_len
         self.generated_tokens += timing.output_len
         self.count += 1
-        row = (timing.ttft_s, timing.tpot_s, timing.e2e_s)
         if len(self.rows) < self.capacity:
             self.rows.append(row)
         else:

@@ -181,18 +181,17 @@ class LeastOutstandingRouter(_VirtualQueueRouter):
         super().reset()
         self._in_flight = [collections.deque() for _ in range(self.n_replicas)]
 
-    def outstanding(self, replica: int, now_s: float) -> int:
-        """Requests predicted to still occupy ``replica`` at ``now_s``."""
-        flight = self._in_flight[replica]
-        while flight and flight[0] <= now_s:
-            flight.popleft()
-        return len(flight)
-
     def choose(self, request: TimedRequest) -> int:
         now = request.arrival_s
-        replica = min(
-            range(self.n_replicas), key=lambda i: (self.outstanding(i, now), i)
-        )
+        replica = fewest = -1
+        for i, flight in enumerate(self._in_flight):
+            # Expire every replica's predictions first: those ending at
+            # or before the arrival are no longer in flight.
+            while flight and flight[0] <= now:
+                flight.popleft()
+            n = len(flight)
+            if replica < 0 or n < fewest:
+                replica, fewest = i, n
         self._in_flight[replica].append(self._enqueue(request, replica))
         return replica
 
@@ -254,33 +253,28 @@ class CacheAwareRouter(_VirtualQueueRouter):
         super().reset()
         self._sessions = {}
 
-    def _warmth_s(self, request: TimedRequest, replica: int) -> float:
-        session = request.session_id
-        if session is None:
-            return 0.0
-        home = self._sessions.get(session)
-        if home is None or home[0] != replica:
-            return 0.0
-        # A prefix hit can never cover the whole prompt (the final token
-        # is always computed) — mirror the cache's own cap.
-        hit_tokens = min(home[1], request.input_len - 1)
-        if hit_tokens < 1:
-            return 0.0
-        return self.prices[replica].prefix_savings(hit_tokens)
-
     def choose(self, request: TimedRequest) -> int:
         now = request.arrival_s
-        replica = min(
-            range(self.n_replicas),
-            key=lambda i: (
-                max(self._busy_until[i] - now, 0.0) - self._warmth_s(
-                    request, i
-                ),
-                i,
-            ),
-        )
-        self._enqueue(request, replica)
         session = request.session_id
+        # Only the session's home replica can be warm: it earns the
+        # prefix credit, every other replica scores its backlog alone.
+        warm, credit = -1, 0.0
+        home = None if session is None else self._sessions.get(session)
+        if home is not None:
+            # A prefix hit can never cover the whole prompt (the final
+            # token is always computed) — mirror the cache's own cap.
+            hit_tokens = min(home[1], request.input_len - 1)
+            if hit_tokens >= 1:
+                warm = home[0]
+                credit = self.prices[warm].prefix_savings(hit_tokens)
+        replica, best = -1, 0.0
+        for i, busy in enumerate(self._busy_until):
+            score = max(busy - now, 0.0)
+            if i == warm:
+                score -= credit
+            if replica < 0 or score < best:
+                replica, best = i, score
+        self._enqueue(request, replica)
         if session is not None:
             # After this turn the conversation history the next turn
             # could reuse is everything sent plus everything generated.

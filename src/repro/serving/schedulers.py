@@ -96,13 +96,15 @@ class RunningRequest:
     timed: TimedRequest
     admitted_s: float
     stride: int  #: pricing-anchor stride (clamped per request)
-    #: the :class:`~repro.workloads.requests.Request` fields, copied from
-    #: ``timed`` at construction: the ledger and the decode loop read
-    #: them on every event
+    #: the :class:`~repro.workloads.requests.Request` fields and the
+    #: arrival, copied from ``timed`` at construction: the ledger and the
+    #: decode loop read them on every event, and a report folds a
+    #: finisher from them
     request_id: int = dataclasses.field(init=False)
     input_len: int = dataclasses.field(init=False)
     output_len: int = dataclasses.field(init=False)
     session_id: int | None = dataclasses.field(init=False)
+    arrival_s: float = dataclasses.field(init=False)
     generated: int = 0
     first_token_s: float | None = None
     finished_s: float | None = None
@@ -134,6 +136,7 @@ class RunningRequest:
         self.input_len = request.input_len
         self.output_len = request.output_len
         self.session_id = request.session_id
+        self.arrival_s = self.timed.arrival_s
 
     @property
     def done(self) -> bool:
@@ -150,7 +153,7 @@ class RunningRequest:
             request_id=self.request_id,
             input_len=self.input_len,
             output_len=self.output_len,
-            arrival_s=self.timed.arrival_s,
+            arrival_s=self.arrival_s,
             admitted_s=self.admitted_s,
             first_token_s=self.first_token_s,
             finished_s=self.finished_s,

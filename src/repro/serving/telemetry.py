@@ -28,9 +28,11 @@ stays bit-exact — asserted by
 ``tests/serving/test_telemetry.py`` across every scheduler configuration
 and enforced by the CI ``perf-wallclock`` job, which also bounds the
 telemetry-*on* wall-clock overhead (≤ 15% over the bare engine on the
-100k-request trace).  Hooks store plain tuples and object references
-(request timings materialize lazily at export), never dicts or copies of
-per-request state.
+100k-request trace).  Hooks store plain values — request ids,
+timestamps, counts — in flat tuples and lists, never dicts and never a
+reference to the engine's request objects, so a recorded run keeps no
+:class:`RunningRequest` alive for the garbage collector to traverse;
+request timings materialize from the stored fields at export.
 
 Exporters on the collected :class:`Timeline`:
 
@@ -47,10 +49,12 @@ Exporters on the collected :class:`Timeline`:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
+from operator import attrgetter
 
 from repro.serving.metrics import (
     EngineCounters,
@@ -72,6 +76,14 @@ GAUGED_COUNTERS = (
 )
 #: their values when the scheduler produces none (the field defaults)
 _UNGAUGED = tuple(getattr(EngineCounters(), name) for name in GAUGED_COUNTERS)
+
+#: a span member's request id
+_ID = attrgetter("request_id")
+#: a finished request's :class:`RequestTiming` fields, in field order,
+#: and how many there are
+_TIMING_NAMES = tuple(f.name for f in dataclasses.fields(RequestTiming))
+_TIMING_FIELDS = attrgetter(*_TIMING_NAMES)
+_ROW = len(_TIMING_NAMES)
 
 
 class Collector:
@@ -144,10 +156,11 @@ class Collector:
 class Track:
     """One replica's recorded stream: spans, gauges, preempt intervals.
 
-    Storage is flat tuples appended in event order; per-request timings
-    materialize lazily from the stored :class:`RunningRequest` references
-    (their timestamps are final once :meth:`Collector.finish` fired), so
-    the hot path never builds a :class:`RequestTiming`.
+    Storage is plain values appended in event order: a span is a flat
+    tuple naming its members by request id, and a finish appends the
+    ten :class:`RequestTiming` fields to one flat list.  Timings
+    materialize from those fields on demand, so the hot path never
+    builds a :class:`RequestTiming`.
     """
 
     __slots__ = (
@@ -157,15 +170,20 @@ class Track:
 
     def __init__(self, replica: int):
         self.replica = replica
-        #: (kind, t0, t1, tokens, steps, members) — kind in SPAN_KINDS;
-        #: steps is 0 for prefill kinds, >= 1 for decode spans
+        #: (kind, t0, t1, tokens, steps, member request ids) — kind in
+        #: SPAN_KINDS; steps is 0 for prefill kinds, >= 1 for decode spans
         self.spans: list[tuple] = []
         #: (t, queue_depth, n_running, blocks_in_use, preemptions,
         #:  prefill_tokens_cum, decode_tokens_cum, *GAUGED_COUNTERS)
         self.gauges: list[tuple] = []
         #: (request_id, t_preempt, t_restore_start)
         self.preempt_spans: list[tuple[int, float, float]] = []
-        self.finished: list[RunningRequest] = []
+        #: the :class:`RequestTiming` fields of every finish, flat and in
+        #: finish order.  Not a tuple per finish: the garbage collector
+        #: tracks every tuple it has not yet scanned, so 100k of them
+        #: cost more young collections, and one more full collection,
+        #: than the recorder's own work
+        self.finished: list = []
         self.prefill_tokens = 0
         self.decode_tokens = 0
         self._open_preempt: dict[int, float] = {}
@@ -177,9 +195,13 @@ class Track:
 
     def timings(self) -> list[RequestTiming]:
         """Completed-request timings, sorted by request id (cached)."""
-        if self._timings is None or len(self._timings) != len(self.finished):
+        fields = self.finished
+        if self._timings is None or len(self._timings) * _ROW != len(fields):
             self._timings = sorted(
-                (r.timing() for r in self.finished),
+                (
+                    RequestTiming(*fields[i : i + _ROW])
+                    for i in range(0, len(fields), _ROW)
+                ),
                 key=lambda t: t.request_id,
             )
         return self._timings
@@ -209,8 +231,8 @@ class Track:
             lows.append(self.gauges[0][0])
             highs.append(self.gauges[-1][0])
         if self.finished:
-            lows.append(min(r.timed.arrival_s for r in self.finished))
-            highs.append(max(r.finished_s for r in self.finished))
+            lows.append(min(t.arrival_s for t in self.timings()))
+            highs.append(max(t.finished_s for t in self.timings()))
         return min(lows), max(highs)
 
 
@@ -226,11 +248,11 @@ class _TrackCollector(Collector):
     def prefill_span(self, t0, t1, tokens, members, kind):
         track = self.track
         track.prefill_tokens += tokens
-        track.spans.append((kind, t0, t1, tokens, 0, tuple(members)))
+        track.spans.append((kind, t0, t1, tokens, 0, tuple(map(_ID, members))))
         if kind == "restore":
             # Close the matching eviction interval: a request cannot be
             # preempted twice without a restore in between.
-            rid = members[0].timed.request_id
+            rid = members[0].request_id
             t_preempt = track._open_preempt.pop(rid, None)
             if t_preempt is not None:
                 track.preempt_spans.append((rid, t_preempt, t0))
@@ -238,15 +260,15 @@ class _TrackCollector(Collector):
     def decode_span(self, t0, t1, steps, tokens, members):
         track = self.track
         track.decode_tokens += tokens
-        track.spans.append(("decode", t0, t1, tokens, steps, tuple(members)))
+        track.spans.append(("decode", t0, t1, tokens, steps, tuple(map(_ID, members))))
 
     def preempt(self, t, victims):
         open_preempt = self.track._open_preempt
         for v in victims:
-            open_preempt[v.timed.request_id] = t
+            open_preempt[v.request_id] = t
 
     def finish(self, request):
-        self.track.finished.append(request)
+        self.track.finished.extend(_TIMING_FIELDS(request))
 
     def gauge(self, t, queue_depth, n_running, blocks_in_use, preemptions, counters):
         track = self.track
@@ -403,9 +425,7 @@ class Timeline:
                     "args": {"name": "engine"},
                 }
             )
-            rids = sorted(
-                {r.timed.request_id for s in track.spans for r in s[5]}
-            )
+            rids = sorted({rid for s in track.spans for rid in s[5]})
             for rid in rids:
                 events.append(
                     {
@@ -423,10 +443,8 @@ class Timeline:
                 if steps:
                     args["steps"] = steps
                 events.append({**base, "tid": 0, "args": args})
-                for r in members:
-                    events.append(
-                        {**base, "tid": r.timed.request_id + 1, "args": args}
-                    )
+                for rid in members:
+                    events.append({**base, "tid": rid + 1, "args": args})
             for rid, t_preempt, t_restore in track.preempt_spans:
                 events.append(
                     {

@@ -1,9 +1,14 @@
 """CLI tooling satellites: ``repro cache`` and ``--json`` reports."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments import ResultCache, Trial
 from repro.experiments.cli import build_parser, main
 
@@ -149,3 +154,33 @@ class TestRefusedArguments:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("repro: unknown")
         assert not out.exists()
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "unbuffered", [False, True], ids=["buffered", "unbuffered"]
+    )
+    def test_list_into_a_closed_pipe_ends_quietly(self, unbuffered):
+        """``repro list | head`` must not end in a traceback: the pipe's
+        reader is gone before anything is written, so every write (or the
+        flush of a block-buffered stdout) fails with EPIPE."""
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err

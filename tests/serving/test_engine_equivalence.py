@@ -26,12 +26,15 @@ import pytest
 from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
 from repro.serving import (
+    DEFAULT_SKETCH_CAPACITY,
+    Collector,
     FcfsContinuousScheduler,
     MemoryAwareScheduler,
     MemoryModel,
     PagedScheduler,
     PrefixCachingScheduler,
     ReferenceEngine,
+    RequestStats,
     RunningRequest,
     ServingEngine,
     SloSpec,
@@ -836,3 +839,74 @@ class TestClusterStreaming:
         recorded = cluster.serve(trace).report().to_payload(SLO)
         streamed = cluster.run(trace).to_payload(SLO)
         assert streamed == recorded
+
+
+class _FinishStream(Collector):
+    """Each finisher's timing, in the order the engine folds it."""
+
+    enabled = True
+
+    def __init__(self):
+        self.timings = []
+
+    def finish(self, request):
+        self.timings.append(request.timing())
+
+
+def _finisher(admitted_s, first_token_s, finished_s, output_len=8):
+    request = RunningRequest(
+        timed=TimedRequest(Request(0, 16, output_len), 0.25),
+        admitted_s=admitted_s,
+        stride=1,
+    )
+    request.generated = output_len
+    request.first_token_s = first_token_s
+    request.finished_s = finished_s
+    return request
+
+
+class TestFinisherFold:
+    """``serve_stats`` folds each finished ``RunningRequest`` itself,
+    without building its ``RequestTiming``; the fold must be the one a
+    timing would have made, reservoir draws included."""
+
+    def test_rows_equal_the_timing_fold_in_finish_order(
+        self, pimba_system, zamba_spec
+    ):
+        trace = poisson_trace(
+            4000.0,
+            DEFAULT_SKETCH_CAPACITY + 1500,
+            lognormal_lengths(24, 6, 0.8),
+            seed=13,
+        )
+        engine = ServingEngine(
+            pimba_system, zamba_spec, FcfsContinuousScheduler(max_batch=64)
+        )
+        stream = _FinishStream()
+        folded = engine.serve_stats(trace, collector=stream).requests
+        expected = RequestStats()
+        for timing in stream.timings:
+            expected.observe(timing)
+        assert folded.count == expected.count == len(trace.requests)
+        assert not folded.exact
+        # Lists, not the stats: __eq__ sorts the rows, and above the
+        # capacity their order records which slot each draw replaced.
+        assert folded.rows == expected.rows
+        assert (folded.prompt_tokens, folded.generated_tokens) == (
+            expected.prompt_tokens,
+            expected.generated_tokens,
+        )
+
+    def test_a_first_token_before_admission_is_refused(self):
+        stats = RequestStats()
+        with pytest.raises(ValueError, match="request timestamps must be ordered"):
+            stats.observe(_finisher(admitted_s=1.0, first_token_s=0.5, finished_s=2.0))
+        assert (stats.count, stats.rows, stats.prompt_tokens) == (0, [], 0)
+
+    def test_a_one_token_request_folds_a_zero_tpot(self):
+        finisher = _finisher(0.5, 0.75, 0.75, output_len=1)
+        stats = RequestStats()
+        stats.observe(finisher)
+        timing = finisher.timing()
+        assert stats.rows == [(0.5, 0.0, 0.5)]
+        assert stats.rows == [(timing.ttft_s, timing.tpot_s, timing.e2e_s)]

@@ -5,15 +5,19 @@ import types
 
 import pytest
 
+from repro.models import spec_for
+from repro.perf.system import SystemKind, build_system
 from repro.serving import (
     ROUTER_NAMES,
     AffinityRouter,
     CacheAwareRouter,
     LeastOutstandingRouter,
+    ReplicaPrices,
     RoundRobinRouter,
     build_router,
     load_imbalance,
     lognormal_lengths,
+    multiturn_chat_trace,
     poisson_trace,
 )
 from repro.workloads.requests import Request, TimedRequest, Trace
@@ -39,6 +43,14 @@ def fake_prices(services, prefix_savings=lambda hit_tokens: 0.0):
         types.SimpleNamespace(service=service, prefix_savings=prefix_savings)
         for service in services
     ]
+
+
+@pytest.fixture(scope="module")
+def replica_prices():
+    """Four Pimba replicas' real prices, as the cluster builds them."""
+    system = build_system(SystemKind.PIMBA, "small")
+    spec = spec_for("Zamba2")
+    return [ReplicaPrices(system, spec, link_gbps=100.0) for _ in range(4)]
 
 
 class TestRoundRobin:
@@ -294,6 +306,146 @@ class TestCacheAware:
         router.reset()
         assert not router._sessions
         assert router.choose(turn(1, session_id=1, arrival_s=0.0)) == 0
+
+
+class _KeyedMinCacheAwareRouter(CacheAwareRouter):
+    """Oracle: cache-aware scoring as a keyed ``min``.
+
+    Every candidate's key is built as a ``(score, index)`` tuple, and
+    each asks for its own warmth: the scoring the one-loop router must
+    reproduce assignment for assignment, lowest-index ties included.
+    """
+
+    def _warmth_s(self, request, replica):
+        session = request.session_id
+        if session is None:
+            return 0.0
+        home = self._sessions.get(session)
+        if home is None or home[0] != replica:
+            return 0.0
+        hit_tokens = min(home[1], request.input_len - 1)
+        if hit_tokens < 1:
+            return 0.0
+        return self.prices[replica].prefix_savings(hit_tokens)
+
+    def choose(self, request):
+        now = request.arrival_s
+        replica = min(
+            range(self.n_replicas),
+            key=lambda i: (
+                max(self._busy_until[i] - now, 0.0) - self._warmth_s(request, i),
+                i,
+            ),
+        )
+        self._enqueue(request, replica)
+        if request.session_id is not None:
+            self._sessions[request.session_id] = (
+                replica, request.input_len + request.output_len
+            )
+        return replica
+
+
+def _chat_grid_trace(seed: int, n: int = 300, sessions: int = 6) -> Trace:
+    """Multi-turn traffic on a 0.25 s grid: simultaneous arrivals,
+    sessionless requests mixed with sessions, and one-token prompts,
+    whose warm home earns no credit (``hit_tokens`` is 0)."""
+    rng = random.Random(seed)
+    t = 0.0
+    requests = []
+    for i in range(n):
+        t += rng.choice((0.0, 0.0, 0.25, 0.5))
+        requests.append(
+            TimedRequest(
+                Request(
+                    i,
+                    rng.choice((1, 2, rng.randint(1, 512))),
+                    rng.randint(1, 64),
+                    session_id=rng.choice((None, *range(sessions))),
+                ),
+                t,
+            )
+        )
+    return Trace(tuple(requests))
+
+
+def _replica_prices(scales, savings_scales):
+    """Per-replica grid prices: services and prefix credits that are
+    exact multiples of 0.25 s, so scores tie often and exactly."""
+    return [
+        types.SimpleNamespace(
+            service=_grid_service(scale),
+            prefix_savings=lambda hit_tokens, k=k: 0.25 * k * (hit_tokens % 7),
+        )
+        for scale, k in zip(scales, savings_scales)
+    ]
+
+
+class TestCacheAwareScoringEquivalence:
+    """The one-loop score assigns exactly what the keyed ``min`` does."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_replicas", [1, 3, 8])
+    def test_shared_prices(self, seed, n_replicas):
+        trace = _chat_grid_trace(seed)
+        prices = _replica_prices([1.0] * n_replicas, [1.0] * n_replicas)
+        oracle = _KeyedMinCacheAwareRouter(prices)
+        router = CacheAwareRouter(prices)
+        assert router.assign(trace) == oracle.assign(trace)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_per_replica_prices(self, seed):
+        trace = _chat_grid_trace(seed, sessions=3)
+        prices = _replica_prices([1.0, 2.0, 0.5, 3.0], [4.0, 1.0, 0.0, 2.0])
+        oracle = _KeyedMinCacheAwareRouter(prices)
+        router = CacheAwareRouter(prices)
+        assert router.assign(trace) == oracle.assign(trace)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiturn_chat_trace_on_real_prices(self, seed, replica_prices):
+        trace = multiturn_chat_trace(
+            6.0,
+            24,
+            turns=4,
+            first_input=256,
+            user_tokens=48,
+            output_len=64,
+            think_s=2.0,
+            seed=seed,
+        )
+        oracle = _KeyedMinCacheAwareRouter(replica_prices)
+        router = CacheAwareRouter(replica_prices)
+        assert router.assign(trace) == oracle.assign(trace)
+
+    def test_reuse_after_reset_matches_the_oracle(self):
+        """A reused router forgets the previous trace's backlog and homes."""
+        prices = _replica_prices([1.0] * 3, [2.0] * 3)
+        router = CacheAwareRouter(prices)
+        router.assign(_chat_grid_trace(0))
+        router.reset()
+        second = _chat_grid_trace(1)
+        oracle = _KeyedMinCacheAwareRouter(prices)
+        assert router.assign(second) == oracle.assign(second)
+
+    def test_an_idle_fleet_ties_to_replica_zero(self):
+        """Every replica idle and no credit anywhere: all scores are 0,
+        and both routers send the request to replica 0, even when its
+        session's home is another replica whose credit is worth 0 s."""
+        prices = fake_prices([lambda r: 1.0] * 3)
+        trace = Trace(
+            (
+                turn(0, session_id=5, arrival_s=0.0),
+                # Replica 0 is busy and its credit is worth nothing, so
+                # the session's home moves to replica 1.
+                turn(1, session_id=5, arrival_s=0.0),
+                turn(2, session_id=5, arrival_s=100.0),
+                timed(3, 200.0),
+            )
+        )
+        for router in (
+            CacheAwareRouter(prices),
+            _KeyedMinCacheAwareRouter(prices),
+        ):
+            assert router.assign(trace) == (0, 1, 0, 0)
 
 
 class TestBuildRouter:

@@ -470,7 +470,7 @@ class TestClusterTimeline:
         record = cluster.serve(trace, collector=collector)
         tracks = collector.timeline.tracks
         assert [t.replica for t in tracks] == [0, 1]
-        total_finished = sum(len(t.finished) for t in tracks)
+        total_finished = sum(len(t.timings()) for t in tracks)
         assert total_finished == len(record.merged().timings)
         assert validate_trace_events(
             collector.timeline.to_trace_events()
