@@ -63,6 +63,7 @@ METRIC_DIRECTIONS: dict[str, bool] = {
     "tokens_per_second": True,
     "generation_throughput": True,
     # wall-clock benchmarks (real time, not simulated time)
+    "build_s": False,
     "wall_s": False,
     "requests_per_wall_s": True,
     "sim_iterations_per_wall_s": True,
@@ -71,7 +72,7 @@ METRIC_DIRECTIONS: dict[str, bool] = {
 #: metrics measuring real elapsed time — compared under the (looser)
 #: wall tolerance because runner noise is part of the measurement
 WALL_METRICS = frozenset(
-    {"wall_s", "requests_per_wall_s", "sim_iterations_per_wall_s"}
+    {"build_s", "wall_s", "requests_per_wall_s", "sim_iterations_per_wall_s"}
 )
 
 

@@ -32,7 +32,7 @@ from repro.perf.system import ServingSystem
 from repro.serving.costs import IterationCostModel
 from repro.serving.engine import EngineTrace, _PrefillCohort
 from repro.serving.metrics import DepthSketch, ServingReport
-from repro.serving.schedulers import RunningRequest, Scheduler
+from repro.serving.schedulers import QueuedRequests, RunningRequest, Scheduler
 from repro.workloads.requests import Trace
 
 
@@ -56,7 +56,7 @@ class ReferenceEngine:
         self.scheduler.reset()
         budget = self.scheduler.chunk_budget
         pending = collections.deque(trace.requests)
-        queue: list = []
+        queue = QueuedRequests()
         running: list[RunningRequest] = []
         preempted: list[RunningRequest] = []
         cohorts: collections.deque[_PrefillCohort] = collections.deque()
@@ -137,12 +137,12 @@ class ReferenceEngine:
                     # Re-enter in admission-age order, not at the tail:
                     # the restored request is the oldest resident and
                     # age decides who a preemptive scheduler protects.
-                    age = (head.admitted_s, head.timed.request_id)
+                    age = (head.admitted_s, head.request_id)
                     at = next(
                         (
                             i
                             for i, r in enumerate(running)
-                            if (r.admitted_s, r.timed.request_id) > age
+                            if (r.admitted_s, r.request_id) > age
                         ),
                         len(running),
                     )
@@ -180,9 +180,13 @@ class ReferenceEngine:
                 admitted_s = clock
                 members = [
                     RunningRequest(
-                        timed=t,
+                        request_id=t.request_id,
+                        input_len=t.input_len,
+                        output_len=t.output_len,
+                        arrival_s=t.arrival_s,
                         admitted_s=admitted_s,
                         stride=self.scheduler.request_stride(t.output_len),
+                        session_id=t.session_id,
                         prefilled=(
                             budget is None or bool(t.prefilled_tokens)
                         ),
@@ -196,15 +200,19 @@ class ReferenceEngine:
                 # into this clock *instead of* a prefill.  Handoffs are
                 # counted, never recorded as prefill events (a prefill
                 # event always covers >= 1 computed token).
-                handed = [m for m in members if m.timed.prefilled_tokens]
+                handed = [
+                    (m, t) for m, t in zip(members, admitted) if t.prefilled_tokens
+                ]
                 if handed:
                     dt = 0.0
-                    for m in handed:
-                        dt += m.timed.handoff_s
-                        handoff_bytes += m.timed.handoff_bytes
+                    for _, t in handed:
+                        dt += t.handoff_s
+                        handoff_bytes += t.handoff_bytes
                     handoffs += len(handed)
                     advance(dt)
-                fresh = [m for m in members if not m.timed.prefilled_tokens]
+                fresh = [
+                    m for m, t in zip(members, admitted) if not t.prefilled_tokens
+                ]
                 if fresh:
                     cohort_input = max(m.input_len for m in fresh)
                     if budget is None:
@@ -290,7 +298,7 @@ class ReferenceEngine:
                         v.preemptions += 1
                     preempted.extend(victims)
                     preempted.sort(
-                        key=lambda r: (r.admitted_s, r.timed.request_id)
+                        key=lambda r: (r.admitted_s, r.request_id)
                     )
                     if not running:
                         continue
@@ -323,7 +331,7 @@ class ReferenceEngine:
         end = clock
         timings = tuple(
             r.timing()
-            for r in sorted(finished, key=lambda r: r.timed.request_id)
+            for r in sorted(finished, key=lambda r: r.request_id)
         )
         span = max(end - start, 1e-12)
         return EngineTrace(

@@ -18,16 +18,41 @@ plus JSON save/load so measured traces can be replayed bit-for-bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import pathlib
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.workloads.requests import Batch, Request, TimedRequest, Trace
+from repro.workloads.requests import Batch, Trace
 
 #: draws one (input_len, output_len) pair
 LengthSampler = Callable[[np.random.Generator], tuple[int, int]]
+
+
+# ---------------------------------------------------------------------------
+# parameter checks
+# ---------------------------------------------------------------------------
+
+
+def _check_positive(**values: float) -> None:
+    """Refuse a rate or a scale unless ``0 < value < inf``.
+
+    NaN fails every comparison, so the chained test refuses it too: a
+    NaN or infinite parameter would otherwise draw NaN or zero gaps.
+    """
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_counts(**values: int) -> None:
+    """Refuse a count or a token length below one."""
+    for name, value in values.items():
+        if not value >= 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +60,23 @@ LengthSampler = Callable[[np.random.Generator], tuple[int, int]]
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class _FixedLengths:
+    """The fixed sampler: it draws nothing, so a trace fills its length
+    columns without calling it once per request."""
+
+    input_len: int
+    output_len: int
+
+    def __call__(self, rng: np.random.Generator) -> tuple[int, int]:
+        del rng
+        return self.input_len, self.output_len
+
+
 def fixed_lengths(input_len: int = 1024, output_len: int = 256) -> LengthSampler:
     """Every request has the same shape (the paper's static evaluation)."""
-    if input_len < 1 or output_len < 1:
-        raise ValueError("request lengths must be positive")
-
-    def sample(rng: np.random.Generator) -> tuple[int, int]:
-        del rng
-        return input_len, output_len
-
-    return sample
+    _check_counts(input_len=input_len, output_len=output_len)
+    return _FixedLengths(input_len, output_len)
 
 
 def lognormal_lengths(
@@ -55,8 +87,13 @@ def lognormal_lengths(
     max_output: int = 4096,
 ) -> LengthSampler:
     """Long-tailed lengths: lognormal around the medians, clipped."""
-    if median_input < 1 or median_output < 1 or sigma <= 0:
-        raise ValueError("medians must be positive and sigma > 0")
+    _check_counts(
+        median_input=median_input,
+        median_output=median_output,
+        max_input=max_input,
+        max_output=max_output,
+    )
+    _check_positive(sigma=sigma)
 
     def sample(rng: np.random.Generator) -> tuple[int, int]:
         inp = int(np.clip(round(median_input * np.exp(rng.normal(0, sigma))),
@@ -73,6 +110,11 @@ def empirical_lengths(pairs: Sequence[tuple[int, int]]) -> LengthSampler:
     if not pairs:
         raise ValueError("need at least one length pair")
     frozen = tuple((int(i), int(o)) for i, o in pairs)
+    for k, (inp, out) in enumerate(frozen):
+        if inp < 1 or out < 1:
+            raise ValueError(
+                f"pairs[{k}] is ({inp}, {out}): both lengths must be at least 1"
+            )
 
     def sample(rng: np.random.Generator) -> tuple[int, int]:
         return frozen[int(rng.integers(len(frozen)))]
@@ -88,12 +130,21 @@ def empirical_lengths(pairs: Sequence[tuple[int, int]]) -> LengthSampler:
 def _trace_from_gaps(
     gaps: np.ndarray, lengths: LengthSampler, rng: np.random.Generator
 ) -> Trace:
-    arrivals = np.cumsum(gaps)
-    requests = []
-    for i, arrival in enumerate(arrivals):
-        inp, out = lengths(rng)
-        requests.append(TimedRequest(Request(i, inp, out), float(arrival)))
-    return Trace(tuple(requests))
+    """Arrivals at the running sum of ``gaps``, lengths from ``lengths``.
+
+    A sampler that draws is called once per request, in arrival order,
+    after the gaps: the order the per-request loop drew in.
+    """
+    arrivals = np.cumsum(gaps).tolist()
+    n = len(arrivals)
+    if isinstance(lengths, _FixedLengths):
+        input_len = [lengths.input_len] * n
+        output_len = [lengths.output_len] * n
+    else:
+        pairs = [lengths(rng) for _ in range(n)]
+        input_len = [inp for inp, _ in pairs]
+        output_len = [out for _, out in pairs]
+    return Trace.from_columns(list(range(n)), arrivals, input_len, output_len)
 
 
 def poisson_trace(
@@ -103,8 +154,8 @@ def poisson_trace(
     seed: int = 0,
 ) -> Trace:
     """A Poisson arrival process at ``qps`` requests per second."""
-    if qps <= 0 or n_requests < 1:
-        raise ValueError("qps must be positive and n_requests >= 1")
+    _check_positive(qps=qps)
+    _check_counts(n_requests=n_requests)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / qps, size=n_requests)
     return _trace_from_gaps(gaps, lengths or fixed_lengths(), rng)
@@ -123,8 +174,8 @@ def gamma_trace(
     (shape ``1/cv**2 < 1``), the regime where tail latencies blow up first.
     ``cv = 1`` is exactly Poisson.
     """
-    if qps <= 0 or n_requests < 1 or cv <= 0:
-        raise ValueError("qps, n_requests and cv must be positive")
+    _check_positive(qps=qps, cv=cv)
+    _check_counts(n_requests=n_requests)
     rng = np.random.default_rng(seed)
     shape = 1.0 / cv**2
     gaps = rng.gamma(shape, scale=cv**2 / qps, size=n_requests)
@@ -162,10 +213,14 @@ def multiturn_chat_trace(
     ``j + 1`` arrives.  Requests are re-numbered 0..n-1 in arrival order
     (arrivals interleave across sessions).
     """
-    if session_qps <= 0 or n_sessions < 1 or turns < 1:
-        raise ValueError("session_qps, n_sessions and turns must be positive")
-    if first_input < 1 or user_tokens < 1 or output_len < 1 or think_s <= 0:
-        raise ValueError("token counts and think_s must be positive")
+    _check_positive(session_qps=session_qps, think_s=think_s)
+    _check_counts(
+        n_sessions=n_sessions,
+        turns=turns,
+        first_input=first_input,
+        user_tokens=user_tokens,
+        output_len=output_len,
+    )
     rng = np.random.default_rng(seed)
     openings = np.cumsum(rng.exponential(1.0 / session_qps, size=n_sessions))
     rows: list[tuple[float, int, int, int]] = []
@@ -183,10 +238,10 @@ def multiturn_chat_trace(
             history = inp + out
             arrival += float(rng.exponential(think_s))
     rows.sort(key=lambda row: row[0])
-    return Trace(tuple(
-        TimedRequest(Request(i, inp, out, session_id=session), arrival)
-        for i, (arrival, session, inp, out) in enumerate(rows)
-    ))
+    arrivals, sessions, inputs, outputs = map(list, zip(*rows))
+    return Trace.from_columns(
+        list(range(len(rows))), arrivals, inputs, outputs, session_id=sessions
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ replica, so a router predicts what the cluster charges.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,7 @@ from repro.serving.routing import (
     validate_phases,
 )
 from repro.serving.schedulers import PrefixCachingScheduler, build_scheduler
-from repro.workloads.requests import Request, TimedRequest, Trace
+from repro.workloads.requests import Trace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -402,81 +403,98 @@ class ClusterEngine:
         assert isinstance(self.router, DisaggregatedRouter)
         self._reset()
         pairs = self.router.assign_pairs(trace)
-        stage1: dict[int, list[TimedRequest]] = {}
-        split_pair: dict[int, tuple[int, int]] = {}
-        for timed, (prefill, decode) in zip(trace.requests, pairs):
-            if prefill == decode or timed.output_len <= 1:
-                # Colocated pick — or a one-token request, which finishes
-                # at its first token with nothing left to hand off.
-                stage1.setdefault(prefill, []).append(timed)
-                continue
-            split_pair[timed.request_id] = (prefill, decode)
-            stage1.setdefault(prefill, []).append(
-                TimedRequest(
-                    Request(
-                        timed.request_id,
-                        timed.input_len,
-                        1,
-                        session_id=timed.request.session_id,
-                    ),
-                    timed.arrival_s,
-                )
-            )
+        ids, input_len, output_len = (
+            trace.request_id,
+            trace.input_len,
+            trace.output_len,
+        )
+        # A request splits unless its pick is colocated or it is one
+        # token long (it finishes at its first token, with nothing left
+        # to hand off).  A split request's prefill half is the request
+        # cut to that first token, with no continuation of its own.
+        split = [p != d and out > 1 for (p, d), out in zip(pairs, output_len)]
+        #: request id -> trace row, of every split request
+        split_row = {ids[i]: i for i in itertools.compress(range(len(ids)), split)}
+
+        def halves(column: list, cut) -> list:
+            return [cut if s else v for s, v in zip(split, column)]
+
+        stage1 = Trace.from_columns(
+            ids,
+            trace.arrival_s,
+            input_len,
+            halves(output_len, 1),
+            trace.session_id,
+            halves(trace.prefilled_tokens, 0),
+            halves(trace.handoff_s, 0.0),
+            halves(trace.handoff_bytes, 0.0),
+        )
         results: list[EngineTrace | None] = [None] * self.n_replicas
         by_request: dict[int, dict[int, RequestTiming]] = {}
-        for i, requests in sorted(stage1.items()):
-            # Stage-1 parts keep trace order, so arrivals stay sorted.
+        parts = stage1.partition([p for p, _ in pairs])
+        for i in sorted(parts):
+            # Partitions keep trace order, so arrivals stay sorted.
             results[i] = self.replicas[i].serve(
-                Trace(tuple(requests)),
+                parts[i],
                 None if collector is None else collector.fork(i),
             )
             by_request[i] = {
                 t.request_id: t for t in results[i].timings
             }
-        originals = {t.request_id: t for t in trace.requests}
-        stage2: dict[int, list[TimedRequest]] = {}
-        for request_id, (prefill, decode) in split_pair.items():
+        # Continuation rows per decode replica: (arrival, id, input,
+        # output, prefilled, handoff seconds, handoff bytes).
+        stage2: dict[int, list[tuple]] = {}
+        for request_id, i in split_row.items():
+            prefill, decode = pairs[i]
             first = by_request[prefill][request_id]
-            original = originals[request_id]
             prices = self.prices[decode]
             stage2.setdefault(decode, []).append(
-                TimedRequest(
-                    # session_id=None: the decode node holds the KV
-                    # in-flight state, not a reusable session prefix.
-                    Request(
-                        request_id,
-                        original.input_len + 1,
-                        original.output_len - 1,
-                        session_id=None,
-                    ),
-                    arrival_s=first.first_token_s,
-                    prefilled_tokens=original.input_len + 1,
-                    handoff_s=prices.handoff_seconds(original),
-                    handoff_bytes=prices.handoff_bytes(original),
+                (
+                    first.first_token_s,
+                    request_id,
+                    input_len[i] + 1,
+                    output_len[i] - 1,
+                    input_len[i] + 1,
+                    prices.handoff_seconds(input_len[i]),
+                    prices.handoff_bytes(input_len[i]),
                 )
             )
-        for decode, requests in sorted(stage2.items()):
+        for decode, rows in sorted(stage2.items()):
             # Continuations arrive at first-token times, which do not
-            # follow trace order — re-sort into a valid arrival stream.
-            requests.sort(key=lambda t: (t.arrival_s, t.request_id))
+            # follow trace order — re-sort into a valid arrival stream
+            # (ids are unique, so the sort never reads past them).
+            rows.sort()
+            arrivals, rids, inputs, outputs, prefilled, wire_s, wire_bytes = map(
+                list, zip(*rows)
+            )
             results[decode] = self.replicas[decode].serve(
-                Trace(tuple(requests)),
+                # No session: the decode node holds the KV in-flight
+                # state, not a reusable session prefix.
+                Trace.from_columns(
+                    rids,
+                    arrivals,
+                    inputs,
+                    outputs,
+                    prefilled_tokens=prefilled,
+                    handoff_s=wire_s,
+                    handoff_bytes=wire_bytes,
+                ),
                 None if collector is None else collector.fork(decode),
             )
             by_request[decode] = {
                 t.request_id: t for t in results[decode].timings
             }
         stitched: list[RequestTiming] = []
-        for request_id in sorted(split_pair):
-            prefill, decode = split_pair[request_id]
+        for request_id in sorted(split_row):
+            i = split_row[request_id]
+            prefill, decode = pairs[i]
             first = by_request[prefill][request_id]
             rest = by_request[decode][request_id]
-            original = originals[request_id]
             stitched.append(
                 RequestTiming(
                     request_id=request_id,
-                    input_len=original.input_len,
-                    output_len=original.output_len,
+                    input_len=input_len[i],
+                    output_len=output_len[i],
                     arrival_s=first.arrival_s,
                     admitted_s=first.admitted_s,
                     first_token_s=first.first_token_s,
@@ -492,7 +510,7 @@ class ClusterEngine:
             router=self.router.name,
             phases=self.phases,
             stitched=tuple(stitched),
-            split_ids=frozenset(split_pair),
+            split_ids=frozenset(split_row),
         )
 
     def run(

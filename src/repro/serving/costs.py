@@ -35,7 +35,6 @@ from __future__ import annotations
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
 from repro.serving.memory import MemoryModel
-from repro.workloads.requests import TimedRequest
 
 #: default inter-replica link bandwidth in gigabits per second — a single
 #: commodity 100 GbE NIC, deliberately far below NVLink-class fabrics so
@@ -141,7 +140,9 @@ class ReplicaPrices:
     :class:`~repro.serving.cluster.ClusterEngine` charges KV handoffs and
     prices the shared prefix tier with it, so a router's prediction of a
     replica always comes from that replica's own cost and memory models.
-    Each estimate prices a request as if it ran alone (batch 1).
+    Each estimate prices a request from its lengths, as if it ran alone
+    (batch 1), so a routing pass reads a trace's length columns and
+    builds no request object.
     """
 
     def __init__(self, system: ServingSystem, spec: ModelSpec, link_gbps: float):
@@ -151,24 +152,22 @@ class ReplicaPrices:
     # The methods below spell their formulas out instead of calling one
     # another, so a routing pass makes one Python call per estimate.
 
-    def service(self, request: TimedRequest) -> float:
+    def service(self, input_len: int, output_len: int) -> float:
         """Whole-lifetime seconds: solo prefill plus the decode tail."""
-        input_len = request.input_len
-        output_len = request.output_len
         mid_context = input_len + output_len // 2
         prefill = self.cost.prefill_seconds(1, input_len)
         return prefill + output_len * self.cost.decode_seconds(1, mid_context)
 
-    def first_token(self, request: TimedRequest) -> float:
+    def first_token(self, input_len: int) -> float:
         """Time to first token: solo prefill plus the first decode step."""
-        return self.cost.prefill_seconds(
-            1, request.input_len
-        ) + self.cost.decode_seconds(1, request.input_len)
+        return self.cost.prefill_seconds(1, input_len) + self.cost.decode_seconds(
+            1, input_len
+        )
 
-    def decode(self, request: TimedRequest) -> float:
+    def decode(self, input_len: int, output_len: int) -> float:
         """Decode-tail seconds, priced at the mid-generation context."""
-        mid_context = request.input_len + request.output_len // 2
-        return request.output_len * self.cost.decode_seconds(1, mid_context)
+        mid_context = input_len + output_len // 2
+        return output_len * self.cost.decode_seconds(1, mid_context)
 
     def prefix_savings(self, hit_tokens: int) -> float:
         """Prefill seconds a warm prefix of ``hit_tokens`` saves.
@@ -178,12 +177,11 @@ class ReplicaPrices:
         """
         return self.cost.prefill_seconds(1, hit_tokens)
 
-    def handoff_bytes(self, request: TimedRequest) -> float:
-        """KV and state bytes a split request moves to this replica."""
-        return self.memory.reserved_bytes(request.input_len + 1)
+    def handoff_bytes(self, input_len: int) -> float:
+        """KV and state bytes a split request of ``input_len`` prompt
+        tokens moves to this replica."""
+        return self.memory.reserved_bytes(input_len + 1)
 
-    def handoff_seconds(self, request: TimedRequest) -> float:
+    def handoff_seconds(self, input_len: int) -> float:
         """Wire seconds to land :meth:`handoff_bytes` over the link."""
-        return self.cost.transfer_seconds(
-            self.memory.reserved_bytes(request.input_len + 1)
-        )
+        return self.cost.transfer_seconds(self.memory.reserved_bytes(input_len + 1))

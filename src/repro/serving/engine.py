@@ -92,7 +92,7 @@ from repro.serving.metrics import (
     RequestTiming,
     ServingReport,
 )
-from repro.serving.schedulers import RunningRequest, Scheduler
+from repro.serving.schedulers import QueuedRows, RunningRequest, Scheduler
 from repro.serving.slots import SlotView
 from repro.workloads.requests import Trace
 
@@ -346,8 +346,18 @@ class ServingEngine:
         budget = self.scheduler.chunk_budget
         #: one bool gates every telemetry touch on the hot path
         tel = col is not None and col.enabled
-        pending = collections.deque(trace.requests)
-        queue: list = []
+        # The waiting queue is the rows [head, tail) of the trace: rows
+        # before head were admitted, rows from tail on have not arrived.
+        # Arrivals move tail and admissions move head, so no queued
+        # request is copied or built; `waiting` shows the range to admit.
+        ids, arrival = trace.request_id, trace.arrival_s
+        input_len, output_len = trace.input_len, trace.output_len
+        session_id, prefilled_tokens = trace.session_id, trace.prefilled_tokens
+        n_rows = len(arrival)
+        head = tail = 0
+        waiting = QueuedRows(trace)
+        #: whether any row is a disaggregated continuation (handoff)
+        continuations = any(prefilled_tokens)
         running: list[RunningRequest] = []
         preempted: list[RunningRequest] = []
         cohorts: collections.deque[_PrefillCohort] = collections.deque()
@@ -359,7 +369,7 @@ class ServingEngine:
         # An empty trace skips the loop and serves to the empty record
         # (zero span, no events): what one replica of a cluster that
         # routed it nothing produces.
-        start = pending[0].arrival_s if pending else 0.0
+        start = arrival[0] if n_rows else 0.0
         clock = start
         depth_area = 0.0
         max_depth = 0
@@ -380,7 +390,7 @@ class ServingEngine:
 
         def advance(dt: float) -> None:
             nonlocal clock, depth_area, depth_acc
-            depth_area += len(queue) * dt
+            depth_area += (tail - head) * dt
             depth_acc += dt
             clock += dt
 
@@ -414,14 +424,14 @@ class ServingEngine:
         def gauge(n_running: int) -> None:
             """Sample the telemetry gauges at a batch-composition event."""
             col.gauge(
-                clock, len(queue), n_running, self.scheduler.blocks_in_use,
+                clock, tail - head, n_running, self.scheduler.blocks_in_use,
                 preemptions, self.scheduler.counters(),
             )
 
-        while pending or queue or running or preempted:
-            while pending and pending[0].arrival_s <= clock:
-                queue.append(pending.popleft())
-            qn = len(queue)
+        while head < n_rows or running or preempted:
+            while tail < n_rows and arrival[tail] <= clock:
+                tail += 1
+            qn = tail - head
             max_depth = max(max_depth, qn)
             if qn != cur_depth:
                 set_depth(qn)
@@ -430,15 +440,15 @@ class ServingEngine:
                 # Preempted requests are older than everything still
                 # queued, so they restore head-of-line: no fresh
                 # admission happens while one waits for blocks.
-                head = preempted[0]
-                if self.scheduler.can_restore(head, running):
+                restored = preempted[0]
+                if self.scheduler.can_restore(restored, running):
                     preempted.pop(0)
-                    self.scheduler.on_restore(head)
-                    head.prefilled = True
+                    self.scheduler.on_restore(restored)
+                    restored.prefilled = True
                     # Re-enter in admission-age order, not at the tail:
                     # the restored request is the oldest resident and
                     # age decides who a preemptive scheduler protects.
-                    age = (head.admitted_s, head.request_id)
+                    age = (restored.admitted_s, restored.request_id)
                     at = next(
                         (
                             i
@@ -447,60 +457,68 @@ class ServingEngine:
                         ),
                         len(running),
                     )
-                    running.insert(at, head)
+                    running.insert(at, restored)
                     # Recompute-style restore: re-prefill the prompt plus
                     # every token generated before the eviction, less the
                     # prefix on_restore just re-acquired from a cache.
                     dt, tokens = self._price_prefill(
-                        (head,), head.input_len + head.generated
+                        (restored,), restored.input_len + restored.generated
                     )
                     t0 = clock
                     advance(dt)
                     rec.prefill(dt, tokens)
                     if tel:
-                        col.prefill_span(t0, clock, tokens, (head,), "restore")
+                        col.prefill_span(t0, clock, tokens, (restored,), "restore")
                         gauge(len(running))
                     continue
                 admitted_n = 0
             else:
-                admitted_n = self.scheduler.admit(
-                    queue, running, bool(pending)
-                )
+                waiting.head, waiting.tail = head, tail
+                admitted_n = self.scheduler.admit(waiting, running, tail < n_rows)
             if admitted_n > 0:
-                admitted, queue[:admitted_n] = queue[:admitted_n], []
-                set_depth(len(queue))
+                rows = range(head, head + admitted_n)
+                head += admitted_n
+                set_depth(tail - head)
                 admitted_s = clock
+                stride = self.scheduler.request_stride
+                # Positional: the hot construction, in field order.
                 members = [
                     RunningRequest(
-                        timed=t,
-                        admitted_s=admitted_s,
-                        stride=self.scheduler.request_stride(t.output_len),
-                        prefilled=(
-                            budget is None or bool(t.prefilled_tokens)
-                        ),
+                        ids[i],
+                        input_len[i],
+                        output_len[i],
+                        arrival[i],
+                        admitted_s,
+                        stride(output_len[i]),
+                        session_id[i],
+                        prefilled=budget is None or bool(prefilled_tokens[i]),
                     )
-                    for t in admitted
+                    for i in rows
                 ]
                 running.extend(members)
                 self.scheduler.on_admit(members)
-                # Disaggregated continuations: the prompt KV arrives
-                # precomputed over the wire, so the handoff serializes
-                # into this clock *instead of* a prefill.  Handoffs are
-                # counted, never recorded as prefill events (a prefill
-                # event always covers >= 1 computed token).
-                handed = [m for m in members if m.timed.prefilled_tokens]
-                if handed:
-                    dt = 0.0
-                    for m in handed:
-                        dt += m.timed.handoff_s
-                        handoff_bytes += m.timed.handoff_bytes
-                    handoffs += len(handed)
-                    advance(dt)
-                    if tel:
-                        col.prefill_span(
-                            admitted_s, clock, 0, handed, "handoff"
-                        )
-                fresh = [m for m in members if not m.timed.prefilled_tokens]
+                fresh = members
+                if continuations:
+                    # Disaggregated continuations: the prompt KV arrives
+                    # precomputed over the wire, so the handoff
+                    # serializes into this clock *instead of* a prefill.
+                    # Handoffs are counted, never recorded as prefill
+                    # events (a prefill event always covers >= 1
+                    # computed token).
+                    handed = [m for m, i in zip(members, rows) if prefilled_tokens[i]]
+                    if handed:
+                        fresh = [
+                            m for m, i in zip(members, rows) if not prefilled_tokens[i]
+                        ]
+                        dt = 0.0
+                        for i in rows:
+                            if prefilled_tokens[i]:
+                                dt += trace.handoff_s[i]
+                                handoff_bytes += trace.handoff_bytes[i]
+                        handoffs += len(handed)
+                        advance(dt)
+                        if tel:
+                            col.prefill_span(admitted_s, clock, 0, handed, "handoff")
                 if fresh:
                     cohort_input = max(m.input_len for m in fresh)
                     if budget is None:
@@ -615,9 +633,10 @@ class ServingEngine:
                 for seq, count in segments:
                     dts += [self.cost.decode_seconds(batch, seq)] * count
                 # Replay only the order-sensitive float accumulation.
-                qlen = queued = len(queue)
+                qlen = tail - head
+                tail_before = tail
                 clock_before = clock
-                next_arrival = pending[0].arrival_s if pending else math.inf
+                next_arrival = arrival[tail] if tail < n_rows else math.inf
                 for executed, dt in enumerate(dts, 1):
                     depth_area += qlen * dt
                     depth_acc += dt
@@ -632,15 +651,16 @@ class ServingEngine:
                         # decode progress — would take one now.  A
                         # waiting restore blocks admission, and no
                         # step of the run can let it in.
-                        while pending and pending[0].arrival_s <= clock:
-                            queue.append(pending.popleft())
-                        qlen = len(queue)
+                        tail += 1
+                        while tail < n_rows and arrival[tail] <= clock:
+                            tail += 1
+                        qlen = tail - head
                         set_depth(qlen)
-                        if not preempted and self.scheduler.admit(
-                            queue, running, bool(pending)
-                        ):
-                            break
-                        next_arrival = pending[0].arrival_s if pending else math.inf
+                        if not preempted:
+                            waiting.head, waiting.tail = head, tail
+                            if self.scheduler.admit(waiting, running, tail < n_rows):
+                                break
+                        next_arrival = arrival[tail] if tail < n_rows else math.inf
                 # Bit-exact re-derivation: after the first iteration the
                 # clock was exactly clock_before + dts[0] (one float add).
                 first_clock = clock_before + dts[0]
@@ -652,12 +672,12 @@ class ServingEngine:
                     # keeps no finished resident, so all of them decode.
                     # Its queue depth leaves out the later arrivals.
                     col.decode_span(clock_before, first_clock, 1, len(running), running)
-                    depth = len(queue)
-                    while depth > queued and queue[depth - 1].arrival_s > first_clock:
-                        depth -= 1
+                    arrived = tail
+                    while arrived > tail_before and arrival[arrived - 1] > first_clock:
+                        arrived -= 1
                     col.gauge(
                         first_clock,
-                        depth,
+                        arrived - head,
                         len(running),
                         self.scheduler.blocks_in_use,
                         preemptions,
@@ -686,8 +706,8 @@ class ServingEngine:
                     gauge(len(running))
                 continue
 
-            if pending:
-                dt = pending[0].arrival_s - clock
+            if tail < n_rows:
+                dt = arrival[tail] - clock
                 advance(dt)
                 idle_s += dt
                 if tel:
@@ -696,7 +716,7 @@ class ServingEngine:
 
             raise RuntimeError(
                 f"scheduler {type(self.scheduler).__name__} cannot place "
-                f"{len(queue)} waiting request(s) on an idle cluster — "
+                f"{tail - head} waiting request(s) on an idle cluster — "
                 "the head request exceeds the admission bound"
             )
 

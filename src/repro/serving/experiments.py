@@ -1230,17 +1230,20 @@ def wallclock(
     ceiling (``slot+telemetry`` ≤ 1.15 × ``slot``) and the fleet ceiling
     (``cluster`` ≤ 3 × ``slot``: routing and serving a trace over
     replicas must stay linear in its length), both under ``fcfs``.
-    Only the serve call is timed (for ``cluster``, the whole ``run``:
-    routing, replicas and merge); trace construction and engine
-    construction happen outside the stopwatch.  Never cache this
+    Only the serve call is timed into ``wall_s`` (for ``cluster``, the
+    whole ``run``: routing, replicas and merge); the trace build has its
+    own stopwatch, ``build_s``, and engine construction is timed by
+    neither.  Never cache this
     trial's results (``repro sweep wallclock --no-cache``): a timing
     replayed from the cache says nothing about the code under test.
     """
     spec = spec_for(model, scale)
     serving = build_system(SystemKind(system), scale)
+    t0 = time.perf_counter()
     trace = poisson_trace(
         qps, n_requests, fixed_lengths(input_len, output_len), seed
     )
+    build_s = time.perf_counter() - t0
     policy = build_scheduler(
         scheduler, serving, spec, max_batch=max_batch
     )
@@ -1283,6 +1286,7 @@ def wallclock(
     return {
         "engine": engine,
         "scheduler": scheduler,
+        "build_s": build_s,
         "wall_s": wall_s,
         "requests_per_wall_s": n_requests / wall_s,
         "sim_iterations_per_wall_s": report.n_iterations / wall_s,

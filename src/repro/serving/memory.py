@@ -37,13 +37,9 @@ import dataclasses
 import itertools
 import math
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
 
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
-
-if TYPE_CHECKING:
-    from repro.workloads.requests import Request
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,8 +286,9 @@ class BlockPool:
         """Could this request *ever* complete, even alone in the pool?"""
         return self.memory.request_bytes(input_len, output_len) <= self._pool_bytes
 
-    def admissible(self, requests: Iterable[Request]) -> int:
-        """How many of ``requests``, in order, the free pool admits now.
+    def admissible(self, lengths: Iterable[tuple[int, int]]) -> int:
+        """How many requests of these ``(input_len, output_len)``, in
+        order, the free pool admits now.
 
         The longest prefix whose prompt blocks (tail trimmed to the
         final context) fit the free bytes together, stopping at the
@@ -301,9 +298,8 @@ class BlockPool:
         free = self.free_bytes
         size, state, per_token = self.block_size, self._state, self._per_token
         n = 0
-        for request in requests:
-            input_len = request.input_len
-            final = input_len + request.output_len
+        for input_len, output_len in lengths:
+            final = input_len + output_len
             covered = -(-input_len // size) * size  # covered_tokens, inlined
             need = state + min(covered, final) * per_token
             if need > free or state + final * per_token > self._pool_bytes:

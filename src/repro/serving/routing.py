@@ -26,8 +26,13 @@ price object per replica: the cluster passes a
 :class:`~repro.serving.costs.ReplicaPrices` built from each replica's
 own cost and memory models, so the router never re-derives a cost.
 Routers only call its methods (``service``, ``first_token``,
-``decode``, ``prefix_savings``, ``handoff_seconds``), so any object
-that has them will do.
+``decode``, ``prefix_savings``, ``handoff_seconds``), each on a
+request's lengths, so any object that has them will do.
+
+A router routes a trace row by row: :meth:`Router.assign` reads the
+trace's columns and hands each row's fields to :meth:`Router.choose_row`,
+so a routing pass builds no request object; :meth:`Router.choose` is
+the same decision for one :class:`~repro.workloads.requests.TimedRequest`.
 
 Routers are deliberately *stateful but seed-free*: given the same trace,
 any router produces the same assignment on every run and in every worker
@@ -47,13 +52,14 @@ from repro.workloads.requests import TimedRequest, Trace
 class Router(abc.ABC):
     """Assigns each arriving request of a trace to one replica.
 
-    The contract: :meth:`choose` is called once per request in arrival
-    order and may update internal state (backlog predictions, rotation
-    position); :meth:`reset` must return that state to its
-    freshly-constructed value, because the cluster engine reuses one
-    router across runs and a reused engine must route identically to a
-    fresh one; :meth:`assign` (final) maps a whole trace and validates
-    every choice.  Routers never see engine internals — they decide
+    The contract: :meth:`choose_row` is called once per request in
+    arrival order, with the request's fields, and may update internal
+    state (backlog predictions, rotation position); :meth:`reset` must
+    return that state to its freshly-constructed value, because the
+    cluster engine reuses one router across runs and a reused engine
+    must route identically to a fresh one; :meth:`assign` (final) maps
+    a whole trace's rows and validates every choice, and :meth:`choose`
+    routes one request.  Routers never see engine internals — they decide
     *before* any scheduler runs, which is exactly the information
     asymmetry a real fleet front end has.
 
@@ -73,8 +79,26 @@ class Router(abc.ABC):
         self.phases: tuple[str, ...] = ("both",) * n_replicas
 
     @abc.abstractmethod
+    def choose_row(
+        self,
+        request_id: int,
+        arrival_s: float,
+        input_len: int,
+        output_len: int,
+        session_id: int | None,
+    ) -> int:
+        """The replica index for the request with these fields (may
+        update router state)."""
+
     def choose(self, request: TimedRequest) -> int:
         """The replica index for ``request`` (may update router state)."""
+        return self.choose_row(
+            request.request_id,
+            request.arrival_s,
+            request.input_len,
+            request.output_len,
+            request.session_id,
+        )
 
     def reset(self) -> None:
         """Forget all routing state (start of a fresh trace).
@@ -85,10 +109,17 @@ class Router(abc.ABC):
         """
 
     def assign(self, trace: Trace) -> tuple[int, ...]:
-        """Route a whole trace in arrival order."""
+        """Route a whole trace in arrival order, one row at a time."""
+        choose = self.choose_row
         choices = []
-        for request in trace.requests:
-            replica = self.choose(request)
+        for row in zip(
+            trace.request_id,
+            trace.arrival_s,
+            trace.input_len,
+            trace.output_len,
+            trace.session_id,
+        ):
+            replica = choose(*row)
             if not 0 <= replica < self.n_replicas:
                 raise ValueError(
                     f"router {self.name!r} chose replica {replica} "
@@ -110,8 +141,8 @@ class RoundRobinRouter(Router):
     def reset(self) -> None:
         self._next = 0
 
-    def choose(self, request: TimedRequest) -> int:
-        del request
+    def choose_row(self, request_id, arrival_s, input_len, output_len, session_id):
+        del request_id, arrival_s, input_len, output_len, session_id
         replica = self._next
         self._next = (self._next + 1) % self.n_replicas
         return replica
@@ -122,7 +153,7 @@ class _VirtualQueueRouter(Router):
 
     A routed request starts when the replica's predicted backlog drains
     (or immediately if idle) and occupies it for
-    ``prices[replica].service(request)`` seconds; ``_busy_until`` is when
+    ``prices[replica].service(input_len, output_len)`` seconds; ``_busy_until`` is when
     each replica's backlog drains.  Prices are per replica: a
     heterogeneous fleet prices the same request differently on different
     node kinds, so the queue asks the *chosen* replica.
@@ -136,16 +167,23 @@ class _VirtualQueueRouter(Router):
     def reset(self) -> None:
         self._busy_until = [0.0] * self.n_replicas
 
-    def _enqueue(self, request: TimedRequest, replica: int) -> float:
-        """Queue ``request`` on ``replica``; return its predicted finish."""
-        service = self.prices[replica].service(request)
+    def _enqueue(
+        self,
+        replica: int,
+        request_id: int,
+        arrival_s: float,
+        input_len: int,
+        output_len: int,
+    ) -> float:
+        """Queue a request on ``replica``; return its predicted finish."""
+        service = self.prices[replica].service(input_len, output_len)
         if not service >= 0.0:
             raise ValueError(
-                f"service estimate for request {request.request_id} "
+                f"service estimate for request {request_id} "
                 f"on replica {replica} is {service!r}; it must be a "
                 "non-negative number of seconds"
             )
-        finish = max(request.arrival_s, self._busy_until[replica]) + service
+        finish = max(arrival_s, self._busy_until[replica]) + service
         self._busy_until[replica] = finish
         return finish
 
@@ -155,7 +193,7 @@ class LeastOutstandingRouter(_VirtualQueueRouter):
 
     Each replica is modeled as a virtual single-server queue: a routed
     request starts when the replica's backlog drains (or immediately if
-    idle) and occupies it for ``service(request)`` seconds.  At each
+    idle) and occupies it for ``service`` seconds.  At each
     arrival the router first expires predictions that finished at or
     before the arrival instant, then counts what is left.  Ties break
     toward the lowest replica index, so the assignment is fully
@@ -181,18 +219,19 @@ class LeastOutstandingRouter(_VirtualQueueRouter):
         super().reset()
         self._in_flight = [collections.deque() for _ in range(self.n_replicas)]
 
-    def choose(self, request: TimedRequest) -> int:
-        now = request.arrival_s
+    def choose_row(self, request_id, arrival_s, input_len, output_len, session_id):
         replica = fewest = -1
         for i, flight in enumerate(self._in_flight):
             # Expire every replica's predictions first: those ending at
             # or before the arrival are no longer in flight.
-            while flight and flight[0] <= now:
+            while flight and flight[0] <= arrival_s:
                 flight.popleft()
             n = len(flight)
             if replica < 0 or n < fewest:
                 replica, fewest = i, n
-        self._in_flight[replica].append(self._enqueue(request, replica))
+        self._in_flight[replica].append(
+            self._enqueue(replica, request_id, arrival_s, input_len, output_len)
+        )
         return replica
 
 
@@ -209,10 +248,8 @@ class AffinityRouter(Router):
 
     name = "affinity"
 
-    def choose(self, request: TimedRequest) -> int:
-        key = request.session_id
-        if key is None:
-            key = request.request_id
+    def choose_row(self, request_id, arrival_s, input_len, output_len, session_id):
+        key = request_id if session_id is None else session_id
         digest = hashlib.sha256(f"{type(key).__name__}:{key!r}".encode()).digest()
         return int.from_bytes(digest[:8], "big") % self.n_replicas
 
@@ -253,34 +290,30 @@ class CacheAwareRouter(_VirtualQueueRouter):
         super().reset()
         self._sessions = {}
 
-    def choose(self, request: TimedRequest) -> int:
-        now = request.arrival_s
-        session = request.session_id
+    def choose_row(self, request_id, arrival_s, input_len, output_len, session_id):
         # Only the session's home replica can be warm: it earns the
         # prefix credit, every other replica scores its backlog alone.
         warm, credit = -1, 0.0
-        home = None if session is None else self._sessions.get(session)
+        home = None if session_id is None else self._sessions.get(session_id)
         if home is not None:
             # A prefix hit can never cover the whole prompt (the final
             # token is always computed) — mirror the cache's own cap.
-            hit_tokens = min(home[1], request.input_len - 1)
+            hit_tokens = min(home[1], input_len - 1)
             if hit_tokens >= 1:
                 warm = home[0]
                 credit = self.prices[warm].prefix_savings(hit_tokens)
         replica, best = -1, 0.0
         for i, busy in enumerate(self._busy_until):
-            score = max(busy - now, 0.0)
+            score = max(busy - arrival_s, 0.0)
             if i == warm:
                 score -= credit
             if replica < 0 or score < best:
                 replica, best = i, score
-        self._enqueue(request, replica)
-        if session is not None:
+        self._enqueue(replica, request_id, arrival_s, input_len, output_len)
+        if session_id is not None:
             # After this turn the conversation history the next turn
             # could reuse is everything sent plus everything generated.
-            self._sessions[session] = (
-                replica, request.input_len + request.output_len
-            )
+            self._sessions[session_id] = (replica, input_len + output_len)
         return replica
 
 
@@ -320,10 +353,10 @@ class DisaggregatedRouter(_VirtualQueueRouter):
     Scoring keeps the virtual single-server queues of
     :class:`LeastOutstandingRouter`, but in phase-split form.  For
     prefill replica ``p``: ``t_first = max(now, busy[p]) +
-    prices[p].first_token(r)`` — the estimated TTFT.  A colocated
+    prices[p].first_token(input_len)`` — the estimated TTFT.  A colocated
     candidate scores ``t_first`` and would occupy ``p`` through its
     ``decode`` tail too; a split candidate with decode replica ``d``
-    scores ``max(t_first + prices[d].handoff_seconds(r), busy[d])`` —
+    scores ``max(t_first + prices[d].handoff_seconds(input_len), busy[d])`` —
     when the tail could *start* — and occupies ``p`` only through
     prefill, which is exactly the interference-removal disaggregation
     buys.  Ties break toward the lowest ``(p, d)``, so assignment is
@@ -358,9 +391,12 @@ class DisaggregatedRouter(_VirtualQueueRouter):
         """The ``(prefill_replica, decode_replica)`` pair for ``request``.
 
         Updates the virtual queues, so call exactly once per request in
-        arrival order (:meth:`assign_pairs` does).
+        arrival order (:meth:`assign_pairs` does, row by row).
         """
-        now = request.arrival_s
+        return self._pair(request.arrival_s, request.input_len, request.output_len)
+
+    def _pair(self, now: float, input_len: int, output_len: int) -> tuple[int, int]:
+        """:meth:`choose_pair` on a request's arrival and lengths."""
         busy = self._busy_until
         prices = self.prices
         # Ranked by (score, t_first, p, d): when a saturated decode side
@@ -369,13 +405,13 @@ class DisaggregatedRouter(_VirtualQueueRouter):
         # instead of letting the index tie-break pile them on one node.
         best: tuple[float, float, int, int] | None = None
         for p in self._prefill_side:
-            t_first = max(now, busy[p]) + prices[p].first_token(request)
+            t_first = max(now, busy[p]) + prices[p].first_token(input_len)
             if self.phases[p] == "both":
                 candidate = (t_first, t_first, p, p)
                 if best is None or candidate < best:
                     best = candidate
             for d in self._decode_only:
-                score = max(t_first + prices[d].handoff_seconds(request), busy[d])
+                score = max(t_first + prices[d].handoff_seconds(input_len), busy[d])
                 candidate = (score, t_first, p, d)
                 if best is None or candidate < best:
                     best = candidate
@@ -383,26 +419,27 @@ class DisaggregatedRouter(_VirtualQueueRouter):
         score, best_first, p, d = best
         if p == d:
             # Colocated: one node owns prefill and the decode tail.
-            busy[p] = best_first + prices[p].decode(request)
+            busy[p] = best_first + prices[p].decode(input_len, output_len)
         else:
             busy[p] = best_first
-            busy[d] = score + prices[d].decode(request)
+            busy[d] = score + prices[d].decode(input_len, output_len)
         return p, d
 
-    def choose(self, request: TimedRequest) -> int:
+    def choose_row(self, request_id, arrival_s, input_len, output_len, session_id):
         """Single-replica view: the pair's prefill home.
 
         Lets an all-``both`` fleet use this router through the ordinary
         single-stage :meth:`Router.assign` path (every pair is colocated
         there, so the prefill home *is* the whole assignment).
         """
-        return self.choose_pair(request)[0]
+        return self._pair(arrival_s, input_len, output_len)[0]
 
     def assign_pairs(self, trace: Trace) -> tuple[tuple[int, int], ...]:
         """Route a whole trace in arrival order, keeping both halves."""
+        pair = self._pair
         pairs = []
-        for request in trace.requests:
-            p, d = self.choose_pair(request)
+        for row in zip(trace.arrival_s, trace.input_len, trace.output_len):
+            p, d = pair(*row)
             if not (0 <= p < self.n_replicas and 0 <= d < self.n_replicas):
                 raise ValueError(
                     f"router {self.name!r} chose pair ({p}, {d}) "

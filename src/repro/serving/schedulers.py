@@ -61,9 +61,8 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.models.config import ModelSpec
@@ -75,7 +74,7 @@ from repro.serving.memory import (
     validate_capacity,
 )
 from repro.serving.metrics import RequestTiming
-from repro.workloads.requests import TimedRequest
+from repro.workloads.requests import Trace
 from repro.workloads.serving import clamped_stride
 
 if TYPE_CHECKING:
@@ -91,20 +90,20 @@ DEFAULT_BLOCK_SIZE = 64
 
 @dataclasses.dataclass
 class RunningRequest:
-    """One request's mutable in-flight state inside the engine."""
+    """One request's mutable in-flight state inside the engine.
 
-    timed: TimedRequest
+    The engine builds one at admission from its trace row's values (the
+    ledger and the decode loop read them on every event, and a report
+    folds a finisher from them), never one per queued request.
+    """
+
+    request_id: int
+    input_len: int
+    output_len: int
+    arrival_s: float
     admitted_s: float
     stride: int  #: pricing-anchor stride (clamped per request)
-    #: the :class:`~repro.workloads.requests.Request` fields and the
-    #: arrival, copied from ``timed`` at construction: the ledger and the
-    #: decode loop read them on every event, and a report folds a
-    #: finisher from them
-    request_id: int = dataclasses.field(init=False)
-    input_len: int = dataclasses.field(init=False)
-    output_len: int = dataclasses.field(init=False)
-    session_id: int | None = dataclasses.field(init=False)
-    arrival_s: float = dataclasses.field(init=False)
+    session_id: int | None = None
     generated: int = 0
     first_token_s: float | None = None
     finished_s: float | None = None
@@ -129,14 +128,6 @@ class RunningRequest:
     #: engine serializes this ahead of the prefill it prices (reset per
     #: admission/restore; 0.0 whenever nothing moved)
     transfer_s_last: float = 0.0
-
-    def __post_init__(self) -> None:
-        request = self.timed.request
-        self.request_id = request.request_id
-        self.input_len = request.input_len
-        self.output_len = request.output_len
-        self.session_id = request.session_id
-        self.arrival_s = self.timed.arrival_s
 
     @property
     def done(self) -> bool:
@@ -163,6 +154,51 @@ class RunningRequest:
         )
 
 
+class QueuedRows:
+    """The engine's waiting queue: rows ``[head, tail)`` of its trace.
+
+    Rows before ``head`` were admitted and rows from ``tail`` on have not
+    arrived yet, so an arrival or an admission moves one index and no
+    queued request is copied or built.  :meth:`Scheduler.admit` reads
+    ``len`` and :meth:`lengths`.
+    """
+
+    __slots__ = ("input_len", "output_len", "head", "tail")
+
+    def __init__(self, trace: Trace):
+        self.input_len = trace.input_len
+        self.output_len = trace.output_len
+        self.head = self.tail = 0
+
+    def __len__(self) -> int:
+        return self.tail - self.head
+
+    def lengths(self, n: int) -> Iterable[tuple[int, int]]:
+        """``(input_len, output_len)`` of the ``n`` oldest waiting rows,
+        read lazily: an admission that stops early reads no further."""
+        rows = range(self.head, min(self.head + n, self.tail))
+        return zip(
+            map(self.input_len.__getitem__, rows),
+            map(self.output_len.__getitem__, rows),
+        )
+
+
+class QueuedRequests(list):
+    """A waiting queue held as a list of requests, oldest first.
+
+    The scalar reference's queue: the same ``len`` and :meth:`lengths`
+    as :class:`QueuedRows`, read from request objects.
+    """
+
+    def lengths(self, n: int) -> Iterable[tuple[int, int]]:
+        """``(input_len, output_len)`` of the ``n`` oldest waiting requests."""
+        return [(r.input_len, r.output_len) for r in self[:n]]
+
+
+#: what :meth:`Scheduler.admit` reads its waiting queue through
+Queued = QueuedRows | QueuedRequests
+
+
 class Scheduler(abc.ABC):
     """Admission + pricing policy for the discrete-event engine.
 
@@ -170,7 +206,9 @@ class Scheduler(abc.ABC):
     owns every *decision*.  The contract, in the order the engine calls
     it each loop iteration:
 
-    * :meth:`admit` — how many queued requests join now.  Must be pure
+    * :meth:`admit` — how many queued requests join now, read from the
+      queue's ``len`` and the :meth:`~QueuedRows.lengths` of its oldest
+      requests.  Must be pure
       (no state mutation): the engine may call it and then admit exactly
       that many requests, after which :meth:`on_admit` fires once with
       the new residents.  An admission implies the request's whole
@@ -255,7 +293,7 @@ class Scheduler(abc.ABC):
     @abc.abstractmethod
     def admit(
         self,
-        queue: Sequence[TimedRequest],
+        queue: Queued,
         running: Sequence[RunningRequest],
         more_arrivals: bool,
     ) -> int:
@@ -412,7 +450,7 @@ class StaticBatchScheduler(Scheduler):
 
     def admit(
         self,
-        queue: Sequence[TimedRequest],
+        queue: Queued,
         running: Sequence[RunningRequest],
         more_arrivals: bool,
     ) -> int:
@@ -513,7 +551,7 @@ class FcfsContinuousScheduler(Scheduler):
 
     def admit(
         self,
-        queue: Sequence[TimedRequest],
+        queue: Queued,
         running: Sequence[RunningRequest],
         more_arrivals: bool,
     ) -> int:
@@ -546,7 +584,7 @@ class MemoryAwareScheduler(FcfsContinuousScheduler):
 
     def admit(
         self,
-        queue: Sequence[TimedRequest],
+        queue: Queued,
         running: Sequence[RunningRequest],
         more_arrivals: bool,
     ) -> int:
@@ -561,8 +599,8 @@ class MemoryAwareScheduler(FcfsContinuousScheduler):
             memory.request_bytes(r.input_len, r.output_len) for r in running
         )
         n = 0
-        for request in queue[:limit]:
-            need = memory.request_bytes(request.input_len, request.output_len)
+        for input_len, output_len in queue.lengths(limit):
+            need = memory.request_bytes(input_len, output_len)
             if need > free:
                 break
             free -= need
@@ -626,16 +664,14 @@ class PagedScheduler(Scheduler):
 
     def admit(
         self,
-        queue: Sequence[TimedRequest],
+        queue: Queued,
         running: Sequence[RunningRequest],
         more_arrivals: bool,
     ) -> int:
         limit = min(len(queue), self.max_batch - len(running))
         if limit <= 0:
             return 0
-        return self.pool.admissible(
-            timed.request for timed in itertools.islice(queue, limit)
-        )
+        return self.pool.admissible(queue.lengths(limit))
 
     def on_admit(self, admitted: Sequence[RunningRequest]) -> None:
         for r in admitted:

@@ -8,7 +8,9 @@ also produces randomized traces for stress tests.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -129,7 +131,20 @@ class TimedRequest:
         return self.request.session_id
 
 
-@dataclasses.dataclass(frozen=True)
+#: the row fields a :class:`Trace` holds, one column each, in the order
+#: :meth:`Trace.from_columns` takes them
+TRACE_COLUMNS = (
+    "request_id",
+    "arrival_s",
+    "input_len",
+    "output_len",
+    "session_id",
+    "prefilled_tokens",
+    "handoff_s",
+    "handoff_bytes",
+)
+
+
 class Trace:
     """A stream of timed requests, ordered by arrival.
 
@@ -137,49 +152,175 @@ class Trace:
     paper's fixed-shape evaluation unit, a trace is what a serving cluster
     actually sees — requests arriving over time, each with its own lengths.
 
+    A trace holds its rows once, as columns: one Python list per
+    :class:`TimedRequest` field (:data:`TRACE_COLUMNS`), so the engine,
+    the routers and :meth:`partition` read plain ints and floats and
+    build no object per request.  Every row passes the checks
+    :class:`TimedRequest` makes, and the trace its own (non-decreasing
+    arrivals, unique ids), once, at construction; an offending row
+    raises the message its :class:`TimedRequest` would.  ``Trace(requests)``
+    builds the columns from hand-made rows, and :attr:`requests` builds
+    :class:`TimedRequest` views of the rows on demand.
+
     A trace may be *empty*: a cluster replica that the router never
     dispatches to effectively serves the empty trace, and the 1-replica
     equivalence only holds everywhere if the bare engine accepts it too
     (it serves to a zero-span record with NaN percentiles).
     """
 
-    requests: tuple[TimedRequest, ...]
+    __slots__ = TRACE_COLUMNS
+    __hash__ = None  # columns are lists
 
-    def __post_init__(self) -> None:
-        # Both checks scan once; positions are found only on the error
-        # path.  Ids must be unique because a fleet keys its routing,
-        # handoffs and timings by them.
-        requests = self.requests
-        arrivals = [r.arrival_s for r in requests]
-        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
+    def __init__(self, requests: Sequence[TimedRequest] = ()):
+        # Each TimedRequest checked its own row when it was built, and
+        # has every column as an attribute.
+        requests = tuple(requests)
+        self._fill(
+            *(list(map(operator.attrgetter(name), requests)) for name in TRACE_COLUMNS)
+        )
+        self._check_order()
+
+    @classmethod
+    def from_columns(
+        cls,
+        request_id: Sequence[int],
+        arrival_s: Sequence[float],
+        input_len: Sequence[int],
+        output_len: Sequence[int],
+        session_id: Sequence[int | None] | None = None,
+        prefilled_tokens: Sequence[int] | None = None,
+        handoff_s: Sequence[float] | None = None,
+        handoff_bytes: Sequence[float] | None = None,
+    ) -> "Trace":
+        """A trace of the rows these columns hold, checked like hand-made rows.
+
+        Omitted columns hold the :class:`TimedRequest` defaults: no
+        session and no continuation.  A list is kept as the column, not
+        copied, so the caller must not change it afterwards.
+        """
+        n = len(arrival_s)
+        columns = [_as_list(c) for c in (request_id, arrival_s, input_len, output_len)]
+        defaults = (None, 0, 0.0, 0.0)
+        for column, default in zip(
+            (session_id, prefilled_tokens, handoff_s, handoff_bytes), defaults
+        ):
+            columns.append([default] * n if column is None else _as_list(column))
+        if any(len(column) != n for column in columns):
+            raise ValueError(
+                "trace columns must hold one entry per request, got lengths "
+                f"{[len(column) for column in columns]}"
+            )
+        trace = cls._of(*columns)
+        trace._check_rows()
+        trace._check_order()
+        return trace
+
+    @classmethod
+    def _of(cls, *columns: list) -> "Trace":
+        """The trace of already-checked columns (no check runs)."""
+        trace = cls.__new__(cls)
+        trace._fill(*columns)
+        return trace
+
+    def _fill(self, *columns: list) -> None:
+        for name, column in zip(TRACE_COLUMNS, columns):
+            setattr(self, name, column)
+
+    def _row(self, i: int) -> TimedRequest:
+        """Row ``i`` as a :class:`TimedRequest` (which checks it)."""
+        return TimedRequest(
+            Request(
+                self.request_id[i],
+                self.input_len[i],
+                self.output_len[i],
+                session_id=self.session_id[i],
+            ),
+            self.arrival_s[i],
+            prefilled_tokens=self.prefilled_tokens[i],
+            handoff_s=self.handoff_s[i],
+            handoff_bytes=self.handoff_bytes[i],
+        )
+
+    def _check_rows(self) -> None:
+        """Raise the first offending row's :class:`TimedRequest` error.
+
+        Whole-column scans at C speed clear an ordinary trace: positive
+        lengths, finite non-negative arrivals (``sum`` is NaN or infinite
+        when any arrival is) and no continuation.  A trace they do not
+        clear builds its rows until one raises; continuations are always
+        checked that way.
+        """
+        arrivals = self.arrival_s
+        if not arrivals or (
+            min(self.input_len) >= 1
+            and min(self.output_len) >= 1
+            and min(arrivals) >= 0
+            and math.isfinite(sum(arrivals))
+            and not any(self.prefilled_tokens)
+            and not any(self.handoff_s)
+            and not any(self.handoff_bytes)
+        ):
+            return
+        for i in range(len(arrivals)):
+            self._row(i)
+
+    def _check_order(self) -> None:
+        """Refuse out-of-order arrivals and repeated ids, naming the row.
+
+        Both checks scan once; positions are found only on the error
+        path.  Ids must be unique because a fleet keys its routing,
+        handoffs and timings by them.
+        """
+        arrivals = self.arrival_s
+        if arrivals != sorted(arrivals):
             i = next(
                 i for i in range(1, len(arrivals)) if arrivals[i] < arrivals[i - 1]
             )
             raise ValueError(
                 "trace arrivals must be non-decreasing: request "
-                f"{requests[i].request_id} at position {i} arrives at "
+                f"{self.request_id[i]} at position {i} arrives at "
                 f"{arrivals[i]!r}, before {arrivals[i - 1]!r}"
             )
-        if len({r.request.request_id for r in requests}) < len(requests):
+        ids = self.request_id
+        # Ids in increasing order (every generated trace's) are unique
+        # without a set.
+        if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))) and (
+            len(set(ids)) < len(ids)
+        ):
             first: dict[int, int] = {}
-            for i, r in enumerate(requests):
-                j = first.setdefault(r.request_id, i)
+            for i, request_id in enumerate(ids):
+                j = first.setdefault(request_id, i)
                 if j != i:
                     raise ValueError(
-                        f"trace repeats request id {r.request_id} at "
+                        f"trace repeats request id {request_id} at "
                         f"positions {j} and {i}"
                     )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in TRACE_COLUMNS
+        )
+
+    def __repr__(self) -> str:
+        return f"Trace(<{self.n_requests} requests>)"
+
+    @property
+    def requests(self) -> tuple[TimedRequest, ...]:
+        """Every row as a :class:`TimedRequest`, built on each call."""
+        return tuple(self._row(i) for i in range(self.n_requests))
+
     @property
     def n_requests(self) -> int:
-        return len(self.requests)
+        return len(self.arrival_s)
 
     @property
     def duration_s(self) -> float:
         """Time span between the first and the last arrival (0 if empty)."""
-        if not self.requests:
+        if not self.arrival_s:
             return 0.0
-        return self.requests[-1].arrival_s - self.requests[0].arrival_s
+        return self.arrival_s[-1] - self.arrival_s[0]
 
     @property
     def offered_qps(self) -> float:
@@ -190,27 +331,46 @@ class Trace:
 
     @property
     def total_output_tokens(self) -> int:
-        return sum(r.output_len for r in self.requests)
+        return sum(self.output_len)
 
     @classmethod
     def from_batch(cls, batch: Batch, arrival_s: float = 0.0) -> "Trace":
         """A burst trace: every request of ``batch`` arrives at once."""
         return cls(tuple(TimedRequest(r, arrival_s) for r in batch.requests))
 
+    def _take(self, rows: Sequence[int]) -> "Trace":
+        """The rows at these positions, in this order, as a trace.
+
+        No check runs: ascending positions of a checked trace make a
+        checked trace, and a caller that reorders checks the order.
+        """
+        if len(rows) < 2:  # itemgetter of one index returns a bare value
+            return self._of(
+                *([getattr(self, name)[i] for i in rows] for name in TRACE_COLUMNS)
+            )
+        take = operator.itemgetter(*rows)
+        return self._of(*(list(take(getattr(self, name))) for name in TRACE_COLUMNS))
+
     def partition(self, labels: "Sequence[int]") -> dict[int, "Trace"]:
         """Split by a per-request label (e.g. a router's replica choice).
 
         Arrival order is preserved inside every part, so each part is a
-        valid trace; labels that never occur simply have no entry.
+        valid trace; labels that never occur simply have no entry, and
+        parts come in the order their labels first occur.
         """
-        if len(labels) != self.n_requests:
-            raise ValueError(
-                f"got {len(labels)} labels for {self.n_requests} requests"
+        n = self.n_requests
+        if len(labels) != n:
+            raise ValueError(f"got {len(labels)} labels for {n} requests")
+        return {
+            int(label): self._take(
+                list(
+                    itertools.compress(
+                        range(n), map(operator.eq, labels, itertools.repeat(label))
+                    )
+                )
             )
-        parts: dict[int, list[TimedRequest]] = {}
-        for request, label in zip(self.requests, labels):
-            parts.setdefault(int(label), []).append(request)
-        return {label: Trace(tuple(rs)) for label, rs in parts.items()}
+            for label in dict.fromkeys(labels)
+        }
 
     @classmethod
     def merge(cls, traces: "Sequence[Trace]") -> "Trace":
@@ -222,9 +382,16 @@ class Trace:
         """
         if not traces:
             raise ValueError("cannot merge zero traces")
-        requests = [r for trace in traces for r in trace.requests]
-        requests.sort(key=lambda r: r.arrival_s)
-        return cls(tuple(requests))
+        joined = cls._of(
+            *(
+                list(itertools.chain.from_iterable(getattr(t, name) for t in traces))
+                for name in TRACE_COLUMNS
+            )
+        )
+        arrivals = joined.arrival_s
+        merged = joined._take(sorted(range(len(arrivals)), key=arrivals.__getitem__))
+        merged._check_order()
+        return merged
 
     def to_payload(self) -> list[dict]:
         """JSON-serializable form (see :func:`repro.serving.save_trace`).
@@ -234,15 +401,21 @@ class Trace:
         replay sweep pins them by content hash).
         """
         payload = []
-        for r in self.requests:
+        for request_id, input_len, output_len, arrival_s, session_id in zip(
+            self.request_id,
+            self.input_len,
+            self.output_len,
+            self.arrival_s,
+            self.session_id,
+        ):
             entry = {
-                "request_id": r.request_id,
-                "input_len": r.input_len,
-                "output_len": r.output_len,
-                "arrival_s": r.arrival_s,
+                "request_id": request_id,
+                "input_len": input_len,
+                "output_len": output_len,
+                "arrival_s": arrival_s,
             }
-            if r.session_id is not None:
-                entry["session_id"] = r.session_id
+            if session_id is not None:
+                entry["session_id"] = session_id
             payload.append(entry)
         return payload
 
@@ -261,11 +434,13 @@ class Trace:
                 "a trace payload is a list of request entries, got "
                 f"{type(payload).__name__}"
             )
-        return cls(tuple(_timed_request(i, d) for i, d in enumerate(payload)))
+        rows = [_payload_row(i, entry) for i, entry in enumerate(payload)]
+        return cls.from_columns(*map(list, zip(*rows))) if rows else cls()
 
 
-def _timed_request(index: int, entry: dict) -> TimedRequest:
-    """Replay entry ``index`` as a request, refusing malformed fields."""
+def _payload_row(index: int, entry: dict) -> tuple:
+    """Entry ``index`` as its ``(request_id, arrival_s, input_len,
+    output_len, session_id)`` row, refusing malformed fields."""
     if not isinstance(entry, dict):
         raise ValueError(f"trace entry {index} must be an object, got {entry!r}")
 
@@ -282,17 +457,18 @@ def _timed_request(index: int, entry: dict) -> TimedRequest:
             raise ValueError(f"{where}: {field} must be {kind}, got {value!r}")
         return int(value) if whole else float(value)
 
-    return TimedRequest(
-        Request(
-            number("request_id"),
-            number("input_len"),
-            number("output_len"),
-            session_id=(
-                None if entry.get("session_id") is None else number("session_id")
-            ),
-        ),
-        number("arrival_s", whole=False),
+    request_id = number("request_id")
+    input_len = number("input_len")
+    output_len = number("output_len")
+    session_id = (
+        None if entry.get("session_id") is None else number("session_id")
     )
+    arrival_s = number("arrival_s", whole=False)
+    return request_id, arrival_s, input_len, output_len, session_id
+
+
+def _as_list(column: Sequence) -> list:
+    return column if isinstance(column, list) else list(column)
 
 
 def uniform_batch(

@@ -30,7 +30,6 @@ from repro.models.registry import MODEL_NAMES
 from repro.perf.system import ServingSystem, SystemKind, build_system
 from repro.serving import build_cluster
 from repro.serving.costs import IterationCostModel
-from repro.workloads.requests import Request, TimedRequest
 
 #: non-powers of two included; 129 is one past the largest power
 BATCHES = (1, 3, 8, 31, 64, 100, 129)
@@ -224,7 +223,6 @@ class TestSharedTables:
             scheduler="prefix",
             shared_tier=True,
         )
-        request = TimedRequest(Request(0, 1024, 128), 0.0)
         mid_context = 1024 + 128 // 2
         first = cluster.replicas[0].cost
         decode = first.decode_seconds(1, mid_context)
@@ -234,7 +232,7 @@ class TestSharedTables:
         # Replica 3, the router's estimate for replica 3 and the tier's
         # cost model all hit the table replica 0 filled.
         assert cluster.replicas[3].cost.decode_seconds(1, mid_context) == decode
-        estimate = cluster.router.prices[3].service(request)
+        estimate = cluster.router.prices[3].service(1024, 128)
         assert estimate == prefill + 128 * decode
         assert cluster.tier.cost.prefill_seconds(1, 1024) == prefill
         assert counted == cold

@@ -227,12 +227,14 @@ class TestOnePriceSource:
         decode = record.replicas[1]
         assert decode.handoffs == len(decode.timings) == len(record.split_ids)
         assert decode.handoff_bytes == sum(
-            cluster.prices[1].handoff_bytes(originals[t.request_id])
+            cluster.prices[1].handoff_bytes(originals[t.request_id].input_len)
             for t in decode.timings
         )
         scored, charged = cluster.router.prices[1], cluster.prices[1]
         for request in trace.requests:
-            assert scored.handoff_seconds(request) == charged.handoff_seconds(request)
+            assert scored.handoff_seconds(request.input_len) == charged.handoff_seconds(
+                request.input_len
+            )
 
     def test_each_replica_is_scored_with_its_own_costs(
         self, gpu_system, pimba_system, zamba_spec
@@ -250,6 +252,8 @@ class TestOnePriceSource:
                 expected = cost.prefill_seconds(
                     1, request.input_len
                 ) + request.output_len * cost.decode_seconds(1, mid_context)
-                assert prices.service(request) == expected
+                assert (
+                    prices.service(request.input_len, request.output_len) == expected
+                )
                 solo.append(expected)
             assert solo[0] != solo[1]

@@ -49,6 +49,7 @@ from repro.serving import (
     poisson_trace,
 )
 from repro.serving.costs import IterationCostModel
+from repro.serving.schedulers import QueuedRequests
 from repro.workloads.requests import Request, TimedRequest, Trace
 from repro.workloads.serving import clamped_stride
 
@@ -334,10 +335,11 @@ def test_steps_before_claim_is_the_scalar_claim_horizon(case, pimba_system, zamb
     for rid, (input_len, output_len, generated) in enumerate(residents):
         session = 7 if shared and rid == 0 else None
         r = RunningRequest(
-            timed=TimedRequest(
-                request=Request(rid, input_len, output_len, session),
-                arrival_s=0.0,
-            ),
+            request_id=rid,
+            input_len=input_len,
+            output_len=output_len,
+            arrival_s=0.0,
+            session_id=session,
             admitted_s=float(rid),
             stride=scheduler.request_stride(output_len),
             generated=generated,
@@ -364,10 +366,10 @@ def test_steps_before_claim_is_unbounded_once_a_block_covers_the_final_context(
         memory, pimba_system.capacity_bytes, block_size=64 + 40
     )
     r = RunningRequest(
-        timed=TimedRequest(
-            request=Request(request_id=0, input_len=64, output_len=40),
-            arrival_s=0.0,
-        ),
+        request_id=0,
+        input_len=64,
+        output_len=40,
+        arrival_s=0.0,
         admitted_s=0.0,
         stride=scheduler.request_stride(40),
     )
@@ -503,13 +505,20 @@ def test_prepare_iteration_equals_sequential_extends(
                     ),
                     0.0,
                 )
-                admitted = [s.admit([timed], run, True) for s, run, _ in worlds]
+                admitted = [
+                    s.admit(QueuedRequests([timed]), run, True)
+                    for s, run, _ in worlds
+                ]
                 assert admitted[0] == admitted[1]
                 if not admitted[0]:
                     break
                 for s, run, _ in worlds:
                     r = RunningRequest(
-                        timed=timed,
+                        request_id=timed.request_id,
+                        input_len=timed.input_len,
+                        output_len=timed.output_len,
+                        arrival_s=timed.arrival_s,
+                        session_id=timed.session_id,
                         admitted_s=float(step),
                         stride=s.request_stride(timed.output_len),
                     )
@@ -566,14 +575,10 @@ def test_decode_run_equals_stepwise_iteration_shape(
 
     def member(rid, input_len, output_len, generated):
         return RunningRequest(
-            timed=TimedRequest(
-                request=Request(
-                    request_id=rid,
-                    input_len=input_len,
-                    output_len=output_len,
-                ),
-                arrival_s=0.0,
-            ),
+            request_id=rid,
+            input_len=input_len,
+            output_len=output_len,
+            arrival_s=0.0,
             admitted_s=0.0,
             stride=scheduler.request_stride(output_len),
             generated=generated,
@@ -615,12 +620,10 @@ def test_static_decode_run_with_frozen_finished_slots(
 
     def member(rid, output_len, generated):
         return RunningRequest(
-            timed=TimedRequest(
-                request=Request(
-                    request_id=rid, input_len=128, output_len=output_len
-                ),
-                arrival_s=0.0,
-            ),
+            request_id=rid,
+            input_len=128,
+            output_len=output_len,
+            arrival_s=0.0,
             admitted_s=0.0,
             stride=scheduler.request_stride(output_len),
             generated=generated,
@@ -697,9 +700,10 @@ def test_decode_run_segments_match_stepwise_on_random_batches(
             generated = output_len if rid < n_frozen else rng.randrange(output_len)
             running.append(
                 RunningRequest(
-                    timed=TimedRequest(
-                        Request(rid, rng.randint(1, 4096), output_len), 0.0
-                    ),
+                    request_id=rid,
+                    input_len=rng.randint(1, 4096),
+                    output_len=output_len,
+                    arrival_s=0.0,
                     admitted_s=0.0,
                     stride=scheduler.request_stride(output_len),
                     generated=generated,
@@ -855,7 +859,10 @@ class _FinishStream(Collector):
 
 def _finisher(admitted_s, first_token_s, finished_s, output_len=8):
     request = RunningRequest(
-        timed=TimedRequest(Request(0, 16, output_len), 0.25),
+        request_id=0,
+        input_len=16,
+        output_len=output_len,
+        arrival_s=0.25,
         admitted_s=admitted_s,
         stride=1,
     )

@@ -187,7 +187,8 @@ class TestBlockPool:
                 free -= need
                 expected += 1
             stops[stop] += 1
-            assert pool.admissible(queue) == expected
+            lengths = [(r.input_len, r.output_len) for r in queue]
+            assert pool.admissible(lengths) == expected
         # Every way a walk can end is exercised.
         assert min(stops.values()) > 40
 

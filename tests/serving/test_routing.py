@@ -33,11 +33,17 @@ def turn(request_id: int, session_id: int, arrival_s: float, input_len=64):
     )
 
 
+def flat(seconds):
+    """A service estimate of ``seconds`` for every request."""
+    return lambda input_len, output_len: seconds
+
+
 def fake_prices(services, prefix_savings=lambda hit_tokens: 0.0):
     """One duck-typed price object per service estimate (one per replica).
 
     Routers call only the price methods they score with, so a namespace
-    holding the two callables stands in for ``ReplicaPrices``.
+    holding the two callables stands in for ``ReplicaPrices``: each
+    service estimate takes a request's ``(input_len, output_len)``.
     """
     return [
         types.SimpleNamespace(service=service, prefix_savings=prefix_savings)
@@ -69,14 +75,14 @@ class TestLeastOutstanding:
     def test_spreads_simultaneous_burst(self):
         """A burst at t=0 must fan out: each arrival sees the previous
         ones still outstanding and picks the emptiest replica."""
-        router = LeastOutstandingRouter(fake_prices([lambda r: 100.0] * 4))
+        router = LeastOutstandingRouter(fake_prices([flat(100.0)] * 4))
         burst = Trace(tuple(timed(i, 0.0) for i in range(8)))
         assert router.assign(burst) == (0, 1, 2, 3, 0, 1, 2, 3)
 
     def test_drained_backlog_expires(self):
         """Once predictions complete, the first replica is preferred again
         (lowest-index tie-break) instead of blindly rotating."""
-        router = LeastOutstandingRouter(fake_prices([lambda r: 1.0] * 2))
+        router = LeastOutstandingRouter(fake_prices([flat(1.0)] * 2))
         assert router.choose(timed(0, 0.0)) == 0
         assert router.choose(timed(1, 0.5)) == 1  # replica 0 still busy
         assert router.choose(timed(2, 10.0)) == 0  # everything drained
@@ -84,7 +90,9 @@ class TestLeastOutstanding:
     def test_sized_requests_balance_work_not_count(self):
         """With per-request service estimates, a giant request keeps its
         replica 'outstanding' while short ones drain elsewhere."""
-        router = LeastOutstandingRouter(fake_prices([lambda r: r.output_len * 1.0] * 2))
+        router = LeastOutstandingRouter(
+            fake_prices([lambda input_len, output_len: output_len * 1.0] * 2)
+        )
         assert router.choose(timed(0, 0.0, output_len=100)) == 0
         # Short requests arriving while the giant one is resident all
         # land on replica 1 once its own short work has drained.
@@ -96,7 +104,7 @@ class TestLeastOutstanding:
         """``finish == now`` is no longer in flight: the replica whose
         only prediction ends exactly at the arrival counts as empty."""
         router = LeastOutstandingRouter(
-            fake_prices([lambda r: float(r.output_len)] * 2)
+            fake_prices([lambda input_len, output_len: float(output_len)] * 2)
         )
         assert router.choose(timed(0, 0.0, output_len=4)) == 0  # until 4.0
         assert router.choose(timed(1, 0.0, output_len=2)) == 1  # until 2.0
@@ -105,7 +113,7 @@ class TestLeastOutstanding:
     def test_negative_service_estimate_rejected(self):
         """Pruning relies on monotone finishes, which a negative service
         time would break — it fails at the boundary instead."""
-        router = LeastOutstandingRouter(fake_prices([lambda r: -1.0] * 2))
+        router = LeastOutstandingRouter(fake_prices([flat(-1.0)] * 2))
         with pytest.raises(ValueError, match="non-negative"):
             router.choose(timed(0, 0.0))
 
@@ -134,7 +142,9 @@ class _ListPruningRouter:
             range(len(self.flight)), key=lambda i: (outstanding(i), i)
         )
         begin = max(now, self.busy[replica])
-        finish = begin + self.service_times[replica](request)
+        finish = begin + self.service_times[replica](
+            request.input_len, request.output_len
+        )
         self.busy[replica] = finish
         self.flight[replica].append(finish)
         return replica
@@ -163,7 +173,7 @@ def _grid_trace(seed: int, n: int = 300) -> Trace:
 def _grid_service(scale: float):
     # 0 s for every eighth output length: zero-length service must
     # expire at the very instant it was predicted.
-    return lambda r: 0.25 * scale * (r.output_len % 8)
+    return lambda input_len, output_len: 0.25 * scale * (output_len % 8)
 
 
 class TestLeastOutstandingPruningEquivalence:
@@ -196,8 +206,8 @@ class TestLeastOutstandingPruningEquivalence:
             400.0, 500, lognormal_lengths(256, 64, 0.8), seed=seed
         )
 
-        def service(r):
-            return 1e-4 * r.input_len + 5e-3 * r.output_len
+        def service(input_len, output_len):
+            return 1e-4 * input_len + 5e-3 * output_len
 
         oracle = _ListPruningRouter([service] * 4)
         router = LeastOutstandingRouter(fake_prices([service] * 4))
@@ -268,7 +278,7 @@ class TestCacheAware:
         prefix is worth: the router degrades to least-outstanding over
         predicted seconds."""
         router = CacheAwareRouter(
-            fake_prices([lambda r: 100.0] * 4, prefix_savings=lambda hit_tokens: 1e9)
+            fake_prices([flat(100.0)] * 4, prefix_savings=lambda hit_tokens: 1e9)
         )
         burst = Trace(tuple(timed(i, 0.0) for i in range(8)))
         assert router.assign(burst) == (0, 1, 2, 3, 0, 1, 2, 3)
@@ -277,7 +287,7 @@ class TestCacheAware:
         """A large prefix credit keeps every turn home while sessionless
         traffic still spills to the emptier replica."""
         router = CacheAwareRouter(
-            fake_prices([lambda r: 1.0] * 2, prefix_savings=lambda hit_tokens: 1000.0)
+            fake_prices([flat(1.0)] * 2, prefix_savings=lambda hit_tokens: 1000.0)
         )
         assert router.choose(turn(0, session_id=1, arrival_s=0.0)) == 0
         assert router.choose(turn(1, session_id=1, arrival_s=0.0)) == 0
@@ -290,7 +300,7 @@ class TestCacheAware:
         backlog exceeds what the cached prefix is worth, the session
         moves — with the shared tier downstream, it moves *warm*."""
         router = CacheAwareRouter(
-            fake_prices([lambda r: 1.0] * 2, prefix_savings=lambda hit_tokens: 1.5)
+            fake_prices([flat(1.0)] * 2, prefix_savings=lambda hit_tokens: 1.5)
         )
         assert router.choose(turn(0, session_id=1, arrival_s=0.0)) == 0
         # Backlog 1.0 s vs 1.5 s of prefix: staying is cheaper.
@@ -300,7 +310,7 @@ class TestCacheAware:
 
     def test_reset_forgets_session_history(self):
         router = CacheAwareRouter(
-            fake_prices([lambda r: 1.0] * 2, prefix_savings=lambda hit_tokens: 1000.0)
+            fake_prices([flat(1.0)] * 2, prefix_savings=lambda hit_tokens: 1000.0)
         )
         router.choose(turn(0, session_id=1, arrival_s=0.0))
         router.reset()
@@ -316,32 +326,29 @@ class _KeyedMinCacheAwareRouter(CacheAwareRouter):
     reproduce assignment for assignment, lowest-index ties included.
     """
 
-    def _warmth_s(self, request, replica):
-        session = request.session_id
-        if session is None:
+    def _warmth_s(self, session_id, input_len, replica):
+        if session_id is None:
             return 0.0
-        home = self._sessions.get(session)
+        home = self._sessions.get(session_id)
         if home is None or home[0] != replica:
             return 0.0
-        hit_tokens = min(home[1], request.input_len - 1)
+        hit_tokens = min(home[1], input_len - 1)
         if hit_tokens < 1:
             return 0.0
         return self.prices[replica].prefix_savings(hit_tokens)
 
-    def choose(self, request):
-        now = request.arrival_s
+    def choose_row(self, request_id, arrival_s, input_len, output_len, session_id):
         replica = min(
             range(self.n_replicas),
             key=lambda i: (
-                max(self._busy_until[i] - now, 0.0) - self._warmth_s(request, i),
+                max(self._busy_until[i] - arrival_s, 0.0)
+                - self._warmth_s(session_id, input_len, i),
                 i,
             ),
         )
-        self._enqueue(request, replica)
-        if request.session_id is not None:
-            self._sessions[request.session_id] = (
-                replica, request.input_len + request.output_len
-            )
+        self._enqueue(replica, request_id, arrival_s, input_len, output_len)
+        if session_id is not None:
+            self._sessions[session_id] = (replica, input_len + output_len)
         return replica
 
 
@@ -430,7 +437,7 @@ class TestCacheAwareScoringEquivalence:
         """Every replica idle and no credit anywhere: all scores are 0,
         and both routers send the request to replica 0, even when its
         session's home is another replica whose credit is worth 0 s."""
-        prices = fake_prices([lambda r: 1.0] * 3)
+        prices = fake_prices([flat(1.0)] * 3)
         trace = Trace(
             (
                 turn(0, session_id=5, arrival_s=0.0),
@@ -451,13 +458,13 @@ class TestCacheAwareScoringEquivalence:
 class TestBuildRouter:
     def test_names_cover_registry(self):
         for name in ROUTER_NAMES:
-            router = build_router(name, fake_prices([lambda r: 1.0] * 2))
+            router = build_router(name, fake_prices([flat(1.0)] * 2))
             assert router.name == name
             assert router.n_replicas == 2
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown router"):
-            build_router("random", fake_prices([lambda r: 1.0] * 2))
+            build_router("random", fake_prices([flat(1.0)] * 2))
 
     def test_replica_count_validated(self):
         with pytest.raises(ValueError, match="at least one replica"):
