@@ -26,7 +26,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.workloads.requests import Batch, Trace
+from repro.workloads.requests import Batch, Trace, is_count
 
 #: draws one (input_len, output_len) pair
 LengthSampler = Callable[[np.random.Generator], tuple[int, int]]
@@ -49,9 +49,13 @@ def _check_positive(**values: float) -> None:
 
 
 def _check_counts(**values: int) -> None:
-    """Refuse a count or a token length below one."""
+    """Refuse a count or a token length that is not an integer of at
+    least one (:func:`~repro.workloads.requests.is_count`: numpy
+    integers are, floats are not)."""
     for name, value in values.items():
-        if not value >= 1:
+        if not is_count(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
@@ -109,12 +113,9 @@ def empirical_lengths(pairs: Sequence[tuple[int, int]]) -> LengthSampler:
     """Resample (input, output) pairs measured from a real trace."""
     if not pairs:
         raise ValueError("need at least one length pair")
+    for k, (inp, out) in enumerate(pairs):
+        _check_counts(**{f"pairs[{k}] input_len": inp, f"pairs[{k}] output_len": out})
     frozen = tuple((int(i), int(o)) for i, o in pairs)
-    for k, (inp, out) in enumerate(frozen):
-        if inp < 1 or out < 1:
-            raise ValueError(
-                f"pairs[{k}] is ({inp}, {out}): both lengths must be at least 1"
-            )
 
     def sample(rng: np.random.Generator) -> tuple[int, int]:
         return frozen[int(rng.integers(len(frozen)))]

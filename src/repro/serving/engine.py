@@ -31,9 +31,10 @@ kinds move the clock:
 
 **The hot path is coalesced.**  Between two batch-composition events —
 a finish, an admission, an arrival the scheduler would admit, a KV
-block claim — nothing about the decode batch can change, so the engine
-prices the whole stretch at once: it snapshots the running set into a
-:class:`~repro.serving.slots.SlotView` (tuples of ints), asks the
+block claim that does not fit — nothing about the decode batch can
+change, so the engine prices the whole stretch at once: it snapshots
+the running set into a :class:`~repro.serving.slots.SlotView` (tuples
+of ints), asks the
 scheduler's :meth:`~repro.serving.schedulers.Scheduler.decode_run` for
 the run's pricing points as run-length ``(seq, count)`` stride segments,
 prices each segment with one lookup in the memoized cost model, and
@@ -49,15 +50,19 @@ earliest finish.  Per-request
 Python work happens once per run instead of once per iteration — the
 difference between O(batch) and O(1) bookkeeping per decode step, and the
 source of the wall-clock speedup the ``wallclock`` benchmark gates.
-Paged KV growth ends a run instead of opting out of coalescing: the
-scheduler's
-:meth:`~repro.serving.schedulers.Scheduler.steps_before_claim` caps each
-run at the next block claim, and the claiming iteration runs
-:meth:`~repro.serving.schedulers.Scheduler.prepare_iteration` first.
-A claim that evicts nobody opens the next run: the horizon is read
-again after the claims land, and the claim iteration is that run's
-first step (the loop top in between could change nothing, because the
-claims only shrank the free pool).  Only a claim that preempts is
+Paged KV growth does not end a run either.  The scheduler's
+:meth:`~repro.serving.schedulers.Scheduler.steps_before_claim` finds
+the next iteration that claims a block, and the replay pauses before
+it: :meth:`~repro.serving.schedulers.PagedScheduler.land_claims` lands
+that iteration's claims, all or nothing and evicting nobody, before
+any later mid-run ``admit`` reads the pool, and the run goes on to the
+next claim.  The scalar loop's top between two claims could change
+nothing: no finish happens mid-run, and ``admit`` and ``can_restore``,
+which refused at the run's start, still refuse, because claims only
+shrink the free pool.  A claim that does not fit ends the run just
+before its iteration; the next pass claims through
+:meth:`~repro.serving.schedulers.Scheduler.prepare_iteration`, as it
+does for a claim at a run's first step.  Only a claim that preempts is
 priced alone, at the scheduler's scalar
 :meth:`~repro.serving.schedulers.Scheduler.iteration_shape`, and then
 keeps the same books as a one-step run.  The per-iteration loop lives
@@ -586,20 +591,25 @@ class ServingEngine:
 
             if running:
                 # Every decode stretch outside a prefill chunk.  Until a
-                # resident finishes, the scheduler would admit an
-                # arrival, or a resident must claim KV, the batch cannot
-                # change: a coalesced run prices the whole stretch one
-                # stride segment at a time.  A claiming iteration
-                # (horizon 0) claims first.  When it evicts nobody it
-                # opens the run that follows, whose horizon is read
-                # again after the claims land: between the two, the
-                # loop top could change nothing (the claims only shrank
-                # the free pool, so admit and can_restore, which refused
-                # before them, still refuse).  One that preempts runs
-                # alone, priced at the scalar shape.
-                horizon = self.scheduler.steps_before_claim(running)
-                claimed = False
-                if not horizon:
+                # resident finishes or the scheduler would admit an
+                # arrival, the batch cannot change: a coalesced run
+                # prices the whole stretch, up to the earliest finish,
+                # one stride segment at a time.  A KV claim does not end
+                # it: the replay pauses before each claiming iteration
+                # and lands its claims there, all or nothing and evicting
+                # nobody.  The loop top in between could change nothing
+                # (no finish happens mid-run, and admit and can_restore,
+                # which refused at the run's start, still refuse: claims
+                # only shrink the free pool).  A claim that does not fit
+                # ends the run just before its iteration, and the next
+                # pass claims through prepare_iteration, as for a claim
+                # at a run's first step; one that preempts runs alone,
+                # priced at the scalar shape.
+                claim_at = self.scheduler.steps_before_claim(running)
+                # The next step the replay pauses before: a claim, or
+                # the step after one (a claim keeps its own span).
+                pause = claim_at
+                if not claim_at:
                     victims = self.scheduler.prepare_iteration(running)
                     if victims:
                         # Pool exhausted: the scheduler already freed the
@@ -620,11 +630,11 @@ class ServingEngine:
                                 gauge(0)
                             continue
                     else:
-                        claimed = True
-                        horizon = self.scheduler.steps_before_claim(running)
-                if horizon:
+                        claim_at = self.scheduler.steps_before_claim(running)
+                    pause = 1
+                if claim_at:
                     slots = SlotView.from_requests(running)
-                    steps = min(slots.max_coalesced_steps(), horizon)
+                    steps = slots.max_coalesced_steps()
                     batch, segments = self.scheduler.decode_run(slots, steps)
                 else:
                     batch, seq = self.scheduler.iteration_shape(running)
@@ -632,68 +642,79 @@ class ServingEngine:
                 dts = []
                 for seq, count in segments:
                     dts += [self.cost.decode_seconds(batch, seq)] * count
-                # Replay only the order-sensitive float accumulation.
+                # Replay only the order-sensitive float accumulation, one
+                # stretch between pauses at a time (a run that never
+                # claims is one stretch).
                 qlen = tail - head
-                tail_before = tail
-                clock_before = clock
+                clock_before = span_t0 = clock
+                executed = span_at = 0
+                admit = self.scheduler.admit
                 next_arrival = arrival[tail] if tail < n_rows else math.inf
-                for executed, dt in enumerate(dts, 1):
-                    depth_area += qlen * dt
-                    depth_acc += dt
-                    clock += dt
-                    if next_arrival <= clock:
-                        # Absorb the arrivals exactly as the loop top
-                        # would after this step: queue them and start
-                        # a depth segment at the new length (the queue
-                        # only grows mid-run, so the loop top's
-                        # max_depth still sees its peak).  The run
-                        # goes on unless admit — pure, and blind to
-                        # decode progress — would take one now.  A
-                        # waiting restore blocks admission, and no
-                        # step of the run can let it in.
-                        tail += 1
-                        while tail < n_rows and arrival[tail] <= clock:
+                while True:
+                    end = pause if pause < steps else steps
+                    for executed, dt in enumerate(dts[executed:end], executed + 1):
+                        depth_area += qlen * dt
+                        depth_acc += dt
+                        clock += dt
+                        if next_arrival <= clock:
+                            # Absorb the arrivals exactly as the loop top
+                            # would after this step: queue them and start
+                            # a depth segment at the new length (the
+                            # queue only grows mid-run, so the loop top's
+                            # max_depth still sees its peak).  The run
+                            # goes on unless admit — pure, and blind to
+                            # decode progress — would take one now, on
+                            # the pool the claims so far left.  A waiting
+                            # restore blocks admission, and no step of
+                            # the run can let it in.
                             tail += 1
-                        qlen = tail - head
-                        set_depth(qlen)
-                        if not preempted:
-                            waiting.head, waiting.tail = head, tail
-                            if self.scheduler.admit(waiting, running, tail < n_rows):
-                                break
-                        next_arrival = arrival[tail] if tail < n_rows else math.inf
+                            while tail < n_rows and arrival[tail] <= clock:
+                                tail += 1
+                            qlen = tail - head
+                            set_depth(qlen)
+                            if not preempted:
+                                waiting.head, waiting.tail = head, tail
+                                if admit(waiting, running, tail < n_rows):
+                                    break
+                            next_arrival = arrival[tail] if tail < n_rows else math.inf
+                    else:
+                        # No admission: the stretch reached the pause.
+                        if end == steps:
+                            break
+                        # A collector closes the decode span before the
+                        # pause with the gauge a run ending here would
+                        # emit (every resident decodes: none finishes
+                        # mid-run).
+                        if tel:
+                            spanned = end - span_at
+                            tokens = spanned * len(running)
+                            col.decode_span(span_t0, clock, spanned, tokens, running)
+                            gauge(len(running))
+                            span_t0, span_at = clock, end
+                        if end < claim_at:  # the step after a claim
+                            pause = claim_at
+                            continue
+                        if self.scheduler.land_claims(running, end):
+                            claim_at = end + self.scheduler.steps_before_claim(
+                                running, end
+                            )
+                            pause = end + 1
+                            continue
+                    break
                 # Bit-exact re-derivation: after the first iteration the
                 # clock was exactly clock_before + dts[0] (one float add).
                 first_clock = clock_before + dts[0]
-                split = tel and claimed and executed > 1
-                if split:
-                    # The claim iteration keeps its own decode span and
-                    # gauge, as if it had run alone: no resident finishes
-                    # in it (the run is longer), and a claiming policy
-                    # keeps no finished resident, so all of them decode.
-                    # Its queue depth leaves out the later arrivals.
-                    col.decode_span(clock_before, first_clock, 1, len(running), running)
-                    arrived = tail
-                    while arrived > tail_before and arrival[arrived - 1] > first_clock:
-                        arrived -= 1
-                    col.gauge(
-                        first_clock,
-                        arrived - head,
-                        len(running),
-                        self.scheduler.blocks_in_use,
-                        preemptions,
-                        self.scheduler.counters(),
-                    )
                 n_active = generate(running, executed, first_clock)
                 rec.decode_run(dts if executed == steps else dts[:executed], n_active)
-                if tel:
-                    # The whole stretch is one decode span; the exporter
-                    # expands it per member (the batch could not change
-                    # mid-run — that is what made it coalescable).
-                    if split:
-                        t0, spanned = first_clock, executed - 1
-                    else:
-                        t0, spanned = clock_before, executed
-                    col.decode_span(t0, clock, spanned, spanned * n_active, running)
+                # The stretch since the last pause is one decode span; the
+                # exporter expands it per member (the batch could not
+                # change mid-run — that is what made it coalescable).  A
+                # run that ends before a claim it cannot land already
+                # closed its span at that pause.
+                spanned = executed - span_at if tel else 0
+                if spanned:
+                    tokens = spanned * n_active
+                    col.decode_span(span_t0, clock, spanned, tokens, running)
                 if executed == steps:
                     # Only a full run can finish anyone (a run stops at
                     # the earliest finish among active slots, or sooner).
@@ -702,7 +723,7 @@ class ServingEngine:
                             running.clear()
                     else:
                         running = [r for r in running if r.generated < r.output_len]
-                if tel:
+                if spanned:
                     gauge(len(running))
                 continue
 

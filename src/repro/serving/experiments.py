@@ -1194,8 +1194,8 @@ WALLCLOCK_REPLICAS = 4
 WALLCLOCK_ENGINES = ("reference", "slot", "slot+telemetry", "cluster")
 
 #: every scheduler the ``wallclock`` sweep times each engine under: the
-#: slot-bound policy and the two paged-KV policies (whose runs end at
-#: block claims)
+#: slot-bound policy and the two paged-KV policies (whose runs land
+#: block claims as they go)
 WALLCLOCK_SCHEDULERS = ("fcfs", "paged", "prefix")
 
 

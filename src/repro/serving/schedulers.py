@@ -36,7 +36,8 @@ Seven policies on five classes, in increasing order of sophistication
   for a recompute-style restore whose re-prefill is priced like any
   other prefill — preemption has a visible latency cost).  A claim step
   touches only the residents whose next token crosses their blocks, and
-  lands all of their claims in one pass whenever they fit together.
+  lands all of their claims in one pass whenever they fit together, in
+  the middle of a coalesced decode run.
 * ``prefix`` — :class:`PrefixCachingScheduler`: SGLang-style radix prefix
   reuse on top of the paged pool: completed requests publish their session's
   whole KV blocks to a refcounted
@@ -219,6 +220,11 @@ class Scheduler(abc.ABC):
       iteration needs (paged policies grow each resident's KV by one
       token here) and return the requests that had to be *preempted* to
       make room, youngest first.  Non-preemptive policies return ``[]``.
+    * ``land_claims(running, offset)`` — a policy that claims per token
+      (a finite :meth:`steps_before_claim`) also lands, inside a
+      coalesced run, what the iteration ``offset`` steps in needs: all
+      of it or nothing, evicting nobody, and ``False`` when it does not
+      fit (:meth:`PagedScheduler.land_claims`).
     * :meth:`iteration_shape` — the (batch, context) point the cost
       model prices the iteration at.  Must depend only on the running
       set passed in, so identical engine states always price
@@ -231,7 +237,8 @@ class Scheduler(abc.ABC):
 
     **Coalescing contract.**  Between two batch-composition events
     (admission, finish, an arrival the scheduler would admit, a block
-    claim) a stretch of decode iterations is fully predictable: for the
+    claim that does not fit) a stretch of decode iterations is fully
+    predictable: for the
     :meth:`steps_before_claim` iterations it allows,
     :meth:`prepare_iteration` claims nothing and evicts nobody,
     :meth:`admit` depends only on the queue, the running *composition*
@@ -248,15 +255,17 @@ class Scheduler(abc.ABC):
     counts still at the run's start; the run ends only if that call
     admits.  This is exact only because :meth:`admit` is pure and
     independent of decode progress — it returns what the scalar loop's
-    call at that clock would.  Paged growth ends a run instead of
-    opting out of it: the iteration that claims a block runs
-    :meth:`prepare_iteration` first.  When the claim evicts nobody, it
-    is the first step of the next run, whose length
-    :meth:`steps_before_claim` gives again after the claims land; one
-    that preempts runs alone and is priced at :meth:`iteration_shape`.
-    So both pricing methods are live, and a class that overrides one
-    without the other fails at definition: the two can never silently
-    disagree.
+    call at that clock would.  Paged growth does not end a run either:
+    a run goes through every iteration that claims a block, and at
+    each one, ``offset`` steps in, the engine calls ``land_claims``
+    before that iteration and before any later :meth:`admit`, then asks
+    :meth:`steps_before_claim` (from the same ``offset``) for the next
+    claim.  A claim that does not fit ends the run just before its
+    iteration.  The next pass then calls :meth:`prepare_iteration`, as
+    it does for a claim at a run's first step; one that preempts runs
+    alone and is priced at :meth:`iteration_shape`.  So both pricing
+    methods are live, and a class that overrides one without the other
+    fails at definition: the two can never silently disagree.
     """
 
     #: static batching keeps finished requests in their (padded) slots
@@ -323,16 +332,20 @@ class Scheduler(abc.ABC):
         del running
         return []
 
-    def steps_before_claim(self, running: Sequence[RunningRequest]) -> int | float:
-        """Decode iterations the batch can take before one claims KV.
+    def steps_before_claim(
+        self, running: Sequence[RunningRequest], offset: int = 0
+    ) -> int | float:
+        """Decode iterations the batch can take, from ``offset`` steps
+        into a run, before one claims KV.
 
-        That many :meth:`prepare_iteration` calls in a row would claim
-        nothing (so evict nobody); the next one may.  The engine
-        coalesces up to there, and at 0 it claims first and asks again.
-        ``math.inf`` when no iteration will ever claim — every policy
-        that reserves nothing per token.
+        That many iterations in a row would claim nothing (so evict
+        nobody); the next one may.  The engine reads it at a run's
+        start, where 0 means the first iteration claims, and again after
+        each claim ``land_claims`` lands mid-run.  ``math.inf`` when no
+        iteration will ever claim — every policy that reserves nothing
+        per token, which needs no ``land_claims``.
         """
-        del running
+        del running, offset
         return math.inf
 
     def can_restore(
@@ -615,7 +628,8 @@ class PagedScheduler(Scheduler):
     admission charges a :class:`~repro.serving.memory.BlockPool` for the
     *prompt's* KV blocks only (plus the context-invariant state), and
     decode claims one more block every ``block_size`` generated tokens
-    via :meth:`prepare_iteration`.  Admission therefore packs against
+    via :meth:`prepare_iteration`, or :meth:`land_claims` inside a
+    coalesced run.  Admission therefore packs against
     *current* block usage instead of every resident's full-final-context
     footprint — far more requests fit the same HBM — at the price of
     possible exhaustion mid-decode: when a growth claim fails, the
@@ -628,13 +642,14 @@ class PagedScheduler(Scheduler):
     Growth still coalesces.  A resident claims only when its context
     crosses the tokens its holding covers, so
     :meth:`steps_before_claim` knows how many decode iterations the
-    batch takes before the next claim: the engine prices that stretch
-    as one run.  The claiming iteration goes through
-    :meth:`prepare_iteration` first, and opens the next run unless it
-    preempts.  It extends only the crossing residents, and when their
-    claims fit the free pool together it lands them in one
-    :meth:`~repro.serving.memory.BlockPool.extend_all` pass; the
-    one-claim-at-a-time loop that preempts runs only when they do not.
+    batch takes before the next claim.  A claiming iteration extends
+    only the crossing residents, and when their claims fit the free
+    pool together it lands them in one
+    :meth:`~repro.serving.memory.BlockPool.extend_all` pass
+    (:meth:`land_claims`).  So the engine's run goes through every
+    claim that fits, and ends only before one that does not; the
+    one-claim-at-a-time loop of :meth:`prepare_iteration` that preempts
+    runs only then.
 
     A ``block_size`` at least every request's final context is the
     degenerate, thrash-free configuration: the prompt's one block,
@@ -690,23 +705,18 @@ class PagedScheduler(Scheduler):
         evict itself when it is the youngest; the head resident never
         can, because admission feasibility guarantees it fits alone.
 
-        Only the residents whose next token crosses their coverage
-        claim; for the rest an extend changes nothing and cannot fail,
-        so none is made.  When the crossers' claims fit the free pool
-        together they land in one :meth:`BlockPool.extend_all` pass —
-        in sequence each would have fitted, and nobody is evicted.  Only
-        when they do not is the pool grown one claim at a time in age
-        order, evicting as above.
+        When the claims fit the free pool together, :meth:`land_claims`
+        lands them and nobody is evicted.  Only when they do not is the
+        pool grown one claim at a time in age order, evicting as above.
         """
+        if self.land_claims(running, 0):
+            return []
         covered = self.pool.covered
-        claims = [
-            (r.request_id, r.input_len + r.generated + 1, r.input_len + r.output_len)
+        crossing = {
+            r.request_id
             for r in running
             if r.input_len + r.generated >= covered(r.request_id)
-        ]
-        if not claims or self.pool.extend_all(claims):
-            return []
-        crossing = {request_id for request_id, _, _ in claims}
+        }
         victims: list[RunningRequest] = []
         # Age order by *original* admission (restores keep their first
         # admission stamp), not list position: a restored request is the
@@ -743,22 +753,43 @@ class PagedScheduler(Scheduler):
                 i += 1
         return victims
 
-    def steps_before_claim(self, running: Sequence[RunningRequest]) -> int | float:
+    def land_claims(self, running: Sequence[RunningRequest], offset: int) -> bool:
+        """Land the claims of the iteration ``offset`` steps into a run
+        in one :meth:`BlockPool.extend_all` pass, or none of them.
+
+        Only the residents whose context then reaches their coverage
+        claim; for the rest an extend changes nothing and cannot fail,
+        so none is made.  When the crossers' claims fit together, in
+        sequence each would have fitted, and nobody is evicted.
+        """
+        covered = self.pool.covered
+        claims = [
+            (r.request_id, context + 1, r.input_len + r.output_len)
+            for r in running
+            if (context := r.input_len + r.generated + offset) >= covered(r.request_id)
+        ]
+        return not claims or self.pool.extend_all(claims)
+
+    def steps_before_claim(
+        self, running: Sequence[RunningRequest], offset: int = 0
+    ) -> int | float:
         """Iterations before some resident's context outgrows its blocks.
 
         A holding covers its claimed KV plus any shared prefix; decode
-        step ``j`` grows a resident to ``input_len + generated + j + 1``
-        tokens, which claims only past that coverage.  A holding that
-        already covers the final context never claims again.  Coverage
-        never trails the context, so the first resident due to claim now
-        ends the scan.
+        step ``j`` of a run grows a resident to ``input_len + generated
+        + j + 1`` tokens, which claims only past that coverage, so from
+        ``offset`` steps in a resident has ``covered - input_len -
+        generated - offset`` free steps.  A holding that already covers
+        the final context never claims again.  Coverage never trails
+        the context, so the first resident due to claim now ends the
+        scan.
         """
         covered = self.pool.covered
         horizon = math.inf
         for r in running:
             tokens = covered(r.request_id)
             if tokens < r.input_len + r.output_len:
-                steps = tokens - r.input_len - r.generated
+                steps = tokens - r.input_len - r.generated - offset
                 if steps < horizon:
                     if not steps:
                         return 0

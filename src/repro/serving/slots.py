@@ -2,8 +2,8 @@
 
 The engine's hot path coalesces long stretches of decode iterations whose
 batch composition cannot change (no finish, no admission, no arrival the
-scheduler would admit, no KV block claim).  Inside such a run the
-pricing math needs only a few fields of each
+scheduler would admit, no KV block claim that does not fit).  Inside such
+a run the pricing math needs only a few fields of each
 :class:`~repro.serving.schedulers.RunningRequest`.  A :class:`SlotView`
 holds exactly those, as one tuple of plain Python ints per field, built
 in one pass whenever the batch re-forms and handed to

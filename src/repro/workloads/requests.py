@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 
@@ -33,8 +34,27 @@ class Request:
     session_id: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("input_len", "output_len"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ValueError(
+                    f"request {self.request_id}: {name} must be an integer, "
+                    f"got {value!r}"
+                )
         if self.input_len < 1 or self.output_len < 1:
             raise ValueError("request lengths must be positive")
+
+
+def is_count(value: object) -> bool:
+    """Whether ``value`` can be a token count: an int or a numpy integer.
+
+    A float cannot, even a whole one, and neither can a bool: a trace
+    holding one would fail far from its cause, in the engine's integer
+    arithmetic.
+    """
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,7 +216,11 @@ class Trace:
 
         Omitted columns hold the :class:`TimedRequest` defaults: no
         session and no continuation.  A list is kept as the column, not
-        copied, so the caller must not change it afterwards.
+        copied, so the caller must not change it afterwards.  The
+        column scan checks lengths for sign, not type: the generators of
+        :mod:`repro.serving.arrivals` and :class:`Request` are where a
+        fractional length is refused, and a caller that builds columns
+        itself must hold ints (or numpy integers) in them.
         """
         n = len(arrival_s)
         columns = [_as_list(c) for c in (request_id, arrival_s, input_len, output_len)]

@@ -14,6 +14,7 @@ from repro.serving.arrivals import (
     gamma_trace,
     load_trace,
     lognormal_lengths,
+    multiturn_chat_trace,
     poisson_trace,
     save_trace,
     static_trace,
@@ -84,6 +85,64 @@ class TestArrivalProcesses:
             poisson_trace(0.0, 10)
         with pytest.raises(ValueError):
             gamma_trace(1.0, 10, cv=0.0)
+
+
+class TestIntegerCounts:
+    """A fractional length used to build a trace whose serve died far
+    from its cause, with a ``TypeError`` inside ``Scheduler.decode_run``.
+    Every generator and sampler, and ``Request``, refuse a count or a
+    length that is not an integer, naming it; numpy integers are
+    integers."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: fixed_lengths(100.5, 8),
+                "input_len must be an integer, got 100.5",
+            ),
+            (
+                lambda: fixed_lengths(100, 8.5),
+                "output_len must be an integer, got 8.5",
+            ),
+            (lambda: fixed_lengths(100, 8.0), "output_len must be an integer, got 8.0"),
+            (lambda: fixed_lengths(True, 8), "input_len must be an integer, got True"),
+            (
+                lambda: lognormal_lengths(1024, 256, max_output=4096.5),
+                "max_output must be an integer, got 4096.5",
+            ),
+            (
+                lambda: empirical_lengths([(10, 1), (20, 2.5)]),
+                r"pairs\[1\] output_len must be an integer, got 2.5",
+            ),
+            (lambda: poisson_trace(5.0, 3.5), "n_requests must be an integer, got 3.5"),
+            (lambda: gamma_trace(5.0, 2.0), "n_requests must be an integer, got 2.0"),
+            (
+                lambda: multiturn_chat_trace(1.0, 2, first_input=128.5),
+                "first_input must be an integer, got 128.5",
+            ),
+            (
+                lambda: Request(0, 10.5, 3),
+                "request 0: input_len must be an integer, got 10.5",
+            ),
+            (
+                lambda: Request(4, 10, np.float64(3.0)),
+                r"request 4: output_len must be an integer, got np.float64\(3.0\)",
+            ),
+        ],
+    )
+    def test_refuses_a_fraction_naming_it(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_numpy_integers_are_integers(self):
+        trace = poisson_trace(
+            5.0, np.int64(3), fixed_lengths(np.int32(100), np.int64(8))
+        )
+        assert trace.input_len == [100, 100, 100]
+        sample = empirical_lengths([(np.int64(10), np.int16(2))])
+        assert sample(np.random.default_rng(0)) == (10, 2)
+        assert Request(0, np.int64(10), np.int64(3)).input_len == 10
 
 
 class TestTraceReplay:

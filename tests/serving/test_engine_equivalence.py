@@ -269,9 +269,11 @@ def test_paged_decode_runs_really_coalesce(
     scheduler_name, trace_name, pimba_system, zamba_spec
 ):
     """Bit-exactness cannot see a silent fall back to one scalar step
-    per iteration, so count: a decode span is one coalesced run (or one
-    claiming step), and paged growth must leave most iterations inside
-    runs — at most one span per three iterations."""
+    per iteration, so count: a decode span is a stretch of one coalesced
+    run (a run that goes through a block claim records the claim
+    iteration as its own span), and paged growth must leave most
+    iterations inside long spans — at most one span per three
+    iterations."""
     collector = TimelineCollector()
     record = ServingEngine(
         pimba_system,
@@ -737,8 +739,7 @@ def test_a_coalesced_run_prices_once_per_segment(
     stride 32 re-anchors three times, so its one run is four calls.  A
     ragged burst then has every run price exactly its segments.  A paged
     batch adds exactly one call per block claim that preempts: a claim
-    that evicts nobody opens the run that follows, whose segments price
-    it."""
+    that evicts nobody lands inside a run, whose segments price it."""
     calls = []
     priced = IterationCostModel.decode_seconds
 
