@@ -70,9 +70,12 @@ def pinned_trace(name: str) -> str:
 
 
 def _check_scheduler(p: dict) -> None:
-    """An unknown scheduler fails before any replay runs (a replay sets
-    no policy knob)."""
-    check_policy_knobs(p["scheduler"], {})
+    """An unknown scheduler, or a malformed ``max_batch`` or
+    ``step_stride``, fails before any replay runs (a replay sets no
+    policy knob)."""
+    check_policy_knobs(
+        p["scheduler"], {knob: p[knob] for knob in ("max_batch", "step_stride")}
+    )
 
 
 @trial("trace_replay_slo", check=_check_scheduler)

@@ -196,15 +196,17 @@ _SCHEDULER_KNOBS = tuple(inspect.signature(build_scheduler).parameters)[3:]
 
 def _check_policy_knobs(p: dict) -> None:
     """Refuse a serving trial whose scheduler cannot use a policy knob it
-    sets, naming the knob as the trial spells it (``capacity_gib``).
+    sets, or whose scheduler knob holds a value no policy can use,
+    naming the knob as the trial spells it (``capacity_gib``).
 
     Registered with every serving trial, so a sweep or a ``--set`` fails
     before any trial runs; :func:`_serve_trial` checks again, for callers
     that run a trial directly.
     """
+    knobs = ("max_batch", "step_stride", "capacity_gib", "chunk_budget", "block_size")
     check_policy_knobs(
         p["scheduler"],
-        {knob: p[knob] for knob in ("capacity_gib", "chunk_budget", "block_size")},
+        {knob: p[knob] for knob in knobs},
         spelling={"capacity_gib": "capacity_bytes"},
     )
 
@@ -1313,7 +1315,8 @@ def wallclock_spec(smoke: bool = False) -> ExperimentSpec:
     any scheduler, ``reference.wall_s / slot.wall_s`` drops below the
     floor the vectorized core was merged at (5x), or, under ``fcfs``, if
     the recording collector costs more than 15% over the bare engine
-    (``slot+telemetry.wall_s / slot.wall_s`` > 1.15) or the routed fleet
+    (``slot+telemetry.wall_s / slot.wall_s`` > 1.15, the fastest wall of
+    three sweeps over the fastest of three) or the routed fleet
     costs more than 3x the bare engine (``cluster.wall_s /
     slot.wall_s`` > 3) — ratios that do not depend on the machine and
     that a path quadratic in the trace length blows through.

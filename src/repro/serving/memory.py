@@ -22,21 +22,30 @@ footprint through the *same* :meth:`MemoryModel.request_bytes`
 arithmetic as :class:`~repro.serving.schedulers.MemoryAwareScheduler`
 and never claims again: the two engines are bit-exact, event for event.
 
-Every ledger event is a few integer operations.  A footprint is two
-numbers fixed at construction — the state bytes per request and the KV
-bytes per token — so ``reserved_bytes(t)`` is ``state + t * per_token``.
-The pool keeps its held total as a running integer, grows every
-crossing holding of a decode iteration in one all-or-nothing pass
-(:meth:`BlockPool.extend_all`), and a prefix pool drops the cached
-blocks a claim displaces in one cut of its LRU (:meth:`PrefixCache.evict`).
+Every ledger event is a few integer operations on flat state, whatever
+the number of blocks it moves.  A footprint is two numbers fixed at
+construction — the state bytes per request and the KV bytes per token —
+so ``reserved_bytes(t)`` is ``state + t * per_token``.  The pool keeps
+its held total as a running integer and each holding's coverage in a
+request-id mapping (:attr:`BlockPool.coverage`) that the schedulers read
+by subscript, packs an admission from the queue's length columns by row
+index (:meth:`BlockPool.admissible`), and grows every crossing holding
+of a decode iteration in one all-or-nothing pass
+(:meth:`BlockPool.extend_all`).  A prefix pool's cache
+(:class:`PrefixCache`) holds no block on its own: each holder pins a
+prefix length, the unreferenced blocks sit in the LRU as runs of one
+session's consecutive blocks, and the pinned and cached block counts are
+counters, so a publish, a pin, a release or the cut that drops the
+blocks a claim displaces costs O(runs of one session).
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-import itertools
 import math
-from collections.abc import Iterable, Sequence
+import numbers
+from collections.abc import Sequence
 
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
@@ -133,6 +142,15 @@ class MemoryModel:
         return self.reserved_bytes(input_len + output_len)
 
 
+def is_finite_number(value: object) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not one)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def validate_capacity(memory: MemoryModel, capacity_bytes: float) -> None:
     """Reject an HBM budget that cannot even hold the model weights.
 
@@ -140,7 +158,14 @@ def validate_capacity(memory: MemoryModel, capacity_bytes: float) -> None:
     capacity knobs are usually set in GiB (``capacity_gib`` on the CLI)
     while footprints are computed in bytes, and a unit slip between the
     two is exactly the mistake this guard exists to catch.
+
+    A budget that is not a finite number is refused too: a NaN would
+    pass every ``need > free`` test and serve as if HBM were unbounded.
     """
+    if not is_finite_number(capacity_bytes):
+        raise ValueError(
+            f"capacity must be a finite number of bytes, got {capacity_bytes!r}"
+        )
     floor = memory.weights_bytes
     if capacity_bytes <= floor:
         raise ValueError(
@@ -174,7 +199,10 @@ class BlockPool:
     ``kv_tokens`` of KV, where ``kv_tokens`` grows in steps of
     ``block_size`` as decode proceeds (:meth:`extend`) and is trimmed to
     the request's known final context, so the tail block never charges
-    tokens that will not exist.  Every footprint is
+    tokens that will not exist.  :attr:`coverage` maps each resident
+    request to the context its holding covers (claimed KV plus shared
+    prefix), kept in step with the holdings, so a scheduler finds the
+    residents due to claim by subscript.  Every footprint is
     :meth:`MemoryModel.reserved_bytes` — ``state + kv_tokens *
     per_token`` on the model's two numbers, the arithmetic the
     conservative scheduler uses — which is what makes the degenerate
@@ -222,6 +250,10 @@ class BlockPool:
         #: whole bytes held by all holdings (a running, exact total)
         self._held = 0
         self._holdings: dict[int, _Holding] = {}
+        #: request id -> context tokens its holding covers, claimed KV
+        #: plus shared prefix (decode grows the request to this context
+        #: without a claim), kept in step with the holdings
+        self.coverage: dict[int, int] = {}
         self.allocated_blocks = 0  #: lifetime blocks claimed
         self.freed_blocks = 0  #: lifetime blocks returned
 
@@ -256,14 +288,6 @@ class BlockPool:
         """
         return self._pool_bytes - self._held
 
-    def covered(self, request_id: int) -> int:
-        """Context tokens a holding covers: claimed KV plus shared prefix.
-
-        Decode can grow the request to this context without a claim.
-        """
-        holding = self._holdings[request_id]
-        return holding.kv_tokens + holding.shared_tokens
-
     @property
     def blocks_in_use(self) -> int:
         """Blocks held right now: every claim not yet returned."""
@@ -286,9 +310,11 @@ class BlockPool:
         """Could this request *ever* complete, even alone in the pool?"""
         return self.memory.request_bytes(input_len, output_len) <= self._pool_bytes
 
-    def admissible(self, lengths: Iterable[tuple[int, int]]) -> int:
-        """How many requests of these ``(input_len, output_len)``, in
-        order, the free pool admits now.
+    def admissible(
+        self, input_len: Sequence[int], output_len: Sequence[int], rows: range
+    ) -> int:
+        """How many of the requests in ``rows`` of these length columns,
+        in order, the free pool admits now.
 
         The longest prefix whose prompt blocks (tail trimmed to the
         final context) fit the free bytes together, stopping at the
@@ -298,9 +324,10 @@ class BlockPool:
         free = self.free_bytes
         size, state, per_token = self.block_size, self._state, self._per_token
         n = 0
-        for input_len, output_len in lengths:
-            final = input_len + output_len
-            covered = -(-input_len // size) * size  # covered_tokens, inlined
+        for row in rows:
+            prompt = input_len[row]
+            final = prompt + output_len[row]
+            covered = -(-prompt // size) * size  # covered_tokens, inlined
             need = state + min(covered, final) * per_token
             if need > free or state + final * per_token > self._pool_bytes:
                 break
@@ -334,6 +361,7 @@ class BlockPool:
         kv_tokens = min(blocks * size, final_context) - shared_tokens
         blocks -= shared_tokens // size
         holdings[request_id] = _Holding(blocks, kv_tokens, shared_tokens)
+        self.coverage[request_id] = kv_tokens + shared_tokens
         self._held += self._state + kv_tokens * self._per_token
         self.allocated_blocks += blocks
         self._claimed()
@@ -371,7 +399,7 @@ class BlockPool:
             blocks = -(-context // size)  # blocks_for and covered_tokens, inlined
             kv_tokens = min(blocks * size, final_context) - holding.shared_tokens
             if kv_tokens > holding.kv_tokens:
-                grown.append((holding, blocks, kv_tokens))
+                grown.append((request_id, holding, blocks, kv_tokens))
                 tokens += kv_tokens - holding.kv_tokens
         if not grown:
             return True
@@ -379,11 +407,14 @@ class BlockPool:
         if delta > self.free_bytes:
             return False
         claimed = 0
-        for holding, blocks, kv_tokens in grown:
-            blocks -= holding.shared_tokens // size
+        coverage = self.coverage
+        for request_id, holding, blocks, kv_tokens in grown:
+            shared = holding.shared_tokens
+            blocks -= shared // size
             claimed += blocks - holding.blocks
             holding.blocks = blocks
             holding.kv_tokens = kv_tokens
+            coverage[request_id] = kv_tokens + shared
         self.allocated_blocks += claimed
         self._held += delta
         self._claimed()
@@ -392,6 +423,7 @@ class BlockPool:
     def release(self, request_id: int) -> None:
         """Return all of a request's blocks (completion or preemption)."""
         holding = self._holdings.pop(request_id)
+        del self.coverage[request_id]
         self._held -= self._state + holding.kv_tokens * self._per_token
         self.freed_blocks += holding.blocks
 
@@ -402,26 +434,46 @@ class BlockPool:
 class PrefixCache:
     """Refcounted radix-style cache of published session-prefix blocks.
 
-    Keyed by ``(session_id, block_index)`` — the degenerate token-prefix
+    Block ``i`` of a session covers tokens ``[i * block_size, (i + 1) *
+    block_size)`` of that session's history — the degenerate token-prefix
     hash of the simulator, where a session's token history *is* its
-    identity, so two turns of one chat share block ``i`` exactly when
-    both cover tokens ``[i * block_size, (i + 1) * block_size)`` of that
-    history.  Only *full* blocks are ever published: the partial tail of
-    a prompt or an in-flight decode is private by construction
-    (copy-on-write — a request whose prompt ends mid-block writes its
-    decode tokens into that block, so the block diverges from the
-    session history and cannot be shared; :meth:`match` therefore stops
-    at the last whole block *strictly before* the first token the new
-    request must compute).
+    identity, so two turns of one chat share block ``i`` exactly when both
+    cover those tokens.  Only *full* blocks are ever published: the
+    partial tail of a prompt or an in-flight decode is private by
+    construction (copy-on-write — a request whose prompt ends mid-block
+    writes its decode tokens into that block, so the block diverges from
+    the session history and cannot be shared; :meth:`match` therefore
+    stops at the last whole block *strictly before* the first token the
+    new request must compute).
 
-    Entries carry a reference count.  Referenced (pinned) blocks belong
-    to live requests and are never evicted; unreferenced blocks sit in
-    an insertion-ordered LRU and are reclaimed oldest-first whenever
-    live KV wants the bytes (:meth:`PrefixBlockPool._trim`) — cached
-    blocks always lose to live KV, and they lose *before* any request
-    is preempted.  Matching requires the prefix to be contiguous from
-    block 0, so evicting a block implicitly unreaches its descendants —
-    the radix-tree parent/child rule without materializing a tree.
+    Every block carries a reference count.  Referenced (pinned) blocks
+    belong to live requests and are never evicted; unreferenced blocks
+    sit in an LRU and are reclaimed oldest-first whenever live KV wants
+    the bytes (:meth:`PrefixBlockPool._trim`) — cached blocks always
+    lose to live KV, and they lose *before* any request is preempted.
+    Matching requires the prefix to be contiguous from block 0, so
+    evicting a block implicitly unreaches its descendants — the
+    radix-tree parent/child rule without materializing a tree.
+
+    No block is stored on its own; the cache is kept as ranges:
+
+    * A holder pins a *prefix length* ``n``: blocks ``0..n-1`` of its
+      session.  Block ``i``'s refcount is the number of the session's
+      pins longer than ``i``, so a session's pinned blocks are
+      ``[0, longest pin)``.
+    * The LRU is a deque of ``[session, lo, hi]`` *runs*, oldest first,
+      each the blocks ``lo..hi-1`` in eviction order.  A publish of ``n``
+      blocks cuts the session's runs below ``n`` and appends ``[longest
+      pin, n)``; a release appends ``[longest remaining pin, released
+      pin)``; an acquire cuts the low end of the session's runs; an
+      eviction cuts runs from the head.  Expanded block by block, that is
+      the LRU order of a per-block cache, so the same blocks are evicted
+      in the same order.
+    * :attr:`pinned_blocks` and :attr:`cached_blocks` are counters.
+
+    So every event costs O(runs and pins of one session), whatever the
+    number of blocks it touches.  A run that a cut empties stays in the
+    deque until it reaches the head (or the deque is compacted).
     """
 
     def __init__(self, memory: MemoryModel, block_size: int):
@@ -430,12 +482,20 @@ class PrefixCache:
         #: KV bytes of one full cached block (no per-request state —
         #: that is charged by whichever request computes on the tokens)
         self.block_bytes = memory.kv_bytes(block_size)
-        #: (session_id, block_index) -> live references
-        self._refs: dict[tuple[int, int], int] = {}
-        #: refcount-0 entries in eviction order, oldest first
-        self._lru: dict[tuple[int, int], None] = {}
-        #: block keys each resident request currently pins
-        self._holders: dict[int, list[tuple[int, int]]] = {}
+        #: session -> prefix lengths its holders pin, one per holder
+        self._pins: dict[int, list[int]] = {}
+        #: request id -> (session, pinned prefix length)
+        self._holders: dict[int, tuple[int, int]] = {}
+        #: unreferenced ``[session, lo, hi]`` runs, oldest first; a run
+        #: cut empty (``lo == hi``) is skipped when it reaches the head
+        self._lru: collections.deque[list[int]] = collections.deque()
+        #: session -> its nonempty runs (the lists in ``_lru``), highest
+        #: blocks first: a new run always holds the session's lowest
+        #: unpinned blocks, so it is appended
+        self._runs: dict[int, list[list[int]]] = {}
+        self._dead = 0  #: runs in ``_lru`` that a cut emptied
+        self.pinned_blocks = 0  #: blocks referenced by live requests
+        self.cached_blocks = 0  #: unreferenced blocks (evictable)
         self.hit_tokens = 0  #: lifetime prefill tokens served from cache
         self.miss_tokens = 0  #: lifetime prefill tokens actually computed
         self.evictions = 0  #: lifetime cached blocks reclaimed for live KV
@@ -444,18 +504,8 @@ class PrefixCache:
 
     @property
     def n_blocks(self) -> int:
-        """All cache entries, pinned and evictable."""
-        return len(self._refs)
-
-    @property
-    def pinned_blocks(self) -> int:
-        """Entries referenced by live requests (never evictable)."""
-        return len(self._refs) - len(self._lru)
-
-    @property
-    def cached_blocks(self) -> int:
-        """Unreferenced entries retained for future reuse (evictable)."""
-        return len(self._lru)
+        """All cached blocks, pinned and evictable."""
+        return self.pinned_blocks + self.cached_blocks
 
     @property
     def pinned_bytes(self) -> float:
@@ -464,6 +514,12 @@ class PrefixCache:
     @property
     def cached_bytes(self) -> float:
         return self.cached_blocks * self.block_bytes
+
+    def _longest_pin(self, session_id: int) -> int:
+        """The longest pin of the session's holders, 0 without one: its
+        pinned blocks are those below it."""
+        pins = self._pins.get(session_id)
+        return max(pins) if pins else 0
 
     # -- lookup and lifecycle ----------------------------------------------
 
@@ -474,70 +530,129 @@ class PrefixCache:
         ``(prefill_tokens - 1) // block_size`` so at least one token is
         always left to compute (the engine must price a first-token
         prefill) and the block the request will *write* into (its
-        mid-block divergence point) is copied, never shared.
+        mid-block divergence point) is copied, never shared.  The pinned
+        prefix is cached, and the session's runs, lowest first, extend
+        it while each starts where the last ended.
         """
         cap = (prefill_tokens - 1) // self.block_size
-        n = 0
-        while n < cap and (session_id, n) in self._refs:
-            n += 1
-        return n
+        if cap <= 0:
+            return 0
+        n = self._longest_pin(session_id)
+        for _, lo, hi in reversed(self._runs.get(session_id, ())):
+            if lo != n:
+                break
+            n = hi
+        return min(n, cap)
 
     def acquire(self, request_id: int, session_id: int, n_blocks: int) -> None:
-        """Pin blocks ``0..n_blocks-1`` of ``session_id`` for a request."""
+        """Pin blocks ``0..n_blocks-1`` of ``session_id`` for a request.
+
+        The blocks must be cached (a :meth:`match` or a publish just
+        found them); those no pin covered yet leave the LRU.
+        """
         if n_blocks == 0:
             return
-        keys = [(session_id, i) for i in range(n_blocks)]
-        for key in keys:
-            if self._refs[key] == 0:
-                del self._lru[key]
-            self._refs[key] += 1
-        self._holders[request_id] = keys
+        pins = self._pins.setdefault(session_id, [])
+        longest = max(pins, default=0)
+        pins.append(n_blocks)
+        self._holders[request_id] = (session_id, n_blocks)
+        if n_blocks > longest:
+            self.pinned_blocks += n_blocks - longest
+            self.cached_blocks -= self._cut(session_id, n_blocks)
 
     def release(self, request_id: int) -> None:
-        """Drop a request's pins; newly unreferenced blocks join the LRU."""
-        for key in self._holders.pop(request_id, ()):
-            self._refs[key] -= 1
-            if self._refs[key] == 0:
-                self._lru[key] = None
+        """Drop a request's pin; the blocks no other pin covers join the
+        LRU, lowest first."""
+        holder = self._holders.pop(request_id, None)
+        if holder is None:
+            return
+        session_id, n_blocks = holder
+        pins = self._pins[session_id]
+        pins.remove(n_blocks)
+        longest = max(pins, default=0)
+        if not pins:
+            del self._pins[session_id]
+        if n_blocks > longest:
+            self.pinned_blocks -= n_blocks - longest
+            self.cached_blocks += n_blocks - longest
+            self._append(session_id, longest, n_blocks)
 
     def publish(self, session_id: int, history_tokens: int) -> None:
         """Make every full block of a session history reusable.
 
         Called when a request completes: its prompt and generated tokens
-        extend the session's shared history.  Already-present blocks are
-        refreshed (moved to the LRU tail when unreferenced); the partial
-        tail block is never published.
+        extend the session's shared history.  Unreferenced blocks below
+        the history's end, cached already or not, go to the LRU tail as
+        one run; pinned blocks stay pinned; the partial tail block is
+        never published.
         """
-        refs, lru = self._refs, self._lru
-        for i in range(history_tokens // self.block_size):
-            key = (session_id, i)
-            count = refs.get(key)
-            if count is None:
-                refs[key] = 0
-                lru[key] = None
-            elif count == 0:
-                del lru[key]
-                lru[key] = None
-
-    def evict_lru(self) -> bool:
-        """Reclaim the least-recently-used unreferenced block, if any."""
-        if not self._lru:
-            return False
-        key = next(iter(self._lru))
-        del self._lru[key]
-        del self._refs[key]
-        self.evictions += 1
-        return True
+        n = history_tokens // self.block_size
+        longest = self._longest_pin(session_id)
+        if n > longest:
+            self.cached_blocks += n - longest - self._cut(session_id, n)
+            self._append(session_id, longest, n)
 
     def evict(self, n_blocks: int) -> None:
         """Reclaim the ``n_blocks`` least-recently-used unreferenced
-        blocks (at most :attr:`cached_blocks`): :meth:`evict_lru` that
-        many times, in one cut of the LRU."""
-        lru, refs = self._lru, self._refs
-        for key in list(itertools.islice(lru, n_blocks)):
-            del lru[key]
-            del refs[key]
+        blocks (at most :attr:`cached_blocks`), oldest first, in one cut
+        of the runs at the LRU's head."""
+        lru, runs = self._lru, self._runs
+        left = n_blocks
+        while left:
+            run = lru[0]
+            session_id, lo, hi = run
+            if hi - lo > left:
+                run[1] = lo + left
+                break
+            lru.popleft()
+            if lo == hi:
+                self._dead -= 1
+                continue
+            left -= hi - lo
+            # A session's runs are disjoint and nonempty, so the one
+            # equal to ``run`` is ``run``.
+            session_runs = runs[session_id]
+            session_runs.remove(run)
+            if not session_runs:
+                del runs[session_id]
+        self.cached_blocks -= n_blocks
         self.evictions += n_blocks
+
+    def _cut(self, session_id: int, n: int) -> int:
+        """Take the session's unreferenced blocks below ``n`` out of the
+        LRU; return how many there were."""
+        runs = self._runs.get(session_id)
+        if not runs:
+            return 0
+        cut = 0
+        while runs:
+            run = runs[-1]
+            lo, hi = run[1], run[2]
+            if lo >= n:
+                break
+            if hi > n:
+                cut += n - lo
+                run[1] = n
+                break
+            cut += hi - lo
+            run[1] = hi
+            runs.pop()
+            self._dead += 1
+        if not runs:
+            del self._runs[session_id]
+        return cut
+
+    def _append(self, session_id: int, lo: int, hi: int) -> None:
+        """Queue blocks ``lo..hi-1`` of a session at the LRU tail; they
+        are the session's lowest unreferenced blocks."""
+        lru = self._lru
+        if self._dead > len(lru) // 2:
+            # Mostly emptied runs: drop them, at O(1) per dropped run.
+            self._lru = lru = collections.deque(r for r in lru if r[1] < r[2])
+            self._dead = 0
+        run = [session_id, lo, hi]
+        lru.append(run)
+        self._runs.setdefault(session_id, []).append(run)
 
 
 class PrefixBlockPool(BlockPool):
@@ -596,8 +711,7 @@ class PrefixBlockPool(BlockPool):
     def free_bytes(self) -> float:
         # cache.pinned_bytes, inlined: this runs on every ledger event
         cache = self.cache
-        pinned = len(cache._refs) - len(cache._lru)
-        return self._pool_bytes - self._held - pinned * cache.block_bytes
+        return self._pool_bytes - self._held - cache.pinned_blocks * cache.block_bytes
 
     def allocate_reusing(
         self,
@@ -682,10 +796,12 @@ class PrefixBlockPool(BlockPool):
         set keeps the most blocks whose whole-byte total fits the free
         pool, ``floor(free) // block_bytes`` of them (none when nothing
         is free), exactly where evicting one LRU block at a time would
-        stop.
+        stop.  :meth:`PrefixCache.evict` then cuts that many blocks off
+        the runs at the LRU's head: whole runs go, and the last one cut
+        keeps its newer blocks.
         """
         cache = self.cache
-        cached = len(cache._lru)  # cache.cached_blocks, inlined
+        cached = cache.cached_blocks
         if not cached:
             return
         free = self.free_bytes

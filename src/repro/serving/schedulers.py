@@ -49,9 +49,11 @@ Seven policies on five classes, in increasing order of sophistication
 Every policy takes ``max_batch`` and ``step_stride``;
 :data:`POLICY_KNOBS` declares which of ``capacity_bytes``,
 ``chunk_budget`` and ``block_size`` each one takes, and
-:func:`build_scheduler` refuses any other that is set
-(:func:`check_policy_knobs`, which the serving trials also call on
-their own spelling of the knobs before any trial runs).
+:func:`build_scheduler` refuses any other that is set, and any knob
+value no policy can use — a capacity that is not a finite number, a
+count that is not a positive integer (:func:`check_policy_knobs`, which
+the serving trials also call on their own spelling of the knobs before
+any trial runs).
 
 A scheduler also owns the *pricing shape* of a decode iteration — which
 (batch, context) point the cost model is asked for — because that shape is
@@ -72,10 +74,11 @@ from repro.serving.memory import (
     BlockPool,
     MemoryModel,
     PrefixBlockPool,
+    is_finite_number,
     validate_capacity,
 )
 from repro.serving.metrics import RequestTiming
-from repro.workloads.requests import Trace
+from repro.workloads.requests import Trace, is_count
 from repro.workloads.serving import clamped_stride
 
 if TYPE_CHECKING:
@@ -161,7 +164,9 @@ class QueuedRows:
     Rows before ``head`` were admitted and rows from ``tail`` on have not
     arrived yet, so an arrival or an admission moves one index and no
     queued request is copied or built.  :meth:`Scheduler.admit` reads
-    ``len`` and :meth:`lengths`.
+    ``len``, ``head`` and the trace's ``input_len`` and ``output_len``
+    columns, where the ``n`` oldest waiting requests are rows ``head``
+    to ``head + n - 1``.
     """
 
     __slots__ = ("input_len", "output_len", "head", "tail")
@@ -174,29 +179,38 @@ class QueuedRows:
     def __len__(self) -> int:
         return self.tail - self.head
 
-    def lengths(self, n: int) -> Iterable[tuple[int, int]]:
-        """``(input_len, output_len)`` of the ``n`` oldest waiting rows,
-        read lazily: an admission that stops early reads no further."""
-        rows = range(self.head, min(self.head + n, self.tail))
-        return zip(
-            map(self.input_len.__getitem__, rows),
-            map(self.output_len.__getitem__, rows),
-        )
+
+class _Column:
+    """One length field of a list of requests, read by index, no copy."""
+
+    __slots__ = ("_requests", "_field")
+
+    def __init__(self, requests: list, field: str):
+        self._requests = requests
+        self._field = field
+
+    def __getitem__(self, i: int) -> int:
+        return getattr(self._requests[i], self._field)
 
 
 class QueuedRequests(list):
     """A waiting queue held as a list of requests, oldest first.
 
-    The scalar reference's queue: the same ``len`` and :meth:`lengths`
-    as :class:`QueuedRows`, read from request objects.
+    The scalar reference's queue: the same ``len``, ``head`` (always 0)
+    and ``input_len`` and ``output_len`` columns as :class:`QueuedRows`,
+    each a view that reads the request at an index.
     """
 
-    def lengths(self, n: int) -> Iterable[tuple[int, int]]:
-        """``(input_len, output_len)`` of the ``n`` oldest waiting requests."""
-        return [(r.input_len, r.output_len) for r in self[:n]]
+    head = 0
+
+    def __init__(self, requests: Iterable = ()):
+        super().__init__(requests)
+        self.input_len = _Column(self, "input_len")
+        self.output_len = _Column(self, "output_len")
 
 
-#: what :meth:`Scheduler.admit` reads its waiting queue through
+#: what :meth:`Scheduler.admit` reads its waiting queue through: its
+#: ``len``, ``head`` and length columns, by row index
 Queued = QueuedRows | QueuedRequests
 
 
@@ -208,8 +222,8 @@ class Scheduler(abc.ABC):
     it each loop iteration:
 
     * :meth:`admit` — how many queued requests join now, read from the
-      queue's ``len`` and the :meth:`~QueuedRows.lengths` of its oldest
-      requests.  Must be pure
+      queue's ``len`` and, for its ``n`` oldest requests, rows ``head``
+      to ``head + n - 1`` of its length columns.  Must be pure
       (no state mutation): the engine may call it and then admit exactly
       that many requests, after which :meth:`on_admit` fires once with
       the new residents.  An admission implies the request's whole
@@ -307,6 +321,11 @@ class Scheduler(abc.ABC):
         more_arrivals: bool,
     ) -> int:
         """How many requests to admit from the front of ``queue`` now.
+
+        The ``n`` oldest waiting requests are rows ``queue.head`` to
+        ``queue.head + n - 1`` of ``queue.input_len`` and
+        ``queue.output_len``, the same reads for either queue kind, and
+        an admission that stops early reads no further row.
 
         Pure: must not mutate scheduler state (the engine follows up
         with :meth:`on_admit` for exactly the returned prefix).
@@ -611,9 +630,10 @@ class MemoryAwareScheduler(FcfsContinuousScheduler):
         free = self.capacity_bytes - memory.weights_bytes - sum(
             memory.request_bytes(r.input_len, r.output_len) for r in running
         )
+        input_len, output_len = queue.input_len, queue.output_len
         n = 0
-        for input_len, output_len in queue.lengths(limit):
-            need = memory.request_bytes(input_len, output_len)
+        for row in range(queue.head, queue.head + limit):
+            need = memory.request_bytes(input_len[row], output_len[row])
             if need > free:
                 break
             free -= need
@@ -686,7 +706,10 @@ class PagedScheduler(Scheduler):
         limit = min(len(queue), self.max_batch - len(running))
         if limit <= 0:
             return 0
-        return self.pool.admissible(queue.lengths(limit))
+        head = queue.head
+        return self.pool.admissible(
+            queue.input_len, queue.output_len, range(head, head + limit)
+        )
 
     def on_admit(self, admitted: Sequence[RunningRequest]) -> None:
         for r in admitted:
@@ -711,11 +734,11 @@ class PagedScheduler(Scheduler):
         """
         if self.land_claims(running, 0):
             return []
-        covered = self.pool.covered
+        covered = self.pool.coverage
         crossing = {
             r.request_id
             for r in running
-            if r.input_len + r.generated >= covered(r.request_id)
+            if r.input_len + r.generated >= covered[r.request_id]
         }
         victims: list[RunningRequest] = []
         # Age order by *original* admission (restores keep their first
@@ -762,11 +785,11 @@ class PagedScheduler(Scheduler):
         so none is made.  When the crossers' claims fit together, in
         sequence each would have fitted, and nobody is evicted.
         """
-        covered = self.pool.covered
+        covered = self.pool.coverage
         claims = [
             (r.request_id, context + 1, r.input_len + r.output_len)
             for r in running
-            if (context := r.input_len + r.generated + offset) >= covered(r.request_id)
+            if (context := r.input_len + r.generated + offset) >= covered[r.request_id]
         ]
         return not claims or self.pool.extend_all(claims)
 
@@ -784,10 +807,10 @@ class PagedScheduler(Scheduler):
         the context, so the first resident due to claim now ends the
         scan.
         """
-        covered = self.pool.covered
+        covered = self.pool.coverage
         horizon = math.inf
         for r in running:
-            tokens = covered(r.request_id)
+            tokens = covered[r.request_id]
             if tokens < r.input_len + r.output_len:
                 steps = tokens - r.input_len - r.generated - offset
                 if steps < horizon:
@@ -950,12 +973,18 @@ def check_policy_knobs(
     knobs: Mapping[str, object],
     spelling: Mapping[str, str] | None = None,
 ) -> None:
-    """Refuse an unknown policy ``name``, or a set knob it does not take.
+    """Refuse an unknown policy ``name``, a set knob it does not take, or
+    a knob value no policy could use.
 
-    ``knobs`` maps policy knobs to values, ``None`` meaning unset.  A
+    ``knobs`` maps scheduler knobs to values, ``None`` meaning unset
+    (``max_batch`` and ``step_stride``, which every policy takes, may be
+    among them).  A capacity must be a finite number: a NaN would pass
+    every ``need > free`` test and serve as if HBM were unbounded.  Every
+    other knob counts requests, steps or tokens, so it must be a
+    positive :func:`~repro.workloads.requests.is_count` integer.  A
     caller that spells a knob its own way maps its spelling to the
-    :data:`POLICY_KNOBS` name in ``spelling``, and the error then names
-    knobs the caller's way: a serving trial's ``capacity_gib`` stands for
+    scheduler's name in ``spelling``, and the error then names knobs the
+    caller's way: a serving trial's ``capacity_gib`` stands for
     ``capacity_bytes``.
     """
     if name not in POLICY_KNOBS:
@@ -963,15 +992,23 @@ def check_policy_knobs(
             f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}"
         )
     spelling = spelling or {}
-    takes = POLICY_KNOBS[name]
+    takes = ("max_batch", "step_stride", *POLICY_KNOBS[name])
     for knob, value in knobs.items():
-        if value is not None and spelling.get(knob, knob) not in takes:
+        if value is None:
+            continue
+        policy_knob = spelling.get(knob, knob)
+        if policy_knob not in takes:
             said = {policy: own for own, policy in spelling.items()}
             taken = [said.get(k, k) for k in takes]
             raise ValueError(
                 f"scheduler {name!r} cannot use {knob}={value!r}: it takes "
-                f"{', '.join(('max_batch', 'step_stride', *taken))}"
+                f"{', '.join(taken)}"
             )
+        if policy_knob == "capacity_bytes":
+            if not is_finite_number(value):
+                raise ValueError(f"{knob} must be a finite number, got {value!r}")
+        elif not (is_count(value) and value >= 1):
+            raise ValueError(f"{knob} must be a positive integer, got {value!r}")
 
 
 def build_scheduler(
@@ -996,7 +1033,9 @@ def build_scheduler(
     and preempt on exhaustion; ``prefix`` also reuses the blocks a
     session's earlier turns published.  ``None`` means unset: a policy
     knob the policy does not take (:data:`POLICY_KNOBS`) raises
-    ``ValueError`` instead of being ignored.
+    ``ValueError`` instead of being ignored, and so does a capacity that
+    is not a finite number or a count knob that is not a positive
+    integer (:func:`check_policy_knobs`).
 
     This signature is the one declaration of the scheduler knobs:
     :func:`~repro.serving.cluster.build_cluster` and the serving trials
@@ -1005,6 +1044,8 @@ def build_scheduler(
     check_policy_knobs(
         name,
         dict(
+            max_batch=max_batch,
+            step_stride=step_stride,
             capacity_bytes=capacity_bytes,
             chunk_budget=chunk_budget,
             block_size=block_size,

@@ -548,6 +548,33 @@ class TestBuildScheduler:
         owner = scheduler.pool if knob == "block_size" else scheduler
         assert getattr(owner, knob) == value
 
+    @pytest.mark.parametrize(
+        "name, knob, value",
+        [
+            ("memory", "capacity_bytes", float("nan")),
+            ("paged", "capacity_bytes", float("nan")),
+            ("prefix", "capacity_bytes", float("nan")),
+            ("paged", "capacity_bytes", float("inf")),
+            ("memory", "capacity_bytes", "1e12"),
+            ("paged", "block_size", float("nan")),
+            ("paged", "block_size", 64.5),
+            ("prefix", "block_size", True),
+            ("chunked", "chunk_budget", 100.5),
+            ("fcfs", "max_batch", 8.5),
+            ("static", "max_batch", True),
+            ("paged", "step_stride", 2.5),
+        ],
+    )
+    def test_a_malformed_knob_is_refused_at_build(self, name, knob, value, zamba_spec):
+        """A NaN capacity would pass every ``need > free`` test and
+        serve as if HBM were unbounded, and a fractional or boolean
+        count would serve fractional chunks, serve as 1, or fail deep
+        inside a serve: each is refused at build, naming the knob."""
+        system = build_system(SystemKind.PIMBA, "small")
+        with pytest.raises(ValueError, match="must be a") as refused:
+            build_scheduler(name, system, zamba_spec, **{knob: value})
+        assert repr(value) in str(refused.value)
+
     def test_chunked_capacity_opt_in(self, zamba_spec):
         system = build_system(SystemKind.PIMBA, "small")
         slot_only = build_scheduler(

@@ -22,6 +22,7 @@ import math
 import random
 
 import pytest
+from block_prefix_cache import BlockPrefixCache, expand
 
 from repro.models import spec_for
 from repro.perf.system import SystemKind, build_system
@@ -376,7 +377,7 @@ def test_steps_before_claim_is_unbounded_once_a_block_covers_the_final_context(
         stride=scheduler.request_stride(40),
     )
     scheduler.on_admit([r])
-    assert scheduler.pool.covered(0) == 64 + 40
+    assert scheduler.pool.coverage[0] == 64 + 40
     assert scheduler.steps_before_claim([r]) == math.inf
     assert _scalar_steps_before_claim(scheduler, [r]) == math.inf
 
@@ -443,8 +444,7 @@ def _ledger(pool):
     cache = getattr(pool, "cache", None)
     if cache is not None:
         state["evictions"] = cache.evictions
-        state["lru"] = list(cache._lru)
-        state["refs"] = dict(cache._refs)
+        state["lru"], state["refs"] = expand(cache)
     return state
 
 
@@ -458,10 +458,11 @@ def test_prepare_iteration_equals_sequential_extends(
     Two schedulers on the same tight pool live through the same random
     admissions, decode steps, preemptions, restores and completions.
     One claims through ``prepare_iteration``; the other through the
-    per-resident loop of written-out extends above, and (prefix) trims
-    its cache one LRU block at a time after every claim.  After each claim step the
-    victims, every holding, the free bytes, the block counters, the
-    eviction count and the surviving LRU order must agree.  Both paths
+    per-resident loop of written-out extends above, and (prefix) keeps
+    its cache block by block and trims it one LRU block at a time after
+    every claim.  After each claim step the victims, every holding, the
+    free bytes, the block counters, the eviction count and the surviving
+    LRU order and refcounts, expanded block by block, must agree.  Both paths
     of ``prepare_iteration`` are taken: one all-or-nothing pass over
     several crossers, and the age-ordered fallback when their claims do
     not fit together.
@@ -473,6 +474,7 @@ def test_prepare_iteration_equals_sequential_extends(
     subject = make_scheduler(name, pimba_system, zamba_spec)
     oracle = make_scheduler(name, pimba_system, zamba_spec)
     if name.startswith("prefix"):
+        oracle.pool.cache = BlockPrefixCache(oracle.memory, oracle.block_size)
         oracle.pool._trim = oracle.pool._claimed = lambda: _lru_trim(oracle.pool)
     passes = []
     extend_all = subject.pool.extend_all

@@ -358,6 +358,42 @@ class TestOneServingPath:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scheduler, knob, refusal",
+        [
+            ("paged", "capacity_gib=NaN", "finite number, got nan"),
+            ("paged", "capacity_gib=nan", "finite number, got 'nan'"),
+            ("memory", "capacity_gib=Infinity", "finite number, got inf"),
+            ("paged", "block_size=64.5", "positive integer, got 64.5"),
+            ("prefix", "block_size=true", "positive integer, got True"),
+            ("chunked", "chunk_budget=100.5", "positive integer, got 100.5"),
+            ("fcfs", "max_batch=8.5", "positive integer, got 8.5"),
+            ("fcfs", "step_stride=2.5", "positive integer, got 2.5"),
+            ("fcfs", "max_batch=0", "positive integer, got 0"),
+        ],
+    )
+    def test_a_malformed_knob_fails_before_any_trial_runs(
+        self, scheduler, knob, refusal, tmp_path, capsys, monkeypatch
+    ):
+        """A knob value no policy can use exits 2 with one ``repro:``
+        line naming it as the trial spells it, before any trial runs: a
+        NaN capacity no longer serves as unbounded HBM, and a ``nan``
+        the JSON parser leaves a string no longer dies in a traceback."""
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(serving_experiments, "build_cluster", no_fleet)
+        out = tmp_path / "out.json"
+        argv = ["sweep", "serving", "--smoke", "--serial", "--no-cache"]
+        argv += ["--set", f"scheduler={scheduler}", "--set", knob]
+        assert main([*argv, "--json", str(out)]) == 2
+        name = knob.partition("=")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro: {name} must be a {refusal}"
+        ]
+        assert not out.exists()
+
     def test_shared_parameters_share_defaults(self):
         """The trial signatures stay explicit (``--set`` validation and
         ``collect_timeline`` read them), so they must not drift apart:

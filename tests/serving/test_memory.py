@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from block_prefix_cache import BlockPrefixCache, expand
 
 from repro.models import spec_for
 from repro.models.registry import MODEL_NAMES
@@ -55,6 +56,13 @@ class TestMemoryModel:
 
     def test_validate_capacity_accepts_roomy_budget(self, memory):
         validate_capacity(memory, memory.weights_bytes * 2)  # no raise
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1e12", True])
+    def test_validate_capacity_refuses_what_is_not_a_finite_number(self, memory, bad):
+        """A NaN budget passes every ``need > free`` test, so a pool on
+        it would admit without bound."""
+        with pytest.raises(ValueError, match="finite number of bytes"):
+            validate_capacity(memory, bad)
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_two_number_footprint_equals_the_system_formulas(self, model):
@@ -187,8 +195,13 @@ class TestBlockPool:
                 free -= need
                 expected += 1
             stops[stop] += 1
-            lengths = [(r.input_len, r.output_len) for r in queue]
-            assert pool.admissible(lengths) == expected
+            # Rows before the head were admitted already: long enough to
+            # fit no pool, so an admission that read them would stop.
+            head = 3
+            input_len = [10**6] * head + [r.input_len for r in queue]
+            output_len = [10**6] * head + [r.output_len for r in queue]
+            rows = range(head, head + len(queue))
+            assert pool.admissible(input_len, output_len, rows) == expected
         # Every way a walk can end is exercised.
         assert min(stops.values()) > 40
 
@@ -312,15 +325,18 @@ class TestWholeByteLedger:
 
     def test_one_pass_trim_evicts_what_single_block_evictions_would(self, memory):
         """Two prefix pools live through one seeded walk of allocations,
-        extends, releases and publishes; the oracle trims by calling
-        ``evict_lru`` until its retained cache fits.  After every
-        operation both hold the same cached blocks in the same LRU order
-        with the same eviction count, and some trims drop several blocks
-        at once, so the counted cut is exercised beyond one block."""
+        extends, releases and publishes; the oracle keeps its cache
+        block by block and trims by calling ``evict_lru`` until its
+        retained cache fits.  After every operation both hold the same
+        cached blocks, expanded block by block, in the same LRU order
+        with the same refcounts and eviction count, and some trims drop
+        several blocks at once, so the counted cut is exercised beyond
+        one block."""
         rng = random.Random(7)
         budget = memory.weights_bytes + 2.93 * memory.request_bytes(256, 32)
         pool = PrefixBlockPool(memory, budget, 16)
         oracle = PrefixBlockPool(memory, budget, 16)
+        oracle.cache = BlockPrefixCache(memory, 16)
 
         def trim_one_at_a_time():
             free = oracle.free_bytes
@@ -368,8 +384,11 @@ class TestWholeByteLedger:
                 for p in pools:
                     p.publish(session, tokens)
             multi_block_trims += pool.cache.evictions - evictions > 1
-            assert list(pool.cache._lru) == list(oracle.cache._lru)
-            assert pool.cache._refs == oracle.cache._refs
+            (lru, refs), (oracle_lru, oracle_refs) = map(
+                expand, (pool.cache, oracle.cache)
+            )
+            assert lru == oracle_lru
+            assert refs == oracle_refs
             assert pool.cache.evictions == oracle.cache.evictions
             assert pool.free_bytes == oracle.free_bytes
         assert multi_block_trims > 20

@@ -7,7 +7,12 @@ through a full engine drain, cached blocks losing to live KV *before*
 any preemption, and hit counters that survive process-pool fan-out.
 """
 
+import collections
+import itertools
+import random
+
 import pytest
+from block_prefix_cache import BlockPrefixCache, expand
 
 from repro.experiments import Runner
 from repro.models import spec_for
@@ -15,6 +20,7 @@ from repro.perf.system import SystemKind, build_system
 from repro.serving import (
     MemoryModel,
     PrefixBlockPool,
+    PrefixCache,
     PrefixCachingScheduler,
     ServingEngine,
     multiturn_chat_trace,
@@ -82,12 +88,13 @@ class TestRefcounts:
         pool.publish(session_id=1, history_tokens=128)
         pool.cache.acquire(request_id=7, session_id=1, n_blocks=2)
         assert pool.cache.pinned_blocks == 2
-        assert pool.cache.cached_blocks == 0
-        assert not pool.cache.evict_lru()  # nothing unreferenced to take
+        assert pool.cache.cached_blocks == 0  # nothing unreferenced to take
         pool.cache.release(7)
         assert pool.cache.pinned_blocks == 0
         assert pool.cache.cached_blocks == 2
-        assert pool.cache.evict_lru()
+        pool.cache.evict(1)
+        assert pool.cache.cached_blocks == 1
+        assert pool.cache.evictions == 1
 
     def test_refcounts_conserved_at_engine_drain(
         self, pimba_system, zamba_spec, memory
@@ -167,6 +174,106 @@ class TestEvictionOrder:
         ).serve(trace)
         assert baseline.cache_evictions == 0
         assert baseline.cache_hit_tokens >= run.cache_hit_tokens
+
+
+#: the walk's operations: releases and evictions outweigh pins and
+#: publishes, so sessions keep shrinking back below their longest pin
+OPS = ("match", "acquire", "release", "release", "publish", "pull", "evict", "evict")
+
+
+class TestRunLengthCache:
+    """The run-length cache against the block-level oracle it replaced."""
+
+    def test_a_seeded_walk_keeps_every_block_where_the_oracle_does(self, memory):
+        """Both caches live through one seeded walk of 3,000 matches,
+        pins by several holders of a session (within and past its
+        longest pin), releases, publishes below, at and past the pinned
+        prefix, tier-style pulls (a publish, then a pin at once), and
+        evictions of one block and of many.  After every operation the
+        caches hold the same blocks in the same LRU order with the same
+        refcounts, counters and match for every session."""
+        rng = random.Random(28)
+        block, history = 4, 24  # tokens per block, blocks per session at most
+        sessions = range(5)
+        cache, oracle = PrefixCache(memory, block), BlockPrefixCache(memory, block)
+        caches = (cache, oracle)
+        pins = {s: [] for s in sessions}  # session -> its holders' pins
+        holders = {}  # request id -> (session, pinned blocks)
+        done = collections.Counter()  # operations run, by kind
+        request_ids = itertools.count()
+        while done.total() < 3000:
+            request_id = next(request_ids)
+            op = rng.choice(OPS)
+            session = rng.choice(sessions)
+            longest = max(pins[session], default=0)
+            if op == "match":
+                prefill = rng.randint(1, 40 * block)
+                assert cache.match(session, prefill) == oracle.match(session, prefill)
+            elif op == "acquire":
+                reach = oracle.match(session, 10**6)
+                if not reach:
+                    continue
+                longer = reach > longest and rng.random() < 0.5
+                n = rng.randint(longest + 1 if longer else 1, reach)
+                op += "-longer" if n > longest else "-within"
+                for c in caches:
+                    c.acquire(request_id, session, n)
+                pins[session].append(n)
+                holders[request_id] = (session, n)
+            elif op == "release":
+                if not holders:
+                    continue
+                rid = rng.choice(list(holders))
+                released_session, n = holders.pop(rid)
+                pins[released_session].remove(n)
+                for c in caches:
+                    c.release(rid)
+            elif op == "publish":
+                where = rng.choice(("below", "at", "past"))
+                if where == "below":
+                    if not longest:
+                        continue
+                    n = rng.randrange(longest)
+                elif where == "at":
+                    n = longest
+                elif longest < history:
+                    n = rng.randint(longest + 1, history)
+                else:
+                    continue
+                op += "-" + where
+                tokens = n * block + rng.randrange(block)
+                for c in caches:
+                    c.publish(session, tokens)
+            elif op == "pull":
+                reach = oracle.match(session, 10**6)
+                if reach >= history:
+                    continue
+                n = rng.randint(reach + 1, history)
+                for c in caches:
+                    c.publish(session, n * block)
+                    c.acquire(request_id, session, n)
+                pins[session].append(n)
+                holders[request_id] = (session, n)
+            else:
+                if not oracle.cached_blocks:
+                    continue
+                many = rng.random() < 0.5 and oracle.cached_blocks > 1
+                n = rng.randint(2, oracle.cached_blocks) if many else 1
+                op += "-many" if many else "-one"
+                for c in caches:
+                    c.evict(n)
+            done[op] += 1
+            (lru, refs), (oracle_lru, oracle_refs) = map(expand, caches)
+            assert lru == oracle_lru
+            assert refs == oracle_refs
+            assert cache.pinned_blocks == oracle.pinned_blocks
+            assert cache.cached_blocks == oracle.cached_blocks
+            assert cache.evictions == oracle.evictions
+            for s in sessions:
+                assert cache.match(s, 10**6) == oracle.match(s, 10**6)
+        # The walk is not vacuous: every kind of operation ran often.
+        assert len(done) == 10
+        assert min(done.values()) > 25
 
 
 class TestDeterministicCounters:
